@@ -16,6 +16,9 @@ Custom config schema (JSON object; unknown keys are errors everywhere):
                 "reservoirs.0.coupling", values are applied as given
     output      optional {path?, format?}
 
+Numeric fields must be JSON numbers, not strings or booleans, and
+max_collisions, window and seed must be integral.
+
 Seed precedence: --seed, then the QSC_SEED environment variable, then the
 config's engine.seed, then the built-in default.
 """
@@ -103,6 +106,18 @@ def _resolve_seed(cli_seed: int | None) -> int | None:
     return None
 
 
+def _number(value, where: str, integral: bool = False):
+    """A JSON number as float, or as int for integral fields.  Bools, strings
+    and fractional counts are rejected instead of coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfig(f"{where} must be a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidConfig(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_reservoir(block: dict, factor: float, where: str) -> ReservoirSpec:
     _check_keys(block, _RESERVOIR_KEYS, where)
     for key in ("theta", "coupling"):
@@ -114,15 +129,15 @@ def _parse_reservoir(block: dict, factor: float, where: str) -> ReservoirSpec:
         if "epsilon" not in block["noise"]:
             raise InvalidConfig(f"{where}.noise is missing 'epsilon'")
         noise = NoiseSpec(
-            epsilon=float(block["noise"]["epsilon"]),
-            eta=float(block["noise"].get("eta", 0.0)),
+            epsilon=_number(block["noise"]["epsilon"], f"{where}.noise.epsilon"),
+            eta=_number(block["noise"].get("eta", 0.0), f"{where}.noise.eta"),
         )
     weight = block.get("weight")
     return ReservoirSpec(
-        theta=float(block["theta"]) * factor,
-        coupling=float(block["coupling"]),
-        weight=None if weight is None else float(weight),
-        phi=float(block.get("phi", 0.0)) * factor,
+        theta=_number(block["theta"], f"{where}.theta") * factor,
+        coupling=_number(block["coupling"], f"{where}.coupling"),
+        weight=None if weight is None else _number(weight, f"{where}.weight"),
+        phi=_number(block.get("phi", 0.0), f"{where}.phi") * factor,
         noise=noise,
     )
 
@@ -132,10 +147,10 @@ def _parse_engine(block: dict, args, seed: int | None) -> EngineConfig:
     kwargs = {}
     for key in ("h", "tau", "tol"):
         if key in block:
-            kwargs[key] = float(block[key])
+            kwargs[key] = _number(block[key], f"engine.{key}")
     for key in ("max_collisions", "window", "seed"):
         if key in block:
-            kwargs[key] = int(block[key])
+            kwargs[key] = _number(block[key], f"engine.{key}", integral=True)
     if "mixing_mode" in block:
         kwargs["mixing_mode"] = block["mixing_mode"]
     if seed is not None:

@@ -9,6 +9,12 @@ are combined per collision according to ``EngineConfig.mixing_mode``:
 * ``sequential`` - rho' = E_N[... E_1[rho]]   (list order)
 * ``stochastic`` - one E_i drawn per collision with probability q_i
 
+Each reservoir's map is compiled once per run into its Pauli transfer matrix,
+the real 4x4 matrix acting on (1, x, y, z).  ``step``, ``evolve`` and the
+fixed-point oracle all run on that one form; ``single_collision`` (unitary
+plus partial trace) is kept as the independent reference the compiled form
+is tested against.
+
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
 platforms.  Draw order per collision: stochastic channel choice first, then
@@ -28,6 +34,8 @@ from .linalg import (
     IDENTITY_2,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     DimensionMismatch,
     dagger,
@@ -40,6 +48,8 @@ from .states import AngleOutOfRange, bloch_to_density, bloch_vector, pure_qubit,
 DEFAULT_SEED = 0xC0111DE
 
 MIXING_MODES = ("convex", "sequential", "stochastic")
+
+_TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 class NonUnitaryPropagator(ValueError):
@@ -119,9 +129,9 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.h) or not math.isfinite(self.tau) or self.tau < 0.0:
             raise ValueError(f"h must be finite and tau >= 0, got h={self.h}, tau={self.tau}")
-        if self.tol <= 0.0 or self.window < 1 or self.max_collisions < self.window:
+        if not math.isfinite(self.tol) or self.tol <= 0.0 or self.window < 1 or self.max_collisions < self.window:
             raise ValueError(
-                f"need tol > 0, window >= 1, max_collisions >= window; got tol={self.tol}, "
+                f"need finite tol > 0, window >= 1, max_collisions >= window; got tol={self.tol}, "
                 f"window={self.window}, max_collisions={self.max_collisions}"
             )
         if self.mixing_mode not in MIXING_MODES:
@@ -166,37 +176,32 @@ def collision_unitary(h: float, j: float, tau: float) -> np.ndarray:
     return expm_skew_hermitian(pair_hamiltonian(h, j), tau)
 
 
-def _unitarity_defect(u: np.ndarray) -> float:
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
-
-
-def _apply_channel(rho_s: np.ndarray, rho_r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Un-validated collision map Tr_anc[u (rho_s x rho_r) u^dag]."""
-    joint = u @ np.kron(rho_s, rho_r) @ u.conj().T
-    return np.trace(joint.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-
-
 def single_collision(rho_s: np.ndarray, rho_r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One validated collision; CPTP by construction."""
+    """One validated collision; CPTP by construction.  The independent
+    reference against which the compiled transfer matrices are tested."""
     rho_s = validate_density_matrix(rho_s)
     rho_r = validate_density_matrix(rho_r)
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise DimensionMismatch(f"propagator must be 4x4, got {u.shape}")
-    defect = _unitarity_defect(u)
+    defect = float(np.linalg.norm(dagger(u) @ u - np.eye(4)))
     if defect > 1e-12:
         raise NonUnitaryPropagator(f"unitarity defect {defect:.3e} exceeds 1e-12")
-    out = partial_trace(u @ kron(rho_s, rho_r) @ dagger(u), keep=0)
-    return out
+    return partial_trace(u @ kron(rho_s, rho_r) @ dagger(u), keep=0)
 
 
-def noisy_reservoir_state(spec: ReservoirSpec, rng: np.random.Generator) -> np.ndarray:
-    """Fresh ancilla state; with noise, a depolarized copy of the pure state."""
-    base = pure_qubit(spec.theta, spec.phi)
-    if spec.noise is None:
-        return base
-    eps = spec.noise.epsilon + rng.uniform(-1.0, 1.0) * spec.noise.eta
-    return (1.0 - eps) * base + 0.5 * eps * IDENTITY_2
+def pauli_transfer_matrix(rho_r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Real 4x4 form R[i, j] = Tr[sigma_i E(sigma_j)] / 2 of the collision map
+    E(rho) = Tr_anc[u (rho x rho_r) u^dag], acting on (1, x, y, z).
+
+    Row 0 is exactly (1, 0, 0, 0) since E preserves the trace, so the map
+    sends (1, b) to (1, M b + c) with M = R[1:, 1:] and c = R[1:, 0].
+    """
+    r = np.empty((4, 4))
+    r[0] = _TRACE_ROW
+    for j, pauli in enumerate((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)):
+        r[1:, j] = 0.5 * bloch_vector(partial_trace(u @ kron(pauli, rho_r) @ dagger(u), keep=0))
+    return r
 
 
 def resolve_weights(reservoirs: list[ReservoirSpec]) -> np.ndarray:
@@ -214,27 +219,6 @@ def resolve_weights(reservoirs: list[ReservoirSpec]) -> np.ndarray:
     return weights
 
 
-def _channel_superop(rho_r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """4x4 matrix acting on row-major vec(rho); exact compile of the channel."""
-    s = np.empty((4, 4), dtype=complex)
-    basis = np.zeros((2, 2), dtype=complex)
-    for k in range(4):
-        basis.flat[k] = 1.0
-        s[:, k] = _apply_channel(basis, rho_r, u).reshape(4)
-        basis.flat[k] = 0.0
-    return s
-
-
-def _successive_distance(prev: np.ndarray, cur: np.ndarray) -> float:
-    """trace_distance between two vectorized 2x2 states, closed form."""
-    a = (cur[0] - prev[0]).real
-    d = (cur[3] - prev[3]).real
-    b = cur[1] - prev[1]
-    center = 0.5 * (a + d)
-    rad = math.sqrt(0.25 * (a - d) * (a - d) + (b.real * b.real + b.imag * b.imag))
-    return 0.5 * (abs(center + rad) + abs(center - rad))
-
-
 def _canonical_order(reservoirs: list[ReservoirSpec], weights: np.ndarray) -> list[int]:
     # Summing the convex mixture in a canonical order makes the trajectory
     # bitwise invariant under permutations of the reservoir list.
@@ -243,68 +227,84 @@ def _canonical_order(reservoirs: list[ReservoirSpec], weights: np.ndarray) -> li
 
 
 class _Engine:
-    """Per-run compiled form of the collision map shared by step and evolve."""
+    """Per-run compiled form of the collision map shared by step, evolve and
+    the oracle: one Pauli transfer matrix per reservoir."""
 
     def __init__(self, reservoirs: list[ReservoirSpec], cfg: EngineConfig):
         self.reservoirs = reservoirs
         self.cfg = cfg
         self.weights = resolve_weights(reservoirs)
-        self.units = [collision_unitary(cfg.h, r.coupling, cfg.tau) for r in reservoirs]
-        for u in self.units:
-            defect = _unitarity_defect(u)
-            if defect > 1e-12:
-                raise NonUnitaryPropagator(f"unitarity defect {defect:.3e} exceeds 1e-12")
-        self.base_ops = [
-            _channel_superop(pure_qubit(r.theta, r.phi), u) for r, u in zip(reservoirs, self.units)
-        ]
-        # Preparation noise is affine in the depolarization strength, so each
-        # noisy channel is S_base + eps * (S_maximally_mixed - S_base).
-        half = 0.5 * IDENTITY_2
-        self.noise_ops = [
-            _channel_superop(half, u) - s if r.noise is not None else None
-            for r, u, s in zip(reservoirs, self.units, self.base_ops)
-        ]
-        self.noisy = any(r.noise is not None for r in reservoirs)
-        self.random = self.noisy or cfg.mixing_mode == "stochastic"
+        self.order = _canonical_order(reservoirs, self.weights)
+        self.base_ops = []
+        self.noise_ops = []
+        for r in reservoirs:
+            u = collision_unitary(cfg.h, r.coupling, cfg.tau)
+            base = pauli_transfer_matrix(pure_qubit(r.theta, r.phi), u)
+            self.base_ops.append(base)
+            # Preparation noise is affine in the depolarization strength, so
+            # each noisy map is R_base + eps * (R_maximally_mixed - R_base).
+            noise_op = None
+            if r.noise is not None:
+                noise_op = pauli_transfer_matrix(0.5 * IDENTITY_2, u) - base
+            self.noise_ops.append(noise_op)
+        self.random = cfg.mixing_mode == "stochastic" or any(op is not None for op in self.noise_ops)
         self.cum_weights = np.cumsum(self.weights)
+        self.static_op = None if self.random else self._compose(self.base_ops)
 
-        self.static_op = None
-        if not self.random:
-            if cfg.mixing_mode == "convex":
-                acc = np.zeros((4, 4), dtype=complex)
-                for i in _canonical_order(reservoirs, self.weights):
-                    acc = acc + self.weights[i] * self.base_ops[i]
-                self.static_op = acc
-            elif cfg.mixing_mode == "sequential":
-                acc = np.eye(4, dtype=complex)
-                for op in self.base_ops:
-                    acc = op @ acc
-                self.static_op = acc
+    def _compose(self, ops: list[np.ndarray]) -> np.ndarray:
+        if self.cfg.mixing_mode == "sequential":
+            acc = ops[0]
+            for op in ops[1:]:
+                acc = op @ acc
+            return acc
+        acc = sum(self.weights[i] * ops[i] for i in self.order)
+        # the weights sum to one only within 1e-12; the trace row stays exact
+        acc[0] = _TRACE_ROW
+        return acc
 
-    def _noisy_channel(self, i: int, rng: np.random.Generator) -> np.ndarray:
-        op = self.base_ops[i]
-        if self.reservoirs[i].noise is None:
-            return op
+    def _drawn(self, i: int, rng: np.random.Generator) -> np.ndarray:
         noise = self.reservoirs[i].noise
+        if noise is None:
+            return self.base_ops[i]
         eps = noise.epsilon + rng.uniform(-1.0, 1.0) * noise.eta
-        return op + eps * self.noise_ops[i]
+        return self.base_ops[i] + eps * self.noise_ops[i]
 
-    def advance(self, vec: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+    def advance(self, state: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+        """One collision round on the state (1, b)."""
         if self.static_op is not None:
-            return self.static_op @ vec
-        mode = self.cfg.mixing_mode
-        if mode == "stochastic":
+            return self.static_op.dot(state)
+        if self.cfg.mixing_mode == "stochastic":
             i = int(np.searchsorted(self.cum_weights, rng.random(), side="right"))
-            i = min(i, len(self.reservoirs) - 1)
-            return self._noisy_channel(i, rng) @ vec
-        if mode == "sequential":
-            for i in range(len(self.reservoirs)):
-                vec = self._noisy_channel(i, rng) @ vec
-            return vec
-        out = np.zeros(4, dtype=complex)
-        for i in range(len(self.reservoirs)):
-            out += self.weights[i] * (self._noisy_channel(i, rng) @ vec)
-        return out
+            return self._drawn(min(i, len(self.reservoirs) - 1), rng).dot(state)
+        return self._compose([self._drawn(i, rng) for i in range(len(self.reservoirs))]).dot(state)
+
+
+def _start(rho: np.ndarray, reservoirs: list[ReservoirSpec], cfg: EngineConfig, rng):
+    rho = validate_density_matrix(rho)
+    if rho.shape != (2, 2):
+        raise DimensionMismatch(f"system state must be 2x2, got {rho.shape}")
+    engine = _Engine(reservoirs, cfg)
+    if engine.random and rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    return engine, rng, np.concatenate(([1.0], bloch_vector(rho)))
+
+
+def _result(b: np.ndarray, n_used: int, converged: bool) -> SteadyStateResult:
+    # sigma_z is read from the populations like p_e and p_g, so a residue
+    # below their resolution (~1e-16) reads as zero, i.e. class 1
+    rho = bloch_to_density(b)
+    p_e = float(rho[0, 0].real)
+    p_g = float(rho[1, 1].real)
+    return SteadyStateResult(rho, p_e - p_g, p_e, p_g, n_used, converged)
+
+
+def _bloch_fidelity(b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Qubit fidelity of each Bloch row of ``b`` against the Bloch vector ``t``:
+    F = sqrt((1 + b.t + sqrt((1 - |b|^2)(1 - |t|^2))) / 2), clamped so float
+    jitter on pure states cannot leak a NaN."""
+    purity_b = np.maximum(1.0 - np.einsum("ij,ij->i", b, b), 0.0)
+    mixed = np.sqrt(purity_b * max(1.0 - float(t @ t), 0.0))
+    return np.sqrt(np.clip(0.5 * (1.0 + b @ t + mixed), 0.0, 1.0))
 
 
 def step(
@@ -314,13 +314,8 @@ def step(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Apply one full collision round to ``rho_s`` and return the new state."""
-    rho_s = validate_density_matrix(rho_s)
-    if rho_s.shape != (2, 2):
-        raise DimensionMismatch(f"system state must be 2x2, got {rho_s.shape}")
-    engine = _Engine(reservoirs, cfg)
-    if engine.random and rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return engine.advance(rho_s.reshape(4).astype(complex), rng).reshape(2, 2)
+    engine, rng, state = _start(rho_s, reservoirs, cfg, rng)
+    return bloch_to_density(engine.advance(state, rng)[1:])
 
 
 def evolve(
@@ -341,49 +336,25 @@ def evolve(
     """
     if rho0 is None:
         rho0 = pure_qubit(math.pi / 2.0)
-    rho0 = validate_density_matrix(rho0)
-    if rho0.shape != (2, 2):
-        raise DimensionMismatch(f"system state must be 2x2, got {rho0.shape}")
+    engine, rng, state = _start(rho0, reservoirs, cfg, rng)
     if target is not None:
         target = validate_density_matrix(target)
-
-    engine = _Engine(reservoirs, cfg)
-    if engine.random and rng is None:
-        rng = np.random.default_rng(cfg.seed)
-
     if record:
-        sigma_z = np.empty(cfg.max_collisions + 1)
-        bloch = np.empty((cfg.max_collisions + 1, 3))
-        fid = np.empty(cfg.max_collisions + 1) if target is not None else None
-    if target is not None:
-        t00 = target[0, 0].real
-        t11 = target[1, 1].real
-        t01 = complex(target[0, 1])
-        det_t = max(float(np.linalg.det(target).real), 0.0)
+        states = np.empty((cfg.max_collisions + 1, 4))
+        states[0] = state
 
-    def observe(idx: int, vec: np.ndarray) -> None:
-        if not record:
-            return
-        sigma_z[idx] = vec[0].real - vec[3].real
-        bloch[idx, 0] = 2.0 * vec[1].real
-        bloch[idx, 1] = -2.0 * vec[1].imag
-        bloch[idx, 2] = vec[0].real - vec[3].real
-        if fid is not None:
-            overlap = (vec[0] * t00 + vec[1] * t01.conjugate() + vec[2] * t01 + vec[3] * t11).real
-            det_r = max((vec[0] * vec[3] - vec[1] * vec[2]).real, 0.0)
-            val = overlap + 2.0 * math.sqrt(det_r * det_t)
-            fid[idx] = math.sqrt(min(max(val, 0.0), 1.0))
-
-    vec = rho0.reshape(4).astype(complex)
-    observe(0, vec)
     consecutive = 0
     converged = False
     n_used = 0
     for n in range(1, cfg.max_collisions + 1):
-        new = engine.advance(vec, rng)
-        dist = _successive_distance(vec, new)
-        vec = new
-        observe(n, vec)
+        new = engine.advance(state, rng)
+        diff = new - state
+        # Both states have unit trace, so half the Bloch step is exactly
+        # their trace distance.
+        dist = 0.5 * math.sqrt(diff.dot(diff))
+        state = new
+        if record:
+            states[n] = state
         n_used = n
         if dist < cfg.tol:
             consecutive += 1
@@ -393,21 +364,12 @@ def evolve(
         else:
             consecutive = 0
 
-    rho_ss = vec.reshape(2, 2).copy()
-    p_e = float(rho_ss[0, 0].real)
-    p_g = float(rho_ss[1, 1].real)
-    result = SteadyStateResult(rho_ss, p_e - p_g, p_e, p_g, n_used, converged)
-    if record:
-        stop = n_used + 1
-        trajectory = Trajectory(
-            np.arange(stop),
-            sigma_z[:stop].copy(),
-            bloch[:stop].copy(),
-            fid[:stop].copy() if fid is not None else None,
-        )
-    else:
-        trajectory = Trajectory(np.arange(0), np.empty(0), np.empty((0, 3)), None)
-    return trajectory, result
+    result = _result(state[1:], n_used, converged)
+    if not record:
+        return Trajectory(np.arange(0), np.empty(0), np.empty((0, 3)), None), result
+    bloch = states[: n_used + 1, 1:].copy()
+    fid = None if target is None else _bloch_fidelity(bloch, bloch_vector(target))
+    return Trajectory(np.arange(n_used + 1), bloch[:, 2].copy(), bloch, fid), result
 
 
 def affine_representation(
@@ -415,25 +377,16 @@ def affine_representation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bloch-space form b' = M b + c of one deterministic collision round.
 
-    Probes the step map on I/2 and the three states (I + sigma_k)/2; refuses
-    random maps (preparation noise, stochastic mixing) since they have no
-    single affine form.
+    Read off the compiled transfer matrix R as M = R[1:, 1:], c = R[1:, 0];
+    refuses random maps (preparation noise, stochastic mixing) since they
+    have no single affine form.
     """
     if any(r.noise is not None for r in reservoirs):
         raise NoiseNotSupported("affine form undefined under preparation noise")
     if cfg.mixing_mode == "stochastic":
         raise NoiseNotSupported("affine form undefined for stochastic mixing")
-    half = 0.5 * IDENTITY_2
-    c = bloch_vector(step(half, reservoirs, cfg))
-    m = np.empty((3, 3))
-    paulis = (
-        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    )
-    for k, pauli in enumerate(paulis):
-        m[:, k] = bloch_vector(step(half + 0.5 * pauli, reservoirs, cfg)) - c
-    return m, c
+    r = _Engine(reservoirs, cfg).static_op
+    return r[1:, 1:].copy(), r[1:, 0].copy()
 
 
 def steady_state_oracle(reservoirs: list[ReservoirSpec], cfg: EngineConfig) -> SteadyStateResult:
@@ -450,9 +403,6 @@ def steady_state_oracle(reservoirs: list[ReservoirSpec], cfg: EngineConfig) -> S
     # condition number is blind to I - M collapsing to epsilon * identity).
     if float(np.linalg.svd(a, compute_uv=False)[-1]) < 1e-12:
         raise SingularSystem("I - M is singular; the collision map has no unique fixed point")
-    b = np.linalg.solve(a, c)
-    rho_ss = bloch_to_density(b)
-    validate_density_matrix(rho_ss)
-    p_e = float(rho_ss[0, 0].real)
-    p_g = float(rho_ss[1, 1].real)
-    return SteadyStateResult(rho_ss, p_e - p_g, p_e, p_g, 0, True)
+    result = _result(np.linalg.solve(a, c), 0, True)
+    validate_density_matrix(result.rho_ss)
+    return result

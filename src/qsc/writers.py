@@ -32,23 +32,9 @@ TRAJECTORY_COLUMNS = ("n", "sigma_z", "bloch_x", "bloch_y", "bloch_z", "fidelity
 SWEEP_COLUMNS = ("param_name", "param_value", "sigma_z_ss", "n_used", "converged", "label")
 
 
-def format_cell(value) -> str:
-    """One output cell as text; floats get 12 significant digits."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, Label):
-        return value.value
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    f = float(value)
-    if f == 0.0:
-        f = 0.0
-    return format(f, ".12g")
-
-
 def _json_cell(value):
+    """One cell as a JSON value: the single float policy of every artifact
+    (12 significant digits, ``-0.0`` folded to ``0.0``)."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, str):
@@ -61,6 +47,16 @@ def _json_cell(value):
     if f == 0.0:
         f = 0.0
     return float(format(f, ".12g"))
+
+
+def format_cell(value) -> str:
+    """One output cell as text, rendered from ``_json_cell``'s value."""
+    cell = _json_cell(value)
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    if isinstance(cell, float):
+        return format(cell, ".12g")
+    return str(cell)
 
 
 def _write_text(path, text: str) -> None:

@@ -228,3 +228,42 @@ def test_transmon_requires_complete_override(capsys):
 def test_transmon_rejects_malformed_qubit(capsys):
     assert run_cli("transmon", "--omega-r", 10.0, "--qubit", "6.2") == 1
     assert "--qubit expects" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_one(tmp_path, capsys, tol):
+    assert run_cli("run", "--preset", "fig1e", "--out", tmp_path, "--tol", tol) == 1
+    assert "tol" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("reservoir, engine", [
+    ({"theta": True}, {}),
+    ({"coupling": "0.1"}, {}),
+    ({"phi": "0"}, {}),
+    ({"weight": False}, {}),
+    ({"noise": {"epsilon": "0.1"}}, {}),
+    ({}, {"window": True}),
+    ({}, {"tol": "1e-2"}),
+    ({}, {"max_collisions": 2.7}),
+    ({}, {"window": 2.5}),
+    ({}, {"seed": 7.5}),
+])
+def test_config_numbers_are_strict(tmp_path, capsys, reservoir, engine):
+    config = write_config(tmp_path, {
+        "reservoirs": [{**BASE_CONFIG["reservoirs"][0], **reservoir}],
+        "engine": {**BASE_CONFIG["engine"], **engine},
+    })
+    assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 1
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_integral_floats_for_counts(tmp_path):
+    config = write_config(tmp_path, {
+        **BASE_CONFIG,
+        "engine": {**BASE_CONFIG["engine"], "max_collisions": 400.0, "seed": 77.0},
+    })
+    assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 0
+    first = (tmp_path / "out" / "trajectory.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert first == "# seed=77"

@@ -6,6 +6,9 @@ a single polar reservoir, and the agreement between the iterated evolution
 and the independent affine fixed-point solver.  The last one is the whole
 point of keeping two routes to the steady state, so it is exercised here on
 a handful of configurations and again, more broadly, in the acceptance tests.
+Both routes read the same compiled transfer matrices, so the property tests
+at the end check those matrices against ``single_collision`` (unitary plus
+partial trace) on random inputs.
 """
 
 import dataclasses
@@ -13,6 +16,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsc.collision import (
     DEFAULT_SEED,
@@ -27,15 +32,15 @@ from qsc.collision import (
     affine_representation,
     collision_unitary,
     evolve,
-    noisy_reservoir_state,
     pair_hamiltonian,
+    pauli_transfer_matrix,
     resolve_weights,
     single_collision,
     steady_state_oracle,
     step,
 )
 from qsc.linalg import dagger, kron, trace_distance
-from qsc.states import AngleOutOfRange, bloch_to_density, pure_qubit
+from qsc.states import AngleOutOfRange, bloch_to_density, bloch_vector, fidelity, pure_qubit
 
 J_NOMINAL = 0.1
 TAU_NOMINAL = 0.5  # 0.05 / J_NOMINAL
@@ -276,16 +281,16 @@ def test_evolve_record_false_returns_empty_trajectory():
     assert result.n_used > 0
 
 
-def test_noisy_reservoir_state_depolarizes():
-    rng = np.random.default_rng(7)
+def test_noisy_step_depolarizes_the_ancilla():
+    # One noisy collision equals the reference collision with a depolarized
+    # ancilla; the first uniform(-1, 1) draw of seed 7 is 0.25019093320933394.
+    rho = pure_qubit(0.0)
     spec = ReservoirSpec(math.pi / 2.0, 0.1, noise=NoiseSpec(0.2, 0.1))
-    state = noisy_reservoir_state(spec, rng)
-    # first uniform(-1, 1) draw of seed 7 is 0.25019093320933394
+    cfg = EngineConfig(h=0.9, tau=0.8)
     eps_eff = 0.2 + 0.1 * 0.25019093320933394
-    assert state[0, 0].real == pytest.approx(0.5, abs=1e-14)
-    assert state[0, 1].real == pytest.approx((1.0 - eps_eff) / 2.0, abs=1e-14)
-    clean = noisy_reservoir_state(ReservoirSpec(math.pi / 2.0, 0.1), rng)
-    assert np.allclose(clean, pure_qubit(math.pi / 2.0))
+    ancilla = (1.0 - eps_eff) * pure_qubit(math.pi / 2.0) + 0.5 * eps_eff * np.eye(2)
+    direct = single_collision(rho, ancilla, collision_unitary(cfg.h, spec.coupling, cfg.tau))
+    assert np.allclose(step(rho, [spec], cfg, rng=np.random.default_rng(7)), direct, atol=1e-14)
 
 
 def test_noise_spec_validation():
@@ -329,6 +334,9 @@ def test_engine_config_validation():
         EngineConfig(tau=-0.5)
     with pytest.raises(ValueError):
         EngineConfig(tol=0.0)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EngineConfig(tol=tol)
     with pytest.raises(ValueError):
         EngineConfig(window=0)
     with pytest.raises(ValueError):
@@ -346,3 +354,78 @@ def test_step_reduces_to_single_collision_for_one_reservoir():
         rho, pure_qubit(spec.theta, spec.phi), collision_unitary(cfg.h, spec.coupling, cfg.tau)
     )
     assert np.allclose(step(rho, [spec], cfg), direct, atol=1e-14)
+
+
+# Property tests: the compiled transfer matrices against the independent
+# unitary-plus-partial-trace reference on random inputs.
+
+def _ball(radius):
+    def scale(v):
+        v = np.array(v)
+        norm = float(np.linalg.norm(v))
+        return v if norm <= radius else v * (radius / norm)
+    return st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(scale)
+
+
+STATES = _ball(1.0).map(bloch_to_density)
+THETA = st.floats(0.0, math.pi)
+PHI = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+RESERVOIR = st.builds(ReservoirSpec, THETA, st.floats(0.0, 0.5), phi=PHI)
+ENGINE = st.builds(EngineConfig, h=st.floats(-5.0, 5.0), tau=st.floats(0.0, 10.0))
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+def _reference(rho, spec, cfg, eps=0.0):
+    ancilla = (1.0 - eps) * pure_qubit(spec.theta, spec.phi) + 0.5 * eps * np.eye(2)
+    return single_collision(rho, ancilla, collision_unitary(cfg.h, spec.coupling, cfg.tau))
+
+
+@PROPERTY
+@given(STATES, STATES, st.floats(-5.0, 5.0), st.floats(0.0, 0.5), st.floats(0.0, 10.0))
+def test_transfer_matrix_matches_single_collision(rho, ancilla, h, j, tau):
+    u = collision_unitary(h, j, tau)
+    r = pauli_transfer_matrix(ancilla, u)
+    assert np.array_equal(r[0], [1.0, 0.0, 0.0, 0.0])
+    b = r @ np.concatenate(([1.0], bloch_vector(rho)))
+    assert np.max(np.abs(bloch_to_density(b[1:]) - single_collision(rho, ancilla, u))) < 1e-12
+
+
+@PROPERTY
+@given(STATES, RESERVOIR, ENGINE, st.floats(0.0, 1.0))
+def test_noisy_map_matches_depolarized_reference(rho, spec, cfg, eps):
+    # eta = 0 pins the drawn strength to epsilon exactly
+    noisy = dataclasses.replace(spec, noise=NoiseSpec(eps, 0.0))
+    out = step(rho, [noisy], cfg, rng=np.random.default_rng(0))
+    assert np.max(np.abs(out - _reference(rho, spec, cfg, eps))) < 1e-12
+
+
+@st.composite
+def weighted_reservoirs(draw):
+    reservoirs = draw(st.lists(RESERVOIR, min_size=1, max_size=3))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(reservoirs), max_size=len(reservoirs)))
+    return [dataclasses.replace(r, weight=w / sum(raw)) for r, w in zip(reservoirs, raw)]
+
+
+@PROPERTY
+@given(STATES, weighted_reservoirs(), ENGINE)
+def test_compositions_match_per_reservoir_reference(rho, reservoirs, cfg):
+    convex = sum(w * _reference(rho, r, cfg) for w, r in zip(resolve_weights(reservoirs), reservoirs))
+    assert np.max(np.abs(step(rho, reservoirs, cfg) - convex)) < 1e-12
+    chained = rho
+    for r in reservoirs:
+        chained = _reference(chained, r, cfg)
+    seq = step(rho, reservoirs, dataclasses.replace(cfg, mixing_mode="sequential"))
+    assert np.max(np.abs(seq - chained)) < 1e-12
+
+
+@PROPERTY
+@given(_ball(0.95), _ball(0.95), RESERVOIR, ENGINE, st.floats(0.2, 1.0))
+def test_recorded_fidelity_matches_uhlmann_form(b0, t, spec, cfg, eps):
+    # Depolarized ancillas keep every recorded state well inside the Bloch
+    # ball, where both fidelity forms are conditioned to rounding level.
+    noisy = dataclasses.replace(spec, noise=NoiseSpec(eps, 0.0))
+    cfg = dataclasses.replace(cfg, max_collisions=5, tol=1e-30, window=1)
+    target = bloch_to_density(t)
+    traj, _ = evolve(bloch_to_density(b0), [noisy], cfg, target=target)
+    expected = [fidelity(bloch_to_density(b), target) for b in traj.bloch]
+    assert np.max(np.abs(traj.fidelity - expected)) < 1e-12
