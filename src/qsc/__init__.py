@@ -25,6 +25,7 @@ from .collision import (
     Trajectory,
     collision_unitary,
     evolve,
+    evolve_batch,
     pair_hamiltonian,
     single_collision,
     steady_state_oracle,
@@ -70,6 +71,7 @@ __all__ = [
     "collision_unitary",
     "effective_coupling",
     "evolve",
+    "evolve_batch",
     "fidelity",
     "generate_theta_dataset",
     "magnetization",

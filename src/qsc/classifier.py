@@ -2,22 +2,24 @@
 
 A configuration of reservoir angles (or couplings) is fed to the engine, the
 steady magnetization is read out and the sign decides the class; ties go to
-class 1.  Sweep helpers evaluate whole point sets, optionally across a
-process pool, and a perceptron checks whether the labeled set is linearly
-separable in feature space.
+class 1.  Sweep helpers evaluate whole point sets in one batched evolution
+(every point advances in lockstep in this process), and a perceptron checks
+whether the labeled set is linearly separable in feature space.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import DEFAULT_SEED, EngineConfig, NoiseSpec, ReservoirSpec, SteadyStateResult, evolve
+from .collision import DEFAULT_SEED, EngineConfig, NoiseSpec, ReservoirSpec, SteadyStateResult, evolve_batch
+
+# Sweeps call evolve_batch, but perfbench/tracer.py still patches the single-run
+# ``evolve`` bound here, and its self-tests require the name.
+from .collision import evolve  # noqa: F401
 
 
 class CouplingOutOfRange(ValueError):
@@ -83,52 +85,24 @@ def _as_point(
     )
 
 
-def _run_coupling_point(args) -> LabeledPoint:
-    (j1, j2), cfg, param_value = args
-    reservoirs = [ReservoirSpec(theta=0.0, coupling=j1), ReservoirSpec(theta=math.pi, coupling=j2)]
-    _, result = evolve(None, reservoirs, cfg, record=False)
-    return _as_point((j1, j2), result, param_value=param_value)
+def _coupling_points(pairs, cfg: EngineConfig, param_values) -> list[LabeledPoint]:
+    runs = [([ReservoirSpec(theta=0.0, coupling=j1), ReservoirSpec(theta=math.pi, coupling=j2)], cfg, None)
+            for j1, j2 in pairs]
+    return [_as_point(pair, result, param_value=value)
+            for pair, result, value in zip(pairs, evolve_batch(runs), param_values)]
 
 
-def _run_theta_point(args) -> LabeledPoint:
-    thetas, coupling, cfg, noise, index = args
-    reservoirs = [ReservoirSpec(theta=t, coupling=coupling, noise=noise) for t in thetas]
-    rng = None
-    if noise is not None:
-        # Every point owns a private stream derived from (seed, point index),
-        # so parallel execution reproduces the serial output exactly.
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
-    _, result = evolve(None, reservoirs, cfg, record=False, rng=rng)
-    phi_scaled = math.pi - (thetas[0] + thetas[1]) if len(thetas) == 2 else None
-    return _as_point(tuple(thetas), result, phi_scaled=phi_scaled)
-
-
-def _parallel_map(fn, items: list, jobs: int | None) -> list:
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(items) // (4 * jobs))
-        return list(pool.map(fn, items, chunksize=chunk))
-
-
-def sweep_coupling_pairs(
-    pairs: list[tuple[float, float]], cfg: EngineConfig, jobs: int | None = 1
-) -> list[LabeledPoint]:
+def sweep_coupling_pairs(pairs: list[tuple[float, float]], cfg: EngineConfig) -> list[LabeledPoint]:
     """Steady states for explicit (j1, j2) pairs on the up/down reservoir pair."""
     if not pairs:
         raise EmptyInput("no coupling pairs")
     for j1, j2 in pairs:
         if j1 < 0.0 or j2 < 0.0:
             raise CouplingOutOfRange(f"couplings must be nonnegative, got ({j1}, {j2})")
-    jobs_args = [((j1, j2), cfg, None) for j1, j2 in pairs]
-    return _parallel_map(_run_coupling_point, jobs_args, jobs)
+    return _coupling_points([(j1, j2) for j1, j2 in pairs], cfg, [None] * len(pairs))
 
 
-def sweep_couplings(
-    delta_j_values, base_j: float, cfg: EngineConfig, jobs: int | None = 1
-) -> list[LabeledPoint]:
+def sweep_couplings(delta_j_values, base_j: float, cfg: EngineConfig) -> list[LabeledPoint]:
     """Sweep the coupling imbalance: j1 = base/2 + delta, j2 = base/2 - delta.
 
     The collision time stays whatever ``cfg.tau`` says (it is tied to the
@@ -141,8 +115,8 @@ def sweep_couplings(
     for d in deltas:
         if abs(d) > half + 1e-15:
             raise CouplingOutOfRange(f"|delta_j| = {abs(d)} exceeds base_j/2 = {half}")
-    args = [((min(half + d, base_j), max(half - d, 0.0)), cfg, d) for d in deltas]
-    return _parallel_map(_run_coupling_point, args, jobs)
+    pairs = [(min(half + d, base_j), max(half - d, 0.0)) for d in deltas]
+    return _coupling_points(pairs, cfg, deltas)
 
 
 def sweep_thetas(
@@ -150,18 +124,27 @@ def sweep_thetas(
     coupling: float,
     cfg: EngineConfig,
     noise: NoiseSpec | None = None,
-    jobs: int | None = 1,
 ) -> list[LabeledPoint]:
     """Steady states for reservoir-angle tuples at one equal coupling.
 
     Pairs also carry the scaled angle pi - (theta_1 + theta_2) used when the
-    response is plotted against a single collapsed coordinate.
+    response is plotted against a single collapsed coordinate.  Under noise
+    every point owns a private stream derived from (seed, point index).
     """
     tuples = [tuple(float(t) for t in entry) for entry in theta_tuples]
     if not tuples:
         raise EmptyInput("no theta tuples")
-    args = [(entry, coupling, cfg, noise, index) for index, entry in enumerate(tuples)]
-    return _parallel_map(_run_theta_point, args, jobs)
+    runs = []
+    for index, thetas in enumerate(tuples):
+        reservoirs = [ReservoirSpec(theta=t, coupling=coupling, noise=noise) for t in thetas]
+        rng = None
+        if noise is not None:
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
+        runs.append((reservoirs, cfg, rng))
+    return [
+        _as_point(thetas, result, phi_scaled=math.pi - (thetas[0] + thetas[1]) if len(thetas) == 2 else None)
+        for thetas, result in zip(tuples, evolve_batch(runs))
+    ]
 
 
 SAMPLERS = ("clipped-gaussian", "uniform")

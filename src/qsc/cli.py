@@ -46,6 +46,7 @@ from .collision import (
     ReservoirSpec,
     SingularSystem,
     evolve,
+    evolve_batch,
     steady_state_oracle,
 )
 from .physical import TimingBudget, TransmonParams, response_time, system_reservoir_couplings, validate_dispersive
@@ -210,7 +211,7 @@ def _run_config(raw: dict, args, seed: int | None) -> PresetOutcome:
             if key in raw:
                 raise InvalidConfig(f"preset config {name!r} must not define {key!r}")
         opts = RunOptions(out_dir=out_dir, seed=DEFAULT_SEED if seed is None else seed,
-                          fmt=fmt, jobs=args.jobs, max_collisions=args.max_collisions,
+                          fmt=fmt, max_collisions=args.max_collisions,
                           tol=args.tol, convention=args.convention)
         return run_preset(name, opts)
 
@@ -244,18 +245,17 @@ def _run_config(raw: dict, args, seed: int | None) -> PresetOutcome:
     values = sweep["values"]
     if not isinstance(values, list) or not values:
         raise InvalidConfig("sweep.values must be a non-empty list")
-    points = []
-    header_seed = None
+    runs = []
     for value in values:
         varied = copy.deepcopy(raw)
         _apply_sweep_value(varied, sweep["path"], value)
         reservoirs, cfg = build(varied)
-        header_seed = cfg.seed if header_seed is None else header_seed
-        _, result = evolve(None, reservoirs, cfg, record=False)
-        points.append(LabeledPoint((float(value),), result.sigma_z_ss, classify(result),
-                                   result.n_used, result.converged, None, float(value)))
+        runs.append((reservoirs, cfg, None))
+    points = [LabeledPoint((float(value),), result.sigma_z_ss, classify(result),
+                           result.n_used, result.converged, None, float(value))
+              for value, result in zip(values, evolve_batch(runs))]
     path = Path(out_dir) / f"sweep.{fmt}"
-    writers.write_sweep(path, sweep["path"], points, header_seed, fmt)
+    writers.write_sweep(path, sweep["path"], points, runs[0][1].seed, fmt)
     return PresetOutcome([path], all(p.converged for p in points))
 
 
@@ -264,7 +264,7 @@ def cmd_run(args) -> int:
     if args.preset is not None:
         opts = RunOptions(out_dir=args.out if args.out is not None else Path("out"),
                           seed=DEFAULT_SEED if seed is None else seed,
-                          fmt=args.format or "csv", jobs=args.jobs,
+                          fmt=args.format or "csv",
                           max_collisions=args.max_collisions, tol=args.tol,
                           convention=args.convention)
         outcome = run_preset(args.preset, opts)
@@ -346,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, default=None, help="output directory (default: out)")
     run.add_argument("--seed", type=int, default=None, help="RNG seed override")
     run.add_argument("--jobs", type=int, default=None,
-                     help="sweep worker processes (default: CPU count)")
+                     help="accepted for compatibility and ignored: sweeps run "
+                          "batched in one process")
     run.add_argument("--format", choices=("csv", "json"), default=None)
     run.add_argument("--max-collisions", type=int, default=None, dest="max_collisions")
     run.add_argument("--tol", type=float, default=None, help="convergence tolerance override")

@@ -9,18 +9,22 @@ are combined per collision according to ``EngineConfig.mixing_mode``:
 * ``sequential`` - rho' = E_N[... E_1[rho]]   (list order)
 * ``stochastic`` - one E_i drawn per collision with probability q_i
 
-Each reservoir's map is compiled once per run into its Pauli transfer matrix,
-the real 4x4 matrix acting on (1, x, y, z).  ``step``, ``evolve`` and the
+Each reservoir's map is compiled once into its Pauli transfer matrix, the
+real 4x4 matrix acting on (1, x, y, z).  ``step``, the evolution loop and the
 fixed-point oracle all run on that one form; ``single_collision`` (unitary
 plus partial trace) is kept as the independent reference the compiled form
-is tested against.
+is tested against.  One evolution loop serves both ``evolve`` (one run,
+optionally recorded) and ``evolve_batch`` (many independent runs advanced in
+lockstep, a chunk of collisions at a time).
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
 platforms.  Draw order per collision: stochastic channel choice first, then
 one uniform noise draw per noisy reservoir in list order (convex/sequential
 modes draw noise for every noisy reservoir, stochastic only for the chosen
-one).
+one).  The loop draws a chunk of collisions' worth at once, in that order,
+and a run that stops mid-chunk leaves its generator where its last
+collision left it.
 """
 
 from __future__ import annotations
@@ -50,6 +54,12 @@ DEFAULT_SEED = 0xC0111DE
 MIXING_MODES = ("convex", "sequential", "stochastic")
 
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
+
+# Collisions per chunk of the evolution loop.  For K runs a chunk holds
+# (_CHUNK + 1) * K * 4 doubles of states, about 0.17 MB at K = 42, and when
+# any run is random _CHUNK * K * 16 doubles of drawn maps, about 0.7 MB.
+# Chunks of 256 ran no faster and raised the peak memory of a noisy sweep.
+_CHUNK = 128
 
 
 class NonUnitaryPropagator(ValueError):
@@ -226,11 +236,25 @@ def _canonical_order(reservoirs: list[ReservoirSpec], weights: np.ndarray) -> li
     return sorted(range(len(reservoirs)), key=key)
 
 
-class _Engine:
-    """Per-run compiled form of the collision map shared by step, evolve and
-    the oracle: one Pauli transfer matrix per reservoir."""
+def _compiled(cache: dict, key: tuple, build):
+    """``build()``, computed once per key and cache."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
-    def __init__(self, reservoirs: list[ReservoirSpec], cfg: EngineConfig):
+
+class _Engine:
+    """Compiled form of one run's collision map shared by step, the evolution
+    loop and the oracle: one Pauli transfer matrix per reservoir.
+
+    Runs that share ``cache`` compile each distinct reservoir once: it holds
+    collision unitaries keyed by (h, j, tau) and transfer matrices keyed by
+    the ancilla angles (None for the maximally mixed ancilla) followed by
+    their unitary's key.
+    """
+
+    def __init__(self, reservoirs: list[ReservoirSpec], cfg: EngineConfig, cache: dict | None = None):
+        cache = {} if cache is None else cache
         self.reservoirs = reservoirs
         self.cfg = cfg
         self.weights = resolve_weights(reservoirs)
@@ -238,20 +262,26 @@ class _Engine:
         self.base_ops = []
         self.noise_ops = []
         for r in reservoirs:
-            u = collision_unitary(cfg.h, r.coupling, cfg.tau)
-            base = pauli_transfer_matrix(pure_qubit(r.theta, r.phi), u)
+            key = (cfg.h, r.coupling, cfg.tau)
+            u = _compiled(cache, key, lambda: collision_unitary(*key))
+            base = _compiled(cache, (r.theta, r.phi, *key),
+                             lambda: pauli_transfer_matrix(pure_qubit(r.theta, r.phi), u))
             self.base_ops.append(base)
             # Preparation noise is affine in the depolarization strength, so
             # each noisy map is R_base + eps * (R_maximally_mixed - R_base).
             noise_op = None
             if r.noise is not None:
-                noise_op = pauli_transfer_matrix(0.5 * IDENTITY_2, u) - base
+                mixed = _compiled(cache, (None, None, *key),
+                                  lambda: pauli_transfer_matrix(0.5 * IDENTITY_2, u))
+                noise_op = mixed - base
             self.noise_ops.append(noise_op)
-        self.random = cfg.mixing_mode == "stochastic" or any(op is not None for op in self.noise_ops)
+        self.noisy = [i for i, op in enumerate(self.noise_ops) if op is not None]
+        self.random = cfg.mixing_mode == "stochastic" or bool(self.noisy)
         self.cum_weights = np.cumsum(self.weights)
         self.static_op = None if self.random else self._compose(self.base_ops)
 
     def _compose(self, ops: list[np.ndarray]) -> np.ndarray:
+        # ops are (4, 4) maps or (n, 4, 4) stacks of them
         if self.cfg.mixing_mode == "sequential":
             acc = ops[0]
             for op in ops[1:]:
@@ -259,8 +289,12 @@ class _Engine:
             return acc
         acc = sum(self.weights[i] * ops[i] for i in self.order)
         # the weights sum to one only within 1e-12; the trace row stays exact
-        acc[0] = _TRACE_ROW
+        acc[..., 0, :] = _TRACE_ROW
         return acc
+
+    def _choose(self, draws):
+        i = np.searchsorted(self.cum_weights, draws, side="right")
+        return np.minimum(i, len(self.reservoirs) - 1)
 
     def _drawn(self, i: int, rng: np.random.Generator) -> np.ndarray:
         noise = self.reservoirs[i].noise
@@ -269,24 +303,37 @@ class _Engine:
         eps = noise.epsilon + rng.uniform(-1.0, 1.0) * noise.eta
         return self.base_ops[i] + eps * self.noise_ops[i]
 
-    def advance(self, state: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
-        """One collision round on the state (1, b)."""
+    def maps(self, n: int, rng: np.random.Generator | None) -> np.ndarray:
+        """Transfer matrices of the next n collisions, shape (n, 4, 4), drawn
+        from ``rng`` in the order n single collisions draw them."""
         if self.static_op is not None:
-            return self.static_op.dot(state)
+            return np.broadcast_to(self.static_op, (n, 4, 4))
         if self.cfg.mixing_mode == "stochastic":
-            i = int(np.searchsorted(self.cum_weights, rng.random(), side="right"))
-            return self._drawn(min(i, len(self.reservoirs) - 1), rng).dot(state)
-        return self._compose([self._drawn(i, rng) for i in range(len(self.reservoirs))]).dot(state)
+            if not self.noisy:
+                return np.stack(self.base_ops)[self._choose(rng.random(n))]
+            # a noise draw follows each choice of a noisy reservoir, so the
+            # stream is read one collision at a time
+            return np.stack([self._drawn(self._choose(rng.random()), rng) for _ in range(n)])
+        draws = rng.uniform(-1.0, 1.0, size=(n, len(self.noisy)))
+        ops = list(self.base_ops)
+        for column, i in enumerate(self.noisy):
+            noise = self.reservoirs[i].noise
+            eps = noise.epsilon + draws[:, column] * noise.eta
+            ops[i] = self.base_ops[i] + eps[:, None, None] * self.noise_ops[i]
+        return self._compose(ops)
 
 
-def _start(rho: np.ndarray, reservoirs: list[ReservoirSpec], cfg: EngineConfig, rng):
+def _initial(rho: np.ndarray) -> np.ndarray:
     rho = validate_density_matrix(rho)
     if rho.shape != (2, 2):
         raise DimensionMismatch(f"system state must be 2x2, got {rho.shape}")
-    engine = _Engine(reservoirs, cfg)
+    return np.concatenate(([1.0], bloch_vector(rho)))
+
+
+def _stream(engine: _Engine, rng: np.random.Generator | None) -> np.random.Generator | None:
     if engine.random and rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return engine, rng, np.concatenate(([1.0], bloch_vector(rho)))
+        return np.random.default_rng(engine.cfg.seed)
+    return rng
 
 
 def _result(b: np.ndarray, n_used: int, converged: bool) -> SteadyStateResult:
@@ -296,6 +343,89 @@ def _result(b: np.ndarray, n_used: int, converged: bool) -> SteadyStateResult:
     p_e = float(rho[0, 0].real)
     p_g = float(rho[1, 1].real)
     return SteadyStateResult(rho, p_e - p_g, p_e, p_g, n_used, converged)
+
+
+def _chunk_maps(engines, rngs, static: np.ndarray, active: np.ndarray, left: np.ndarray, length: int):
+    """Maps of the active runs for the next ``length`` collisions, shape
+    (length, K, 4, 4), and the state of each random run's stream before its
+    draws, keyed by column.  ``static`` holds each run's fixed map."""
+    ops = np.broadcast_to(static[active], (length, active.size, 4, 4))
+    random = [column for column, i in enumerate(active) if engines[i].random]
+    if not random:
+        return ops, {}
+    ops = ops.copy()
+    saved = {}
+    for column in random:
+        i = active[column]
+        n = min(length, int(left[column]))
+        saved[column] = rngs[i].bit_generator.state
+        ops[:n, column] = engines[i].maps(n, rngs[i])
+        # past this run's budget: computed, never read, and nothing drawn
+        ops[n:, column] = np.eye(4)
+    return ops, saved
+
+
+def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | None = None):
+    """The evolution loop: advance every run from ``state0`` until it meets
+    its own tolerance window or uses its own budget.
+
+    Runs advance in lockstep, a chunk of collisions at a time; a run retires
+    at the chunk where it stops and its state is read at the collision it
+    stopped on.  Returns each run's final Bloch vector, collision count and
+    whether it converged.  With ``trail`` (one run only) the Bloch vectors
+    after each collision are appended to it chunk by chunk.
+    """
+    tol = np.array([e.cfg.tol for e in engines])
+    window = np.array([e.cfg.window for e in engines])
+    budget = np.array([e.cfg.max_collisions for e in engines])
+    final = np.tile(state0, (len(engines), 1))
+    n_used = np.zeros(len(engines), dtype=np.int64)
+    streak = np.zeros(len(engines), dtype=np.int64)  # consecutive steps under tol
+    converged = np.zeros(len(engines), dtype=bool)
+    static = np.stack([np.eye(4) if e.random else e.static_op for e in engines])
+    active = np.arange(len(engines))
+    while active.size:
+        left = budget[active] - n_used[active]
+        length = int(min(_CHUNK, left.max()))
+        maps, saved = _chunk_maps(engines, rngs, static, active, left, length)
+        buf = np.empty((length + 1, active.size, 4, 1))
+        buf[0, :, :, 0] = final[active]
+        rows = list(buf)
+        for op, before, after in zip(maps, rows, rows[1:]):
+            np.matmul(op, before, out=after)
+
+        states = buf[..., 0]
+        step = states[1:] - states[:-1]
+        step *= step
+        # Both states have unit trace, so half the Bloch step is exactly
+        # their trace distance.
+        dist = step[..., 1] + step[..., 2]
+        dist += step[..., 3]
+        below = 0.5 * np.sqrt(dist) < tol[active]
+        # A run's streak at collision t counts back to its last step at or
+        # above tol; one carried over from earlier chunks sits before t = 0.
+        t = np.arange(length)[:, None]
+        last_miss = np.maximum.accumulate(np.where(below, -1 - streak[active], t), axis=0)
+        run = t - last_miss
+        hit = (run >= window[active]) & (t < left)
+        met = hit.any(axis=0)
+        taken = np.where(met, hit.argmax(axis=0) + 1, np.minimum(left, length))
+        for column, drawn_from in saved.items():
+            if met[column]:
+                # redraw only the collisions used, so the stream ends where
+                # n_used single collisions leave it
+                i = active[column]
+                rngs[i].bit_generator.state = drawn_from
+                engines[i].maps(int(taken[column]), rngs[i])
+
+        final[active] = states[taken, np.arange(active.size)]
+        n_used[active] += taken
+        converged[active] = met
+        streak[active] = run[-1]
+        if trail is not None:
+            trail.append(states[1 : taken[0] + 1, 0, 1:].copy())
+        active = active[~met & (left > length)]
+    return final[:, 1:], n_used, converged
 
 
 def _bloch_fidelity(b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -314,8 +444,9 @@ def step(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Apply one full collision round to ``rho_s`` and return the new state."""
-    engine, rng, state = _start(rho_s, reservoirs, cfg, rng)
-    return bloch_to_density(engine.advance(state, rng)[1:])
+    state = _initial(rho_s)
+    engine = _Engine(reservoirs, cfg)
+    return bloch_to_density(engine.maps(1, _stream(engine, rng))[0].dot(state)[1:])
 
 
 def evolve(
@@ -336,40 +467,48 @@ def evolve(
     """
     if rho0 is None:
         rho0 = pure_qubit(math.pi / 2.0)
-    engine, rng, state = _start(rho0, reservoirs, cfg, rng)
+    state0 = _initial(rho0)
+    engine = _Engine(reservoirs, cfg)
     if target is not None:
         target = validate_density_matrix(target)
-    if record:
-        states = np.empty((cfg.max_collisions + 1, 4))
-        states[0] = state
-
-    consecutive = 0
-    converged = False
-    n_used = 0
-    for n in range(1, cfg.max_collisions + 1):
-        new = engine.advance(state, rng)
-        diff = new - state
-        # Both states have unit trace, so half the Bloch step is exactly
-        # their trace distance.
-        dist = 0.5 * math.sqrt(diff.dot(diff))
-        state = new
-        if record:
-            states[n] = state
-        n_used = n
-        if dist < cfg.tol:
-            consecutive += 1
-            if consecutive >= cfg.window:
-                converged = True
-                break
-        else:
-            consecutive = 0
-
-    result = _result(state[1:], n_used, converged)
+    trail = [state0[None, 1:]] if record else None
+    b, n_used, converged = _run(state0, [engine], [_stream(engine, rng)], trail)
+    result = _result(b[0], int(n_used[0]), bool(converged[0]))
     if not record:
         return Trajectory(np.arange(0), np.empty(0), np.empty((0, 3)), None), result
-    bloch = states[: n_used + 1, 1:].copy()
+    bloch = np.concatenate(trail)
     fid = None if target is None else _bloch_fidelity(bloch, bloch_vector(target))
-    return Trajectory(np.arange(n_used + 1), bloch[:, 2].copy(), bloch, fid), result
+    return Trajectory(np.arange(len(bloch)), bloch[:, 2].copy(), bloch, fid), result
+
+
+def evolve_batch(
+    runs: list[tuple[list[ReservoirSpec], EngineConfig, np.random.Generator | None]],
+) -> list[SteadyStateResult]:
+    """Steady states of independent runs, one per (reservoirs, cfg, rng).
+
+    Every run starts from the +x eigenstate and keeps its own tolerance,
+    window, budget and random stream (None: seeded from its ``cfg.seed``).
+    The runs advance together through the loop ``evolve`` uses, so each
+    result is bitwise the one ``evolve(None, reservoirs, cfg, record=False,
+    rng=rng)`` returns.  Each distinct reservoir is compiled once per call,
+    and deterministic runs that share a compiled map and a stopping rule,
+    which evolve identically, are run once.
+    """
+    state0 = _initial(pure_qubit(math.pi / 2.0))
+    cache: dict = {}
+    engines = [_Engine(reservoirs, cfg, cache) for reservoirs, cfg, _ in runs]
+    slot: dict = {}
+    distinct = []
+    owner = []
+    for i, e in enumerate(engines):
+        key = i if e.random else (e.static_op.tobytes(), e.cfg.tol, e.cfg.window, e.cfg.max_collisions)
+        if key not in slot:
+            slot[key] = len(distinct)
+            distinct.append(i)
+        owner.append(slot[key])
+    rngs = [_stream(engines[i], runs[i][2]) for i in distinct]
+    b, n_used, converged = _run(state0, [engines[i] for i in distinct], rngs)
+    return [_result(b[k], int(n_used[k]), bool(converged[k])) for k in owner]
 
 
 def affine_representation(

@@ -74,7 +74,6 @@ class RunOptions:
     out_dir: Path
     seed: int = DEFAULT_SEED
     fmt: str = "csv"
-    jobs: int | None = None
     max_collisions: int | None = None
     tol: float | None = None
     convention: str = "angular"
@@ -166,7 +165,7 @@ def _run_fig2b(opts: RunOptions) -> PresetOutcome:
 
 def _run_fig3a(opts: RunOptions) -> PresetOutcome:
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=100_000)
-    points = sweep_couplings(np.linspace(-0.05, 0.05, 21), NOMINAL_J, cfg, jobs=opts.jobs)
+    points = sweep_couplings(np.linspace(-0.05, 0.05, 21), NOMINAL_J, cfg)
     path = _artifact(opts, "sweep")
     writers.write_sweep(path, "delta_j", points, opts.seed, opts.fmt)
     return PresetOutcome([path], all(p.converged for p in points))
@@ -181,7 +180,7 @@ def _theta_response_run(opts, tuples, base_name) -> PresetOutcome:
     # eigenvalue over the whole theta square needs about 35k collisions at
     # the default tolerance.
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=40_000)
-    points = sweep_thetas(tuples, NOMINAL_J, cfg, jobs=opts.jobs)
+    points = sweep_thetas(tuples, NOMINAL_J, cfg)
     # The response curves are plotted against the collapsed coordinate, so it
     # becomes the sweep parameter column.
     rows = [dataclasses.replace(p, param_value=p.phi_scaled) for p in points]
@@ -205,14 +204,14 @@ def _run_fig3c(opts: RunOptions) -> PresetOutcome:
 
 def _run_fig4a(opts: RunOptions) -> PresetOutcome:
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=100_000)
-    points = sweep_couplings(np.linspace(-0.05, 0.05, 24), NOMINAL_J, cfg, jobs=opts.jobs)
+    points = sweep_couplings(np.linspace(-0.05, 0.05, 24), NOMINAL_J, cfg)
     return _dataset_run(opts, points, ("j_1", "j_2"))
 
 
 def _run_fig4b(opts: RunOptions) -> PresetOutcome:
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=40_000)
     thetas = generate_theta_dataset(42, dims=2, seed=opts.seed)
-    points = sweep_thetas(thetas, NOMINAL_J, cfg, jobs=opts.jobs)
+    points = sweep_thetas(thetas, NOMINAL_J, cfg)
     return _dataset_run(opts, points, ("theta_1", "theta_2"))
 
 
@@ -257,7 +256,7 @@ def _run_fig5de(opts: RunOptions) -> PresetOutcome:
 def _run_fig5f(opts: RunOptions) -> PresetOutcome:
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=40_000)
     thetas = generate_theta_dataset(42, dims=3, seed=opts.seed)
-    points = sweep_thetas(thetas, NOMINAL_J, cfg, jobs=opts.jobs)
+    points = sweep_thetas(thetas, NOMINAL_J, cfg)
     return _dataset_run(opts, points, ("theta_1", "theta_2", "theta_3"))
 
 
@@ -267,7 +266,7 @@ def _run_fig7(opts: RunOptions, epsilon: float) -> PresetOutcome:
                max_collisions=PHYS_MAX_COLLISIONS)
     noise = NoiseSpec(epsilon=epsilon, eta=epsilon / 4.0)
     thetas = generate_theta_dataset(42, dims=2, seed=opts.seed)
-    points = sweep_thetas(thetas, factor * PHYS_J_MHZ, cfg, noise=noise, jobs=opts.jobs)
+    points = sweep_thetas(thetas, factor * PHYS_J_MHZ, cfg, noise=noise)
     return _dataset_run(opts, points, ("theta_1", "theta_2"))
 
 

@@ -7,12 +7,16 @@ and the independent affine fixed-point solver.  The last one is the whole
 point of keeping two routes to the steady state, so it is exercised here on
 a handful of configurations and again, more broadly, in the acceptance tests.
 Both routes read the same compiled transfer matrices, so the property tests
-at the end check those matrices against ``single_collision`` (unitary plus
-partial trace) on random inputs.
+check those matrices against ``single_collision`` (unitary plus partial
+trace) on random inputs.  The evolution loop advances runs a chunk of
+collisions at a time, so its stopping rule is pinned at chunk boundaries,
+and a batch of runs must give bitwise what each run gives alone.
 """
 
 import dataclasses
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsc.collision import (
+    _CHUNK,
     DEFAULT_SEED,
     MIXING_MODES,
     EngineConfig,
@@ -32,6 +37,7 @@ from qsc.collision import (
     affine_representation,
     collision_unitary,
     evolve,
+    evolve_batch,
     pair_hamiltonian,
     pauli_transfer_matrix,
     resolve_weights,
@@ -429,3 +435,151 @@ def test_recorded_fidelity_matches_uhlmann_form(b0, t, spec, cfg, eps):
     traj, _ = evolve(bloch_to_density(b0), [noisy], cfg, target=target)
     expected = [fidelity(bloch_to_density(b), target) for b in traj.bloch]
     assert np.max(np.abs(traj.fidelity - expected)) < 1e-12
+
+
+# The evolution loop: stopping at and across chunk boundaries, buffers sized
+# to the run, random streams left where single collisions leave them, and
+# batches equal to their runs taken one at a time.
+
+def _reference_distances(reservoirs, cfg, n):
+    """Trace distances of the first n steps from the +x state, iterating the
+    affine form b' = M b + c one collision at a time."""
+    m, c = affine_representation(reservoirs, cfg)
+    b = bloch_vector(pure_qubit(math.pi / 2.0))
+    out = []
+    for _ in range(n):
+        new = m @ b + c
+        out.append(0.5 * float(np.linalg.norm(new - b)))
+        b = new
+    return np.array(out), b
+
+
+def test_window_straddling_a_chunk_boundary():
+    spec = [ReservoirSpec(math.pi, 0.4)]
+    base = EngineConfig(tau=1.0, tol=1e-3, max_collisions=10 * _CHUNK)
+    dist, _ = _reference_distances(spec, base, _CHUNK + 10)
+    first = int(np.argmax(dist < base.tol)) + 1  # collision that starts the streak
+    assert 1 < first < _CHUNK - 10 and np.all(dist[first - 1 :] < base.tol)
+    cfg = dataclasses.replace(base, window=_CHUNK - first + 10)
+    traj, result = evolve(None, spec, cfg)
+    assert result.converged and result.n_used == _CHUNK + 9
+    assert len(traj) == result.n_used + 1
+    [batched] = evolve_batch([(spec, cfg, None)])
+    assert batched.n_used == result.n_used and batched.converged
+
+
+def test_budget_not_a_multiple_of_the_chunk_length():
+    spec = [ReservoirSpec(math.pi, 0.2)]
+    budget = 2 * _CHUNK + 37
+    # the first step is far above tol, so a window of the whole budget never closes
+    cfg = EngineConfig(tau=1.0, tol=1e-9, max_collisions=budget, window=budget)
+    traj, result = evolve(None, spec, cfg)
+    assert not result.converged and result.n_used == budget and len(traj) == budget + 1
+    _, b = _reference_distances(spec, cfg, budget)
+    assert np.max(np.abs(traj.bloch[-1] - b)) < 1e-12
+    short = dataclasses.replace(cfg, max_collisions=37, window=37)
+    assert [r.n_used for r in evolve_batch([(spec, cfg, None), (spec, short, None)])] == [budget, 37]
+
+
+def test_budget_equal_to_window():
+    spec = up_down_pair(0.1, 0.05)
+    cfg = EngineConfig(max_collisions=12, window=12, tol=1e-9)
+    # from the fixed point every step is below tol, so the last allowed
+    # collision closes the window; from +x the first steps are not
+    _, settled = evolve(steady_state_oracle(spec, cfg).rho_ss, spec, cfg, record=False)
+    assert settled.converged and settled.n_used == 12
+    _, moving = evolve(None, spec, cfg, record=False)
+    assert not moving.converged and moving.n_used == 12
+
+
+def test_recorded_trajectory_is_sized_to_the_run():
+    cfg = EngineConfig(max_collisions=10**8)
+    tracemalloc.start()
+    try:
+        traj, result = evolve(None, [ReservoirSpec(math.pi, 0.1)], cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.converged and len(traj) == result.n_used + 1
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize(
+    "reservoirs, mode, draws",
+    [
+        # eta = 0 draws a uniform each collision but keeps the map fixed
+        ([ReservoirSpec(math.pi, 0.5, noise=NoiseSpec(0.3, 0.0))], "convex",
+         lambda g, n: g.uniform(-1.0, 1.0, size=n)),
+        # two equal reservoirs: a channel choice each collision, one map
+        ([ReservoirSpec(math.pi, 0.5)] * 2, "stochastic", lambda g, n: g.random(n)),
+    ],
+)
+def test_converged_random_run_leaves_stream_after_its_last_collision(reservoirs, mode, draws):
+    rng = np.random.default_rng(3)
+    _, result = evolve(None, reservoirs, EngineConfig(max_collisions=10_000, mixing_mode=mode),
+                       record=False, rng=rng)
+    assert result.converged and result.n_used % _CHUNK != 0
+    expected = np.random.default_rng(3)
+    draws(expected, result.n_used)
+    assert rng.random() == expected.random()
+
+
+@pytest.mark.parametrize("mode", MIXING_MODES)
+def test_evolution_draws_in_single_collision_order(mode):
+    reservoirs = [
+        ReservoirSpec(0.4, 0.3, noise=NoiseSpec(0.2, 0.1)),
+        ReservoirSpec(2.0, 0.2),
+        ReservoirSpec(3.0, 0.4, noise=NoiseSpec(0.5, 0.3)),
+    ]
+    cfg = EngineConfig(tau=0.7, max_collisions=_CHUNK + 5, tol=1e-30, window=1, mixing_mode=mode)
+    traj, _ = evolve(None, reservoirs, cfg, rng=np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    rho = pure_qubit(math.pi / 2.0)
+    for b in traj.bloch[1:]:
+        rho = step(rho, reservoirs, cfg, rng=rng)
+        assert np.max(np.abs(bloch_vector(rho) - b)) < 1e-12
+
+
+NOISE = st.none() | st.floats(0.0, 0.5).flatmap(lambda eps: st.builds(NoiseSpec, st.just(eps), st.floats(0.0, eps)))
+
+
+@st.composite
+def batch_runs(draw):
+    """(reservoirs, cfg, stream seed or None) of one run, with mixed modes,
+    noise, tolerances, windows and budgets up to a few chunks."""
+    reservoirs = draw(st.lists(st.builds(ReservoirSpec, THETA, st.floats(0.05, 0.5), phi=PHI, noise=NOISE),
+                               min_size=1, max_size=3))
+    window = draw(st.integers(1, 40))
+    cfg = EngineConfig(
+        h=draw(st.floats(-2.0, 2.0)),
+        tau=draw(st.floats(0.2, 3.0)),
+        max_collisions=draw(st.integers(window, 3 * _CHUNK)),
+        tol=draw(st.sampled_from([1e-2, 1e-4, 1e-7])),
+        window=window,
+        mixing_mode=draw(st.sampled_from(MIXING_MODES)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return reservoirs, cfg, draw(st.none() | st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(batch_runs(), min_size=1, max_size=5), st.randoms(use_true_random=False))
+def test_batch_equals_each_run_alone(specs, shuffler: random.Random):
+    # a repeat of the first run, and the first run with a looser tol, share
+    # its compiled map
+    reservoirs, cfg, stream = specs[0]
+    specs = [*specs, specs[0], (reservoirs, dataclasses.replace(cfg, tol=10.0 * cfg.tol), stream)]
+
+    def fresh(i):
+        reservoirs, cfg, stream = specs[i]
+        return reservoirs, cfg, None if stream is None else np.random.default_rng(stream)
+
+    alone = []
+    for i in range(len(specs)):
+        reservoirs, cfg, rng = fresh(i)
+        alone.append(evolve(None, reservoirs, cfg, record=False, rng=rng)[1])
+    order = list(range(len(specs)))
+    for indices in (order, shuffler.sample(order, len(order))):
+        for i, got in zip(indices, evolve_batch([fresh(i) for i in indices])):
+            assert np.array_equal(got.rho_ss, alone[i].rho_ss)
+            assert (got.n_used, got.converged) == (alone[i].n_used, alone[i].converged)
