@@ -1,8 +1,12 @@
 """Experiment runner: built-in presets, custom JSON configs, parameter sweeps.
 
+This module parses and validates the command line and the config; every run
+is made and written by qsc.presets, so a custom config runs like a preset.
+
 Exit codes: 0 success, 1 invalid configuration or usage, 2 at least one run
 stopped at its collision budget without reaching the convergence tolerance
-(output files are still written), 3 output could not be written.
+(output files are still written), 3 output could not be written.  Invalid
+input is rejected before any run, and nothing is written.
 
 Custom config schema (JSON object; unknown keys are errors everywhere):
 
@@ -13,8 +17,13 @@ Custom config schema (JSON object; unknown keys are errors everywhere):
                 noise is {epsilon, eta?}
     engine      {h?, tau?, max_collisions?, tol?, window?, mixing_mode?, seed?}
     sweep       optional {path, values}; path like "engine.h" or
-                "reservoirs.0.coupling", values are applied as given
+                "reservoirs.0.coupling", values are numbers applied as given
     output      optional {path?, format?}
+
+Without a sweep a custom config writes one trajectory from +x whose
+fidelity column is measured against the fixed point of the collision map;
+for noisy or stochastic runs that is the map in expectation.  A map with no
+unique fixed point (tau = 0, all couplings 0) is rejected with exit 1.
 
 Numeric fields must be JSON numbers, not strings or booleans, and
 max_collisions, window and seed must be integral.
@@ -27,28 +36,13 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import writers
-from .classifier import LabeledPoint, classify
-from .collision import (
-    DEFAULT_SEED,
-    EngineConfig,
-    NoiseNotSupported,
-    NoiseSpec,
-    ReservoirSpec,
-    SingularSystem,
-    evolve,
-    evolve_batch,
-    steady_state_oracle,
-)
+from .collision import DEFAULT_SEED, NoiseSpec, ReservoirSpec
 from .physical import TimingBudget, TransmonParams, response_time, system_reservoir_couplings, validate_dispersive
 from .presets import (
     PresetOutcome,
@@ -56,6 +50,8 @@ from .presets import (
     UnknownPreset,
     derived_transmon_params,
     list_presets,
+    run_custom,
+    run_custom_sweep,
     run_preset,
 )
 
@@ -143,7 +139,9 @@ def _parse_reservoir(block: dict, factor: float, where: str) -> ReservoirSpec:
     )
 
 
-def _parse_engine(block: dict, args, seed: int | None) -> EngineConfig:
+def _parse_engine(block: dict, seed: int | None) -> dict:
+    """EngineConfig fields of an engine block; a --seed or QSC_SEED seed
+    replaces engine.seed."""
     _check_keys(block, _ENGINE_KEYS, "engine")
     kwargs = {}
     for key in ("h", "tau", "tol"):
@@ -156,11 +154,7 @@ def _parse_engine(block: dict, args, seed: int | None) -> EngineConfig:
         kwargs["mixing_mode"] = block["mixing_mode"]
     if seed is not None:
         kwargs["seed"] = seed
-    if args.max_collisions is not None:
-        kwargs["max_collisions"] = args.max_collisions
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    return EngineConfig(**kwargs)
+    return kwargs
 
 
 def _apply_sweep_value(raw: dict, path: str, value) -> None:
@@ -179,108 +173,85 @@ def _apply_sweep_value(raw: dict, path: str, value) -> None:
         raise InvalidConfig(f"sweep path {path!r} does not resolve in the config") from None
 
 
-def _resolve_target(reservoirs, cfg: EngineConfig) -> np.ndarray | None:
-    # Stochastic mixing averages to the convex map, so the convex fixed point
-    # is the right fidelity reference; noise has no oracle at all.
-    oracle_cfg = cfg
-    if cfg.mixing_mode == "stochastic":
-        oracle_cfg = dataclasses.replace(cfg, mixing_mode="convex")
+def _read_config(path: Path) -> dict:
     try:
-        return steady_state_oracle(reservoirs, oracle_cfg).rho_ss
-    except (NoiseNotSupported, SingularSystem):
-        return None
-
-
-def _fidelity_to_final(traj) -> np.ndarray:
-    from .states import bloch_to_density, fidelity
-
-    target = bloch_to_density(traj.bloch[-1])
-    return np.array([fidelity(bloch_to_density(b), target) for b in traj.bloch])
-
-
-def _run_config(raw: dict, args, seed: int | None) -> PresetOutcome:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InvalidConfig(f"cannot read config: {exc}") from None
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidConfig(f"config is not valid JSON: {exc}") from None
     _check_keys(raw, _TOP_KEYS, "config")
+    return raw
+
+
+def _options(args, raw: dict, seed: int | None) -> RunOptions:
+    """The invocation's run options; flags beat the config's output block."""
     output = raw.get("output", {})
     _check_keys(output, _OUTPUT_KEYS, "output")
-    out_dir = args.out if args.out is not None else Path(output.get("path", "out"))
-    fmt = args.format or output.get("format", "csv")
+    path = output.get("path", "out")
+    if not isinstance(path, str):
+        raise InvalidConfig(f"output.path must be a string, got {path!r}")
+    return RunOptions(out_dir=Path(path) if args.out is None else args.out,
+                      seed=DEFAULT_SEED if seed is None else seed,
+                      fmt=args.format or output.get("format", "csv"),
+                      max_collisions=args.max_collisions, tol=args.tol,
+                      convention=args.convention)
 
-    name = raw.get("name", "custom")
-    if name != "custom":
-        for key in ("reservoirs", "engine", "sweep"):
-            if key in raw:
-                raise InvalidConfig(f"preset config {name!r} must not define {key!r}")
-        opts = RunOptions(out_dir=out_dir, seed=DEFAULT_SEED if seed is None else seed,
-                          fmt=fmt, max_collisions=args.max_collisions,
-                          tol=args.tol, convention=args.convention)
-        return run_preset(name, opts)
 
+def _run_custom(raw: dict, angle_unit: str | None, seed: int | None, opts: RunOptions) -> PresetOutcome:
     for key in ("reservoirs", "engine"):
         if key not in raw:
             raise InvalidConfig(f"custom configs must define {key!r}")
     if not isinstance(raw["reservoirs"], list) or not raw["reservoirs"]:
         raise InvalidConfig("reservoirs must be a non-empty list")
-    factor = _angle_factor(args.angle_unit or raw.get("angle_unit"))
+    factor = _angle_factor(angle_unit or raw.get("angle_unit"))
 
-    def build(config: dict):
+    def parse(config: dict):
         reservoirs = [
             _parse_reservoir(block, factor, f"reservoirs.{i}")
             for i, block in enumerate(config["reservoirs"])
         ]
-        return reservoirs, _parse_engine(config["engine"], args, seed)
+        return reservoirs, _parse_engine(config["engine"], seed)
 
     sweep = raw.get("sweep")
     if sweep is None:
-        reservoirs, cfg = build(raw)
-        target = _resolve_target(reservoirs, cfg)
-        traj, result = evolve(None, reservoirs, cfg, target=target)
-        fid = traj.fidelity if traj.fidelity is not None else _fidelity_to_final(traj)
-        path = Path(out_dir) / f"trajectory.{fmt}"
-        writers.write_trajectory(path, traj, cfg.seed, fmt, fidelity=fid)
-        return PresetOutcome([path], result.converged)
+        return run_custom(opts, *parse(raw))
 
     _check_keys(sweep, _SWEEP_KEYS, "sweep")
     if "path" not in sweep or "values" not in sweep:
         raise InvalidConfig("sweep needs both 'path' and 'values'")
-    values = sweep["values"]
+    path, values = sweep["path"], sweep["values"]
+    if not isinstance(path, str):
+        raise InvalidConfig(f"sweep.path must be a string, got {path!r}")
     if not isinstance(values, list) or not values:
         raise InvalidConfig("sweep.values must be a non-empty list")
-    runs = []
+    params = [_number(value, f"sweep.values.{i}") for i, value in enumerate(values)]
+    setups = []
     for value in values:
         varied = copy.deepcopy(raw)
-        _apply_sweep_value(varied, sweep["path"], value)
-        reservoirs, cfg = build(varied)
-        runs.append((reservoirs, cfg, None))
-    points = [LabeledPoint((float(value),), result.sigma_z_ss, classify(result),
-                           result.n_used, result.converged, None, float(value))
-              for value, result in zip(values, evolve_batch(runs))]
-    path = Path(out_dir) / f"sweep.{fmt}"
-    writers.write_sweep(path, sweep["path"], points, runs[0][1].seed, fmt)
-    return PresetOutcome([path], all(p.converged for p in points))
+        _apply_sweep_value(varied, path, value)
+        setups.append(parse(varied))
+    return run_custom_sweep(opts, path, params, setups)
 
 
 def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
+    raw = {} if args.config is None else _read_config(args.config)
+    opts = _options(args, raw, seed)
+    name = raw.get("name", "custom")
     if args.preset is not None:
-        opts = RunOptions(out_dir=args.out if args.out is not None else Path("out"),
-                          seed=DEFAULT_SEED if seed is None else seed,
-                          fmt=args.format or "csv",
-                          max_collisions=args.max_collisions, tol=args.tol,
-                          convention=args.convention)
         outcome = run_preset(args.preset, opts)
+    elif name == "custom":
+        outcome = _run_custom(raw, args.angle_unit, seed, opts)
     else:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"config is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise InvalidConfig("config top level must be a JSON object")
-        outcome = _run_config(raw, args, seed)
+        if not isinstance(name, str):
+            raise InvalidConfig(f"name must be a string, got {name!r}")
+        for key in ("reservoirs", "engine", "sweep"):
+            if key in raw:
+                raise InvalidConfig(f"preset config {name!r} must not define {key!r}")
+        outcome = run_preset(name, opts)
     for path in outcome.files:
         print(path)
     if not outcome.all_converged:

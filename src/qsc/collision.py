@@ -70,10 +70,6 @@ class WeightsNotNormalized(ValueError):
     """Raised when mixture weights are negative, partial or do not sum to one."""
 
 
-class NoiseNotSupported(ValueError):
-    """Raised when a deterministic-only routine receives a random map."""
-
-
 class SingularSystem(ValueError):
     """Raised when the steady-state linear system has no unique solution."""
 
@@ -245,7 +241,8 @@ def _compiled(cache: dict, key: tuple, build):
 
 class _Engine:
     """Compiled form of one run's collision map shared by step, the evolution
-    loop and the oracle: one Pauli transfer matrix per reservoir.
+    loop and the oracle: one Pauli transfer matrix per reservoir, and
+    ``mean_op``, the composed map in expectation.
 
     Runs that share ``cache`` compile each distinct reservoir once: it holds
     collision unitaries keyed by (h, j, tau) and transfer matrices keyed by
@@ -278,7 +275,12 @@ class _Engine:
         self.noisy = [i for i, op in enumerate(self.noise_ops) if op is not None]
         self.random = cfg.mixing_mode == "stochastic" or bool(self.noisy)
         self.cum_weights = np.cumsum(self.weights)
-        self.static_op = None if self.random else self._compose(self.base_ops)
+        # Draws do not depend on the state, so E[rho] follows the mean map
+        # exactly: noise at epsilon, stochastic choices as the convex sum.
+        self.mean_op = self._compose([
+            base if noise_op is None else base + r.noise.epsilon * noise_op
+            for r, base, noise_op in zip(reservoirs, self.base_ops, self.noise_ops)
+        ])
 
     def _compose(self, ops: list[np.ndarray]) -> np.ndarray:
         # ops are (4, 4) maps or (n, 4, 4) stacks of them
@@ -306,8 +308,8 @@ class _Engine:
     def maps(self, n: int, rng: np.random.Generator | None) -> np.ndarray:
         """Transfer matrices of the next n collisions, shape (n, 4, 4), drawn
         from ``rng`` in the order n single collisions draw them."""
-        if self.static_op is not None:
-            return np.broadcast_to(self.static_op, (n, 4, 4))
+        if not self.random:
+            return np.broadcast_to(self.mean_op, (n, 4, 4))
         if self.cfg.mixing_mode == "stochastic":
             if not self.noisy:
                 return np.stack(self.base_ops)[self._choose(rng.random(n))]
@@ -345,11 +347,13 @@ def _result(b: np.ndarray, n_used: int, converged: bool) -> SteadyStateResult:
     return SteadyStateResult(rho, p_e - p_g, p_e, p_g, n_used, converged)
 
 
-def _chunk_maps(engines, rngs, static: np.ndarray, active: np.ndarray, left: np.ndarray, length: int):
+def _chunk_maps(engines, rngs, mean: np.ndarray, active: np.ndarray, left: np.ndarray, length: int):
     """Maps of the active runs for the next ``length`` collisions, shape
     (length, K, 4, 4), and the state of each random run's stream before its
-    draws, keyed by column.  ``static`` holds each run's fixed map."""
-    ops = np.broadcast_to(static[active], (length, active.size, 4, 4))
+    draws, keyed by column.  ``mean`` holds each run's mean map; a random
+    run's drawn maps replace it up to the run's budget, past which nothing
+    is drawn and no state is read."""
+    ops = np.broadcast_to(mean[active], (length, active.size, 4, 4))
     random = [column for column, i in enumerate(active) if engines[i].random]
     if not random:
         return ops, {}
@@ -360,8 +364,6 @@ def _chunk_maps(engines, rngs, static: np.ndarray, active: np.ndarray, left: np.
         n = min(length, int(left[column]))
         saved[column] = rngs[i].bit_generator.state
         ops[:n, column] = engines[i].maps(n, rngs[i])
-        # past this run's budget: computed, never read, and nothing drawn
-        ops[n:, column] = np.eye(4)
     return ops, saved
 
 
@@ -382,12 +384,12 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
     n_used = np.zeros(len(engines), dtype=np.int64)
     streak = np.zeros(len(engines), dtype=np.int64)  # consecutive steps under tol
     converged = np.zeros(len(engines), dtype=bool)
-    static = np.stack([np.eye(4) if e.random else e.static_op for e in engines])
+    mean = np.stack([e.mean_op for e in engines])
     active = np.arange(len(engines))
     while active.size:
         left = budget[active] - n_used[active]
         length = int(min(_CHUNK, left.max()))
-        maps, saved = _chunk_maps(engines, rngs, static, active, left, length)
+        maps, saved = _chunk_maps(engines, rngs, mean, active, left, length)
         buf = np.empty((length + 1, active.size, 4, 1))
         buf[0, :, :, 0] = final[active]
         rows = list(buf)
@@ -501,7 +503,7 @@ def evolve_batch(
     distinct = []
     owner = []
     for i, e in enumerate(engines):
-        key = i if e.random else (e.static_op.tobytes(), e.cfg.tol, e.cfg.window, e.cfg.max_collisions)
+        key = i if e.random else (e.mean_op.tobytes(), e.cfg.tol, e.cfg.window, e.cfg.max_collisions)
         if key not in slot:
             slot[key] = len(distinct)
             distinct.append(i)
@@ -514,17 +516,14 @@ def evolve_batch(
 def affine_representation(
     reservoirs: list[ReservoirSpec], cfg: EngineConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch-space form b' = M b + c of one deterministic collision round.
+    """Bloch-space form b' = M b + c of one collision round, in expectation.
 
-    Read off the compiled transfer matrix R as M = R[1:, 1:], c = R[1:, 0];
-    refuses random maps (preparation noise, stochastic mixing) since they
-    have no single affine form.
+    Read off the compiled mean transfer matrix R as M = R[1:, 1:],
+    c = R[1:, 0].  For a random map (preparation noise, stochastic mixing)
+    this is the map the mean state follows: noise at its mean strength
+    epsilon, stochastic mixing as the convex sum.
     """
-    if any(r.noise is not None for r in reservoirs):
-        raise NoiseNotSupported("affine form undefined under preparation noise")
-    if cfg.mixing_mode == "stochastic":
-        raise NoiseNotSupported("affine form undefined for stochastic mixing")
-    r = _Engine(reservoirs, cfg).static_op
+    r = _Engine(reservoirs, cfg).mean_op
     return r[1:, 1:].copy(), r[1:, 0].copy()
 
 
@@ -532,8 +531,10 @@ def steady_state_oracle(reservoirs: list[ReservoirSpec], cfg: EngineConfig) -> S
     """Steady state from the affine fixed point (I - M) b = c.
 
     Independent of the iterated route: no collisions are performed, the
-    linear system is solved directly.  Degenerate maps (tau = 0, zero
-    couplings) leave (I - M) singular and raise SingularSystem.
+    linear system is solved directly.  For a random map it is the fixed
+    point of the mean map, which the run-averaged state approaches.
+    Degenerate maps (tau = 0, zero couplings) leave (I - M) singular and
+    raise SingularSystem.
     """
     m, c = affine_representation(reservoirs, cfg)
     a = np.eye(3) - m

@@ -27,6 +27,7 @@ from . import writers
 from .classifier import (
     LabeledPoint,
     check_linear_separability,
+    classify,
     generate_theta_dataset,
     sweep_couplings,
     sweep_thetas,
@@ -37,6 +38,7 @@ from .collision import (
     NoiseSpec,
     ReservoirSpec,
     evolve,
+    evolve_batch,
     steady_state_oracle,
 )
 from .physical import (
@@ -69,7 +71,8 @@ class UnknownPreset(KeyError):
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Knobs every preset accepts; None leaves the preset's own value alone."""
+    """Knobs every preset and custom config accepts; None leaves the
+    preset's or the config's own value alone."""
 
     out_dir: Path
     seed: int = DEFAULT_SEED
@@ -94,6 +97,8 @@ class PresetOutcome:
 
 
 def _cfg(opts: RunOptions, **overrides) -> EngineConfig:
+    """The engine of one run: the options' max_collisions and tol beat the
+    run's own values, and the options' seed fills in a missing one."""
     overrides.setdefault("seed", opts.seed)
     if opts.max_collisions is not None:
         overrides["max_collisions"] = opts.max_collisions
@@ -109,11 +114,12 @@ def _artifact(opts: RunOptions, base: str) -> Path:
 def _trajectory_run(opts, reservoirs, cfg, target, base) -> tuple[Path, bool]:
     traj, result = evolve(None, reservoirs, cfg, target=target)
     path = _artifact(opts, base)
-    writers.write_trajectory(path, traj, opts.seed, opts.fmt)
+    writers.write_trajectory(path, traj, cfg.seed, opts.fmt)
     return path, result.converged
 
 
 def _oracle_target(reservoirs, cfg) -> np.ndarray:
+    # for a random map, the fixed point of the map in expectation
     return steady_state_oracle(reservoirs, cfg).rho_ss
 
 
@@ -347,9 +353,8 @@ def _fig7_preset(epsilon: float, note: str = "") -> Preset:
 
 PRESETS: dict[str, Preset] = {
     "fig1e": Preset(_run_fig1e,
-                    "one spin-down reservoir: magnetization and fidelity trace of |+>"),
-    "fig1f": Preset(_run_fig1e,
-                    "same run as fig1e; read the bloch_x/y/z columns for the Bloch path"),
+                    "one spin-down reservoir: magnetization and fidelity trace of |+>; "
+                    "its bloch_x/y/z columns give the Bloch path"),
     "fig2a": Preset(_run_fig2a,
                     "up/down reservoirs, fixed j1=0.1: traces for four j2 couplings"),
     "fig2b": Preset(_run_fig2b,
@@ -391,3 +396,24 @@ def run_preset(name: str, opts: RunOptions) -> PresetOutcome:
     except KeyError:
         raise UnknownPreset(f"unknown preset {name!r}; see the list subcommand") from None
     return preset.run(opts)
+
+
+def run_custom(opts: RunOptions, reservoirs: list[ReservoirSpec], engine: dict) -> PresetOutcome:
+    """One custom run from +x, recorded with its fidelity to the oracle
+    fixed point; ``engine`` holds the run's EngineConfig fields."""
+    cfg = _cfg(opts, **engine)
+    path, ok = _trajectory_run(opts, reservoirs, cfg, _oracle_target(reservoirs, cfg), "trajectory")
+    return PresetOutcome([path], ok)
+
+
+def run_custom_sweep(opts: RunOptions, param_name: str, values: list[float],
+                     setups: list[tuple[list[ReservoirSpec], dict]]) -> PresetOutcome:
+    """One batched steady state per sweep value, from its (reservoirs,
+    engine fields) setup; the header carries the first run's seed."""
+    cfgs = [_cfg(opts, **engine) for _, engine in setups]
+    results = evolve_batch([(reservoirs, cfg, None) for (reservoirs, _), cfg in zip(setups, cfgs)])
+    points = [LabeledPoint((value,), r.sigma_z_ss, classify(r), r.n_used, r.converged, None, value)
+              for value, r in zip(values, results)]
+    path = _artifact(opts, "sweep")
+    writers.write_sweep(path, param_name, points, cfgs[0].seed, opts.fmt)
+    return PresetOutcome([path], all(p.converged for p in points))

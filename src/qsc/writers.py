@@ -85,15 +85,11 @@ def write_table(path, columns: Sequence[str], rows, seed: int, fmt: str = "csv")
         raise ValueError(f"unknown output format {fmt!r}, expected 'csv' or 'json'")
 
 
-def write_trajectory(path, traj: Trajectory, seed: int, fmt: str = "csv",
-                     fidelity: np.ndarray | None = None) -> None:
-    """Per-collision record.  ``fidelity`` overrides the trajectory's own
-    column (used when the target state is only known after the run)."""
-    fid = traj.fidelity if fidelity is None else np.asarray(fidelity, dtype=float)
+def write_trajectory(path, traj: Trajectory, seed: int, fmt: str = "csv") -> None:
+    """Per-collision record; the trajectory must carry its fidelity column."""
+    fid = traj.fidelity
     if fid is None:
         raise ValueError("trajectory artifact requires a fidelity column")
-    if fid.shape[0] != len(traj):
-        raise ValueError(f"fidelity column has {fid.shape[0]} rows, trajectory {len(traj)}")
     rows = (
         (int(traj.n[i]), traj.sigma_z[i], traj.bloch[i, 0], traj.bloch[i, 1],
          traj.bloch[i, 2], fid[i])

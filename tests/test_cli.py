@@ -7,9 +7,12 @@ argv list rather than spawning subprocesses.
 
 import json
 
+import numpy as np
 import pytest
 
 from qsc.cli import main
+from qsc.collision import EngineConfig, NoiseSpec, ReservoirSpec, steady_state_oracle
+from qsc.states import bloch_to_density, fidelity
 
 
 def run_cli(*argv):
@@ -33,7 +36,7 @@ BASE_CONFIG = {
 def test_list_shows_all_presets(capsys):
     assert run_cli("list") == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 18
+    assert len(lines) == 17
     assert any(line.startswith("fig1e") for line in lines)
     assert any(line.startswith("transmon") for line in lines)
 
@@ -77,17 +80,59 @@ def test_custom_trajectory_run(tmp_path, capsys):
     assert float(lines[-1].split(",")[1]) < 0.0
 
 
-def test_custom_run_with_noise_uses_final_state_fidelity(tmp_path):
+@pytest.mark.parametrize("mode", ["convex", "sequential"])
+def test_noisy_config_fidelity_is_to_the_mean_map_fixed_point(tmp_path, mode):
+    noise = {"epsilon": 0.3, "eta": 0.1}
     config = write_config(tmp_path, {
-        "reservoirs": [{"theta": 0.3, "coupling": 0.1, "noise": {"epsilon": 0.3, "eta": 0.1}}],
-        "engine": {"max_collisions": 300, "tol": 1e-2},
+        "reservoirs": [{"theta": 0.3, "coupling": 0.1, "noise": noise},
+                       {"theta": 2.0, "coupling": 0.1, "noise": noise}],
+        "engine": {"max_collisions": 300, "tol": 1e-2, "mixing_mode": mode},
     })
     code = run_cli("run", "--config", config, "--out", tmp_path / "out")
     assert code in (0, 2)
     lines = (tmp_path / "out" / "trajectory.csv").read_text(encoding="utf-8").splitlines()
-    # no clean steady-state oracle exists under noise; the last row is its
-    # own fidelity reference
-    assert lines[-1].split(",")[5] == "1"
+    spec = NoiseSpec(0.3, 0.1)
+    reservoirs = [ReservoirSpec(0.3, 0.1, noise=spec), ReservoirSpec(2.0, 0.1, noise=spec)]
+    target = steady_state_oracle(reservoirs, EngineConfig(mixing_mode=mode)).rho_ss
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[3:]]
+    assert len(rows) > 1
+    for row in rows:
+        expected = fidelity(bloch_to_density(np.array(row[2:5])), target)
+        assert row[5] == pytest.approx(expected, abs=1e-10)
+    assert rows[-1][5] != 1.0  # not the run's own final state
+
+
+@pytest.mark.parametrize("engine, reservoir", [
+    ({"tau": 0.0}, {}),
+    ({}, {"coupling": 0.0}),
+], ids=["tau_0", "coupling_0"])
+def test_config_without_a_unique_fixed_point_exits_one(tmp_path, capsys, engine, reservoir):
+    config = write_config(tmp_path, {
+        "reservoirs": [{**BASE_CONFIG["reservoirs"][0], **reservoir}],
+        "engine": {**BASE_CONFIG["engine"], **engine},
+    })
+    assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 1
+    assert "fixed point" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_sweep_seeds_each_value_unless_seed_is_given(tmp_path, monkeypatch):
+    monkeypatch.delenv("QSC_SEED", raising=False)
+    config = write_config(tmp_path, {
+        "reservoirs": [{"theta": 0.0, "coupling": 0.1}, {"theta": 1.5, "coupling": 0.1},
+                       {"theta": 3.14159265358979, "coupling": 0.1}],
+        "engine": {"max_collisions": 200, "tol": 1e-12, "mixing_mode": "stochastic"},
+        "sweep": {"path": "engine.seed", "values": [1, 2, 3]},
+    })
+
+    def sigma_z(out_dir):
+        lines = (out_dir / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        return [line.split(",")[2] for line in lines[3:]]
+
+    assert run_cli("run", "--config", config, "--out", tmp_path / "own") == 2
+    assert len(set(sigma_z(tmp_path / "own"))) == 3
+    assert run_cli("run", "--config", config, "--out", tmp_path / "cli", "--seed", 5) == 2
+    assert len(set(sigma_z(tmp_path / "cli"))) == 1
 
 
 def test_sweep_over_reservoir_coupling(tmp_path):
@@ -192,14 +237,14 @@ def test_seed_precedence(tmp_path, monkeypatch):
 
 def test_invalid_env_seed_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QSC_SEED", "not-a-number")
-    assert run_cli("run", "--preset", "fig1f", "--out", tmp_path) == 1
+    assert run_cli("run", "--preset", "fig1e", "--out", tmp_path) == 1
     assert "QSC_SEED" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_three(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file in the way", encoding="utf-8")
-    code = run_cli("run", "--preset", "fig1f", "--out", blocker,
+    code = run_cli("run", "--preset", "fig1e", "--out", blocker,
                    "--max-collisions", 60, "--tol", 0.5)
     assert code == 3
 
@@ -254,6 +299,28 @@ def test_config_numbers_are_strict(tmp_path, capsys, reservoir, engine):
         "reservoirs": [{**BASE_CONFIG["reservoirs"][0], **reservoir}],
         "engine": {**BASE_CONFIG["engine"], **engine},
     })
+    assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 1
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("patch", [
+    {"output": {"path": 5}},
+    {"output": {"format": "xml"}},
+    {"sweep": {"path": 5, "values": [0.1]}},
+    {"sweep": {"path": "reservoirs.0.noise", "values": [{"epsilon": 0.1}]}},
+    {"sweep": {"path": "engine.mixing_mode", "values": ["convex"]}},
+    {"sweep": {"path": "reservoirs.0.coupling", "values": [0.1, True]}},
+    {"name": ["fig1e"]},
+], ids=["output_path", "output_format", "sweep_path", "sweep_dict_value",
+        "sweep_string_value", "sweep_bool_value", "name"])
+def test_malformed_config_input_is_rejected_before_any_run(tmp_path, capsys, monkeypatch, patch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("qsc.presets.evolve", no_run)
+    monkeypatch.setattr("qsc.presets.evolve_batch", no_run)
+    config = write_config(tmp_path, {**BASE_CONFIG, **patch})
     assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 1
     assert "must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

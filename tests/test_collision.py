@@ -28,7 +28,6 @@ from qsc.collision import (
     DEFAULT_SEED,
     MIXING_MODES,
     EngineConfig,
-    NoiseNotSupported,
     NoiseSpec,
     NonUnitaryPropagator,
     ReservoirSpec,
@@ -254,12 +253,52 @@ def test_oracle_rejects_degenerate_map():
         steady_state_oracle([ReservoirSpec(0.7, 0.0)], EngineConfig())
 
 
-def test_affine_form_refuses_random_maps():
-    noisy = [ReservoirSpec(0.0, 0.1, noise=NoiseSpec(0.1, 0.05))]
-    with pytest.raises(NoiseNotSupported):
-        affine_representation(noisy, EngineConfig())
-    with pytest.raises(NoiseNotSupported):
-        steady_state_oracle(up_down_pair(), EngineConfig(mixing_mode="stochastic"))
+def test_stochastic_oracle_is_the_convex_oracle():
+    # Stochastic choices average to the convex sum, bitwise.
+    reservoirs = [ReservoirSpec(0.3, 0.1, weight=0.25), ReservoirSpec(2.5, 0.07, weight=0.75, phi=1.0)]
+    convex = steady_state_oracle(reservoirs, EngineConfig())
+    stochastic = steady_state_oracle(reservoirs, EngineConfig(mixing_mode="stochastic"))
+    assert np.array_equal(stochastic.rho_ss, convex.rho_ss)
+    for a, b in zip(affine_representation(reservoirs, EngineConfig(mixing_mode="stochastic")),
+                    affine_representation(reservoirs, EngineConfig())):
+        assert np.array_equal(a, b)
+
+
+def test_noisy_affine_form_depolarizes_at_the_mean_strength():
+    # In expectation a noisy ancilla is depolarized by epsilon itself.
+    spec = ReservoirSpec(1.1, 0.1, phi=0.4, noise=NoiseSpec(0.3, 0.1))
+    cfg = EngineConfig(h=0.9, tau=0.8)
+    ancilla = 0.7 * pure_qubit(1.1, 0.4) + 0.15 * np.eye(2)
+    r = pauli_transfer_matrix(ancilla, collision_unitary(cfg.h, spec.coupling, cfg.tau))
+    m, c = affine_representation([spec], cfg)
+    assert np.allclose(m, r[1:, 1:], atol=1e-14)
+    assert np.allclose(c, r[1:, 0], atol=1e-14)
+
+
+@pytest.mark.parametrize("mode", ["convex", "sequential"])
+def test_random_runs_average_to_the_mean_map(mode):
+    # Every draw is independent of the state, so the mean state follows the
+    # mean map exactly: 400 seeded runs at a fixed budget (a tol no noisy
+    # step meets) average to the mean map iterated as often, within 5
+    # standard errors.  The noiseless map lands far outside that band.
+    noise = NoiseSpec(0.3, 0.1)
+    reservoirs = [ReservoirSpec(0.3, 0.1, noise=noise), ReservoirSpec(2.0, 0.1, noise=noise)]
+    cfgs = [EngineConfig(max_collisions=3000, tol=1e-300, mixing_mode=mode, seed=s) for s in range(400)]
+    results = evolve_batch([(reservoirs, cfg, None) for cfg in cfgs])
+    assert all(r.n_used == 3000 and not r.converged for r in results)
+    z = np.array([r.sigma_z_ss for r in results])
+    se = z.std(ddof=1) / math.sqrt(z.size)
+
+    def iterate(specs):
+        m, c = affine_representation(specs, cfgs[0])
+        b = np.array([1.0, 0.0, 0.0])
+        for _ in range(3000):
+            b = m @ b + c
+        return b[2]
+
+    assert abs(z.mean() - iterate(reservoirs)) < 5 * se
+    noiseless = [dataclasses.replace(r, noise=None) for r in reservoirs]
+    assert abs(z.mean() - iterate(noiseless)) > 100 * se
 
 
 def test_evolve_reports_budget_exhaustion_without_raising():

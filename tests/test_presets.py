@@ -16,7 +16,7 @@ from qsc.presets import (
 )
 
 EXPECTED_PRESETS = {
-    "fig1e", "fig1f", "fig2a", "fig2b", "fig3a", "fig3b", "fig3c",
+    "fig1e", "fig2a", "fig2b", "fig3a", "fig3b", "fig3c",
     "fig4a", "fig4b", "fig5a", "fig5bc", "fig5de", "fig5f",
     "fig7a", "fig7b", "fig7c", "fig7d", "transmon",
 }
@@ -131,7 +131,7 @@ def test_seed_changes_sampled_dataset(tmp_path):
 
 
 def test_json_format_presets(tmp_path):
-    outcome = run_preset("fig1f", fast_opts(tmp_path, fmt="json"))
+    outcome = run_preset("fig1e", fast_opts(tmp_path, fmt="json"))
     (path,) = outcome.files
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["columns"][0] == "n"

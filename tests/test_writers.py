@@ -62,9 +62,7 @@ def test_trajectory_requires_fidelity_column(tmp_path):
     traj, _ = evolve(None, [ReservoirSpec(math.pi, 0.1)], cfg)  # no target
     with pytest.raises(ValueError):
         write_trajectory(tmp_path / "t.csv", traj, seed=1)
-    # an explicit override array fills the slot
-    write_trajectory(tmp_path / "t.csv", traj, seed=1, fidelity=np.ones(len(traj)))
-    assert (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_trajectory_json_layout(tmp_path):
