@@ -127,9 +127,10 @@ def sweep_thetas(
 ) -> list[LabeledPoint]:
     """Steady states for reservoir-angle tuples at one equal coupling.
 
-    Pairs also carry the scaled angle pi - (theta_1 + theta_2) used when the
-    response is plotted against a single collapsed coordinate.  Under noise
-    every point owns a private stream derived from (seed, point index).
+    Pairs also carry the scaled angle pi - (theta_1 + theta_2), as both
+    ``phi_scaled`` and ``param_value``, since the response is plotted against
+    that single collapsed coordinate.  Under noise every point owns a private
+    stream derived from (seed, point index).
     """
     tuples = [tuple(float(t) for t in entry) for entry in theta_tuples]
     if not tuples:
@@ -141,10 +142,11 @@ def sweep_thetas(
         if noise is not None:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
         runs.append((reservoirs, cfg, rng))
-    return [
-        _as_point(thetas, result, phi_scaled=math.pi - (thetas[0] + thetas[1]) if len(thetas) == 2 else None)
-        for thetas, result in zip(tuples, evolve_batch(runs))
-    ]
+    points = []
+    for thetas, result in zip(tuples, evolve_batch(runs)):
+        phi = math.pi - (thetas[0] + thetas[1]) if len(thetas) == 2 else None
+        points.append(_as_point(thetas, result, phi_scaled=phi, param_value=phi))
+    return points
 
 
 SAMPLERS = ("clipped-gaussian", "uniform")

@@ -16,8 +16,9 @@ Custom config schema (JSON object; unknown keys are errors everywhere):
     reservoirs  list of {theta, coupling, weight?, phi?, noise?} where
                 noise is {epsilon, eta?}
     engine      {h?, tau?, max_collisions?, tol?, window?, mixing_mode?, seed?}
-    sweep       optional {path, values}; path like "engine.h" or
-                "reservoirs.0.coupling", values are numbers applied as given
+    sweep       optional {path, values}; path under engine. or reservoirs.,
+                like "engine.h" or "reservoirs.0.coupling", values are numbers
+                applied as given
     output      optional {path?, format?}
 
 Without a sweep a custom config writes one trajectory from +x whose
@@ -225,6 +226,8 @@ def _run_custom(raw: dict, angle_unit: str | None, seed: int | None, opts: RunOp
     path, values = sweep["path"], sweep["values"]
     if not isinstance(path, str):
         raise InvalidConfig(f"sweep.path must be a string, got {path!r}")
+    if not path.startswith(("reservoirs.", "engine.")):
+        raise InvalidConfig(f"sweep.path must be under reservoirs. or engine., got {path!r}")
     if not isinstance(values, list) or not values:
         raise InvalidConfig("sweep.values must be a non-empty list")
     params = [_number(value, f"sweep.values.{i}") for i, value in enumerate(values)]

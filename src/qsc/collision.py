@@ -19,10 +19,11 @@ lockstep, a chunk of collisions at a time).
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
-platforms.  Draw order per collision: stochastic channel choice first, then
-one uniform noise draw per noisy reservoir in list order (convex/sequential
-modes draw noise for every noisy reservoir, stochastic only for the chosen
-one).  The loop draws a chunk of collisions' worth at once, in that order,
+platforms.  Every random run has one draw layout: each collision reads one
+row of uniforms on [0, 1), the stochastic channel choice first (stochastic
+mode only), then one noise draw per noisy reservoir in list order, in every
+mixing mode, so a stochastic collision also draws noise for the reservoirs
+it does not choose.  The loop reads a chunk of collisions' rows at once,
 and a run that stops mid-chunk leaves its generator where its last
 collision left it.
 """
@@ -294,35 +295,28 @@ class _Engine:
         acc[..., 0, :] = _TRACE_ROW
         return acc
 
-    def _choose(self, draws):
-        i = np.searchsorted(self.cum_weights, draws, side="right")
-        return np.minimum(i, len(self.reservoirs) - 1)
-
-    def _drawn(self, i: int, rng: np.random.Generator) -> np.ndarray:
-        noise = self.reservoirs[i].noise
-        if noise is None:
-            return self.base_ops[i]
-        eps = noise.epsilon + rng.uniform(-1.0, 1.0) * noise.eta
-        return self.base_ops[i] + eps * self.noise_ops[i]
-
     def maps(self, n: int, rng: np.random.Generator | None) -> np.ndarray:
-        """Transfer matrices of the next n collisions, shape (n, 4, 4), drawn
-        from ``rng`` in the order n single collisions draw them."""
+        """Transfer matrices of the next n collisions, shape (n, 4, 4).
+
+        Each collision reads one row of ``rng.random((n, k))``: the channel
+        choice first (stochastic mode only), then one draw u per noisy
+        reservoir in list order, whose strength is epsilon + (-1 + 2u) * eta.
+        """
         if not self.random:
             return np.broadcast_to(self.mean_op, (n, 4, 4))
-        if self.cfg.mixing_mode == "stochastic":
-            if not self.noisy:
-                return np.stack(self.base_ops)[self._choose(rng.random(n))]
-            # a noise draw follows each choice of a noisy reservoir, so the
-            # stream is read one collision at a time
-            return np.stack([self._drawn(self._choose(rng.random()), rng) for _ in range(n)])
-        draws = rng.uniform(-1.0, 1.0, size=(n, len(self.noisy)))
+        stochastic = self.cfg.mixing_mode == "stochastic"
+        draws = rng.random((n, stochastic + len(self.noisy)))
         ops = list(self.base_ops)
-        for column, i in enumerate(self.noisy):
+        for column, i in enumerate(self.noisy, start=stochastic):
             noise = self.reservoirs[i].noise
-            eps = noise.epsilon + draws[:, column] * noise.eta
+            eps = noise.epsilon + (-1.0 + 2.0 * draws[:, column]) * noise.eta
             ops[i] = self.base_ops[i] + eps[:, None, None] * self.noise_ops[i]
-        return self._compose(ops)
+        if not stochastic:
+            return self._compose(ops)
+        chosen = np.searchsorted(self.cum_weights, draws[:, 0], side="right")
+        chosen = np.minimum(chosen, len(ops) - 1)
+        stacked = np.stack([np.broadcast_to(op, (n, 4, 4)) for op in ops], axis=1)
+        return stacked[np.arange(n), chosen]
 
 
 def _initial(rho: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ Shared conventions across the catalog:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,16 +110,27 @@ def _artifact(opts: RunOptions, base: str) -> Path:
     return Path(opts.out_dir) / f"{base}.{opts.fmt}"
 
 
-def _trajectory_run(opts, reservoirs, cfg, target, base) -> tuple[Path, bool]:
-    traj, result = evolve(None, reservoirs, cfg, target=target)
-    path = _artifact(opts, base)
-    writers.write_trajectory(path, traj, cfg.seed, opts.fmt)
-    return path, result.converged
+def _trajectories(opts: RunOptions, cfg: EngineConfig, runs) -> PresetOutcome:
+    """One recorded trajectory from +x per (file base, reservoirs, target)
+    run; a None target is the oracle fixed point of the run's map (for a
+    random map, the map in expectation)."""
+    files, all_ok = [], True
+    for base, reservoirs, target in runs:
+        if target is None:
+            target = steady_state_oracle(reservoirs, cfg).rho_ss
+        traj, result = evolve(None, reservoirs, cfg, target=target)
+        path = _artifact(opts, base)
+        writers.write_trajectory(path, traj, cfg.seed, opts.fmt)
+        files.append(path)
+        all_ok &= result.converged
+    return PresetOutcome(files, all_ok)
 
 
-def _oracle_target(reservoirs, cfg) -> np.ndarray:
-    # for a random map, the fixed point of the map in expectation
-    return steady_state_oracle(reservoirs, cfg).rho_ss
+def _sweep_run(opts: RunOptions, cfg: EngineConfig, param_name: str,
+               points: list[LabeledPoint]) -> PresetOutcome:
+    path = _artifact(opts, "sweep")
+    writers.write_sweep(path, param_name, points, cfg.seed, opts.fmt)
+    return PresetOutcome([path], all(p.converged for p in points))
 
 
 def _dataset_run(opts, points: list[LabeledPoint], feature_names) -> PresetOutcome:
@@ -131,81 +141,69 @@ def _dataset_run(opts, points: list[LabeledPoint], feature_names) -> PresetOutco
     return PresetOutcome([dataset, verdict], all(p.converged for p in points))
 
 
+def _theta_dataset_run(opts: RunOptions, cfg: EngineConfig, dims: int, coupling: float,
+                       noise: NoiseSpec | None = None) -> PresetOutcome:
+    """42 random angle tuples of ``dims`` reservoirs at one equal coupling,
+    classified, with their separability verdict."""
+    thetas = generate_theta_dataset(42, dims=dims, seed=opts.seed)
+    points = sweep_thetas(thetas, coupling, cfg, noise=noise)
+    return _dataset_run(opts, points, tuple(f"theta_{i + 1}" for i in range(dims)))
+
+
 def _run_fig1e(opts: RunOptions) -> PresetOutcome:
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=5000)
     reservoirs = [ReservoirSpec(theta=math.pi, coupling=NOMINAL_J)]
-    path, ok = _trajectory_run(opts, reservoirs, cfg, pure_qubit(math.pi), "trajectory")
-    return PresetOutcome([path], ok)
+    return _trajectories(opts, cfg, [("trajectory", reservoirs, pure_qubit(math.pi))])
 
 
 def _run_fig2a(opts: RunOptions) -> PresetOutcome:
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=40_000)
-    files, all_ok = [], True
-    for j2 in (0.025, 0.05, 0.075, 0.1):
-        reservoirs = [
-            ReservoirSpec(theta=0.0, coupling=NOMINAL_J),
-            ReservoirSpec(theta=math.pi, coupling=j2),
-        ]
-        target = _oracle_target(reservoirs, cfg)
-        path, ok = _trajectory_run(opts, reservoirs, cfg, target, f"trajectory_j2_{j2:g}")
-        files.append(path)
-        all_ok &= ok
-    return PresetOutcome(files, all_ok)
+    return _trajectories(opts, cfg, [
+        (f"trajectory_j2_{j2:g}",
+         [ReservoirSpec(theta=0.0, coupling=NOMINAL_J), ReservoirSpec(theta=math.pi, coupling=j2)],
+         None)
+        for j2 in (0.025, 0.05, 0.075, 0.1)
+    ])
 
 
 def _run_fig2b(opts: RunOptions) -> PresetOutcome:
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=40_000)
-    files, all_ok = [], True
-    for theta1 in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-        reservoirs = [
-            ReservoirSpec(theta=theta1, coupling=NOMINAL_J),
-            ReservoirSpec(theta=math.pi, coupling=NOMINAL_J),
-        ]
-        target = _oracle_target(reservoirs, cfg)
-        base = f"trajectory_theta1_{round(math.degrees(theta1))}"
-        path, ok = _trajectory_run(opts, reservoirs, cfg, target, base)
-        files.append(path)
-        all_ok &= ok
-    return PresetOutcome(files, all_ok)
+    return _trajectories(opts, cfg, [
+        (f"trajectory_theta1_{round(math.degrees(theta1))}",
+         [ReservoirSpec(theta=theta1, coupling=NOMINAL_J), ReservoirSpec(theta=math.pi, coupling=NOMINAL_J)],
+         None)
+        for theta1 in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+    ])
 
 
 def _run_fig3a(opts: RunOptions) -> PresetOutcome:
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=100_000)
-    points = sweep_couplings(np.linspace(-0.05, 0.05, 21), NOMINAL_J, cfg)
-    path = _artifact(opts, "sweep")
-    writers.write_sweep(path, "delta_j", points, opts.seed, opts.fmt)
-    return PresetOutcome([path], all(p.converged for p in points))
+    return _sweep_run(opts, cfg, "delta_j", sweep_couplings(np.linspace(-0.05, 0.05, 21), NOMINAL_J, cfg))
 
 
 def _ten_degree_grid() -> list[float]:
     return [min(i * 10 * _DEG, math.pi) for i in range(19)]
 
 
-def _theta_response_run(opts, tuples, base_name) -> PresetOutcome:
+def _theta_response_run(opts, tuples) -> PresetOutcome:
     # Generic angle pairs mix the decay sectors; the slowest affine-map
     # eigenvalue over the whole theta square needs about 35k collisions at
-    # the default tolerance.
+    # the default tolerance.  The response curves are plotted against the
+    # collapsed coordinate, each pair's param_value.
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=40_000)
-    points = sweep_thetas(tuples, NOMINAL_J, cfg)
-    # The response curves are plotted against the collapsed coordinate, so it
-    # becomes the sweep parameter column.
-    rows = [dataclasses.replace(p, param_value=p.phi_scaled) for p in points]
-    path = _artifact(opts, base_name)
-    writers.write_sweep(path, "phi_scaled", rows, opts.seed, opts.fmt)
-    return PresetOutcome([path], all(p.converged for p in points))
+    return _sweep_run(opts, cfg, "phi_scaled", sweep_thetas(tuples, NOMINAL_J, cfg))
 
 
 def _run_fig3b(opts: RunOptions) -> PresetOutcome:
     grid = _ten_degree_grid()
     tuples = [(t1, t2) for t1 in (30 * _DEG, 60 * _DEG, 90 * _DEG) for t2 in grid]
     tuples += [(t1, t2) for t2 in (120 * _DEG, 150 * _DEG, math.pi) for t1 in grid]
-    return _theta_response_run(opts, tuples, "sweep")
+    return _theta_response_run(opts, tuples)
 
 
 def _run_fig3c(opts: RunOptions) -> PresetOutcome:
     grid = _ten_degree_grid()
-    tuples = [(t1, t2) for t1 in grid for t2 in grid]
-    return _theta_response_run(opts, tuples, "sweep")
+    return _theta_response_run(opts, [(t1, t2) for t1 in grid for t2 in grid])
 
 
 def _run_fig4a(opts: RunOptions) -> PresetOutcome:
@@ -215,40 +213,29 @@ def _run_fig4a(opts: RunOptions) -> PresetOutcome:
 
 
 def _run_fig4b(opts: RunOptions) -> PresetOutcome:
-    cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=40_000)
-    thetas = generate_theta_dataset(42, dims=2, seed=opts.seed)
-    points = sweep_thetas(thetas, NOMINAL_J, cfg)
-    return _dataset_run(opts, points, ("theta_1", "theta_2"))
+    return _theta_dataset_run(opts, _cfg(opts, tau=NOMINAL_TAU, max_collisions=40_000), 2, NOMINAL_J)
 
 
 def _run_fig5a(opts: RunOptions) -> PresetOutcome:
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=30_000)
-    runs = (
+    return _trajectories(opts, cfg, [
         ("trajectory_2ch", [
             ReservoirSpec(theta=0.0, coupling=0.1),
             ReservoirSpec(theta=math.pi, coupling=0.075),
-        ]),
+        ], None),
         ("trajectory_3ch", [
             ReservoirSpec(theta=0.0, coupling=NOMINAL_J),
             ReservoirSpec(theta=0.0, coupling=NOMINAL_J),
             ReservoirSpec(theta=math.pi, coupling=NOMINAL_J),
-        ]),
-    )
-    files, all_ok = [], True
-    for base, reservoirs in runs:
-        target = _oracle_target(reservoirs, cfg)
-        path, ok = _trajectory_run(opts, reservoirs, cfg, target, base)
-        files.append(path)
-        all_ok &= ok
-    return PresetOutcome(files, all_ok)
+        ], None),
+    ])
 
 
 def _mixture_trajectory(opts, thetas) -> PresetOutcome:
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=20_000)
     reservoirs = [ReservoirSpec(theta=t, coupling=NOMINAL_J) for t in thetas]
     target = mixed_target([(t, 1.0 / len(thetas)) for t in thetas])
-    path, ok = _trajectory_run(opts, reservoirs, cfg, target, "trajectory")
-    return PresetOutcome([path], ok)
+    return _trajectories(opts, cfg, [("trajectory", reservoirs, target)])
 
 
 def _run_fig5bc(opts: RunOptions) -> PresetOutcome:
@@ -260,10 +247,7 @@ def _run_fig5de(opts: RunOptions) -> PresetOutcome:
 
 
 def _run_fig5f(opts: RunOptions) -> PresetOutcome:
-    cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=40_000)
-    thetas = generate_theta_dataset(42, dims=3, seed=opts.seed)
-    points = sweep_thetas(thetas, NOMINAL_J, cfg)
-    return _dataset_run(opts, points, ("theta_1", "theta_2", "theta_3"))
+    return _theta_dataset_run(opts, _cfg(opts, tau=NOMINAL_TAU, max_collisions=40_000), 3, NOMINAL_J)
 
 
 def _run_fig7(opts: RunOptions, epsilon: float) -> PresetOutcome:
@@ -271,9 +255,7 @@ def _run_fig7(opts: RunOptions, epsilon: float) -> PresetOutcome:
     cfg = _cfg(opts, h=factor * PHYS_H_MHZ, tau=PHYS_TAU_US,
                max_collisions=PHYS_MAX_COLLISIONS)
     noise = NoiseSpec(epsilon=epsilon, eta=epsilon / 4.0)
-    thetas = generate_theta_dataset(42, dims=2, seed=opts.seed)
-    points = sweep_thetas(thetas, factor * PHYS_J_MHZ, cfg, noise=noise)
-    return _dataset_run(opts, points, ("theta_1", "theta_2"))
+    return _theta_dataset_run(opts, cfg, 2, factor * PHYS_J_MHZ, noise)
 
 
 def derived_transmon_params(j_target_mhz: float = PHYS_J_MHZ) -> TransmonParams:
@@ -401,9 +383,7 @@ def run_preset(name: str, opts: RunOptions) -> PresetOutcome:
 def run_custom(opts: RunOptions, reservoirs: list[ReservoirSpec], engine: dict) -> PresetOutcome:
     """One custom run from +x, recorded with its fidelity to the oracle
     fixed point; ``engine`` holds the run's EngineConfig fields."""
-    cfg = _cfg(opts, **engine)
-    path, ok = _trajectory_run(opts, reservoirs, cfg, _oracle_target(reservoirs, cfg), "trajectory")
-    return PresetOutcome([path], ok)
+    return _trajectories(opts, _cfg(opts, **engine), [("trajectory", reservoirs, None)])
 
 
 def run_custom_sweep(opts: RunOptions, param_name: str, values: list[float],
@@ -414,6 +394,4 @@ def run_custom_sweep(opts: RunOptions, param_name: str, values: list[float],
     results = evolve_batch([(reservoirs, cfg, None) for (reservoirs, _), cfg in zip(setups, cfgs)])
     points = [LabeledPoint((value,), r.sigma_z_ss, classify(r), r.n_used, r.converged, None, value)
               for value, r in zip(values, results)]
-    path = _artifact(opts, "sweep")
-    writers.write_sweep(path, param_name, points, cfgs[0].seed, opts.fmt)
-    return PresetOutcome([path], all(p.converged for p in points))
+    return _sweep_run(opts, cfgs[0], param_name, points)

@@ -137,11 +137,10 @@ def write_json(path, payload: dict) -> None:
 
 def write_separability(path, report: SeparabilityReport) -> None:
     """Fixed five-key JSON verdict (always JSON regardless of run format)."""
-    payload = {
-        "separable": bool(report.separable),
-        "w": None if report.w is None else [_json_cell(v) for v in report.w],
-        "b": None if report.b is None else _json_cell(report.b),
-        "margin": _json_cell(report.margin),
-        "iterations": int(report.iterations),
-    }
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_json(path, {
+        "separable": report.separable,
+        "w": None if report.w is None else list(report.w),
+        "b": report.b,
+        "margin": report.margin,
+        "iterations": report.iterations,
+    })

@@ -6,13 +6,15 @@ argv list rather than spawning subprocesses.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from qsc.cli import main
 from qsc.collision import EngineConfig, NoiseSpec, ReservoirSpec, steady_state_oracle
-from qsc.states import bloch_to_density, fidelity
+from qsc.states import bloch_to_density, fidelity, magnetization, pure_qubit
+from qsc.writers import format_cell
 
 
 def run_cli(*argv):
@@ -147,6 +149,25 @@ def test_sweep_over_reservoir_coupling(tmp_path):
     assert lines[3].startswith("reservoirs.0.coupling,0.05,")
     assert lines[4].startswith("reservoirs.0.coupling,0.1,")
     assert len(lines) == 5
+
+
+def test_tau_zero_sweep_point_stays_at_plus_x(tmp_path):
+    # A tau = 0 collision is exactly the identity, so the +x start state
+    # (sigma_z 0 up to the one-ulp rounding of cos(pi/4) against sin(pi/4))
+    # does not move and reads class 1.
+    config = write_config(tmp_path, {
+        "reservoirs": [{"theta": 3.0, "coupling": 0.1}],
+        "engine": {"max_collisions": 40_000},
+        "sweep": {"path": "engine.tau", "values": [0, 0.5]},
+    })
+    assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 0
+    lines = (tmp_path / "out" / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    row = lines[3].split(",")
+    start = magnetization(pure_qubit(math.pi / 2.0))
+    assert abs(start) < 1e-15
+    assert row[:3] == ["engine.tau", "0", format_cell(start)]
+    assert row[5] == "class1"
+    assert lines[4].split(",")[5] == "class2"
 
 
 def test_sweep_path_must_resolve(tmp_path, capsys):
@@ -311,9 +332,11 @@ def test_config_numbers_are_strict(tmp_path, capsys, reservoir, engine):
     {"sweep": {"path": "reservoirs.0.noise", "values": [{"epsilon": 0.1}]}},
     {"sweep": {"path": "engine.mixing_mode", "values": ["convex"]}},
     {"sweep": {"path": "reservoirs.0.coupling", "values": [0.1, True]}},
+    {"output": {"format": "csv"}, "sweep": {"path": "output.format", "values": [1, 2]}},
+    {"angle_unit": "radians", "sweep": {"path": "angle_unit", "values": [1, 2]}},
     {"name": ["fig1e"]},
 ], ids=["output_path", "output_format", "sweep_path", "sweep_dict_value",
-        "sweep_string_value", "sweep_bool_value", "name"])
+        "sweep_string_value", "sweep_bool_value", "sweep_output_path", "sweep_top_level_path", "name"])
 def test_malformed_config_input_is_rejected_before_any_run(tmp_path, capsys, monkeypatch, patch):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")

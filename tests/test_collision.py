@@ -551,6 +551,9 @@ def test_recorded_trajectory_is_sized_to_the_run():
          lambda g, n: g.uniform(-1.0, 1.0, size=n)),
         # two equal reservoirs: a channel choice each collision, one map
         ([ReservoirSpec(math.pi, 0.5)] * 2, "stochastic", lambda g, n: g.random(n)),
+        # one row per collision: the choice, then a draw per noisy reservoir
+        ([ReservoirSpec(math.pi, 0.5, noise=NoiseSpec(0.3, 0.0))] * 2, "stochastic",
+         lambda g, n: g.random((n, 3))),
     ],
 )
 def test_converged_random_run_leaves_stream_after_its_last_collision(reservoirs, mode, draws):
