@@ -3,8 +3,9 @@
 A configuration of reservoir angles (or couplings) is fed to the engine, the
 steady magnetization is read out and the sign decides the class; ties go to
 class 1.  Sweep helpers evaluate whole point sets in one batched evolution
-(every point advances in lockstep in this process), and a perceptron checks
-whether the labeled set is linearly separable in feature space.
+(every point advances in lockstep in this process), and an exact linear
+program (Phase I of the simplex method) decides whether the labeled set is
+linearly separable in feature space.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class LabeledPoint:
 
 @dataclass
 class SeparabilityReport:
-    """Perceptron verdict; (w, b) is a unit-normal hyperplane iff separable."""
+    """Exact separability verdict; (w, b) is a unit-normal hyperplane iff
+    separable, and ``iterations`` counts the simplex pivots."""
 
     separable: bool
     w: np.ndarray | None
@@ -172,6 +174,10 @@ def generate_theta_dataset(
     return np.clip(rng.normal(math.pi / 2.0, 1.0, size=(n, dims)), 0.0, math.pi)
 
 
+# Pivot and optimality tolerance of the simplex, on unit-ball features.
+_TOL = 1e-9
+
+
 def _single_class_plane(x: np.ndarray, y: np.ndarray) -> SeparabilityReport:
     # One class only: any plane pushed past the data separates it.
     w = np.zeros(x.shape[1])
@@ -182,15 +188,52 @@ def _single_class_plane(x: np.ndarray, y: np.ndarray) -> SeparabilityReport:
     return SeparabilityReport(True, w, b, margin, 0)
 
 
-def check_linear_separability(points: list[LabeledPoint], max_iterations: int = 100_000) -> SeparabilityReport:
-    """Perceptron test for linear separability of the labeled features.
+def _gordan_phase_one(a: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Phase I of the simplex method, with Bland's rule, on Gordan's
+    alternative {a^T lam = 0, sum(lam) = 1, lam >= 0}.
+
+    Returns the optimal sum of the artificial variables (0 iff the system is
+    feasible), the optimal simplex multipliers pi and the number of pivots.
+    The tableau has one row per constraint plus the objective row, and its
+    artificial columns hold the basis inverse, so pi = 1 - their reduced costs.
+    """
+    n, k = a.shape
+    m = k + 1
+    t = np.zeros((m + 1, n + m + 1))
+    t[:k, :n] = a.T
+    t[k, :n] = 1.0
+    t[:m, n:n + m] = np.eye(m)
+    t[k, -1] = 1.0
+    t[m, :n] = -t[:m, :n].sum(axis=0)
+    t[m, -1] = -1.0
+    basis = list(range(n, n + m))
+    pivots = 0
+    while (entering := np.flatnonzero(t[m, :-1] < -_TOL)).size:
+        j = entering[0]
+        # Bland: the first improving column enters; among rows tied in the
+        # ratio test, the one with the lowest basic index leaves.
+        i = min(np.flatnonzero(t[:m, j] > _TOL), key=lambda r: (t[r, -1] / t[r, j], basis[r]))
+        row = t[i] / t[i, j]
+        t -= np.outer(t[:, j], row)
+        t[i] = row
+        basis[i] = j
+        pivots += 1
+    return -float(t[m, -1]), 1.0 - t[m, n:n + m], pivots
+
+
+def check_linear_separability(points: list[LabeledPoint]) -> SeparabilityReport:
+    """Exact test for strict linear separability of the labeled features.
 
     Runs on centered features rescaled to the unit ball, which makes the
     verdict invariant under translating or positively rescaling the inputs.
-    ``iterations`` counts full passes over the data; hitting the cap reports
-    not separable with the cap recorded.  The returned hyperplane is mapped
-    back to raw feature coordinates with a unit normal, and ``margin`` is the
-    worst-case signed distance in those coordinates.
+    With rows a_i = y_i (x_i, 1), Gordan's theorem says that either some z
+    has a z > 0 (a separating plane) or some lam >= 0 with sum 1 has
+    a^T lam = 0 (the two classes' convex hulls meet), never both.  Phase I of
+    the simplex method decides which; ``iterations`` counts its pivots.  When
+    the system is infeasible its multipliers pi give z = -pi[:-1] with
+    a z >= pi[-1] > 0.  The returned hyperplane is mapped back to raw feature
+    coordinates with a unit normal, and ``margin`` is the worst-case signed
+    distance in those coordinates.
     """
     if not points:
         raise EmptyInput("no labeled points")
@@ -201,32 +244,17 @@ def check_linear_separability(points: list[LabeledPoint], max_iterations: int = 
 
     center = x.mean(axis=0)
     centered = x - center
-    scale = float(np.max(np.linalg.norm(centered, axis=1)))
-    if scale == 0.0:
-        # Both classes sit on one identical point: nothing separates them.
-        return SeparabilityReport(False, None, None, 0.0, 0)
-    xn = np.hstack([centered / scale, np.ones((len(points), 1))])
+    scale = float(np.max(np.linalg.norm(centered, axis=1))) or 1.0
+    a = y[:, None] * np.hstack([centered / scale, np.ones((len(points), 1))])
+    infeasibility, pi, pivots = _gordan_phase_one(a)
+    if infeasibility <= _TOL:
+        return SeparabilityReport(False, None, None, 0.0, pivots)
 
-    w = np.zeros(xn.shape[1])
-    epochs = 0
-    while epochs < max_iterations:
-        epochs += 1
-        mistakes = 0
-        for i in range(xn.shape[0]):
-            if y[i] * float(xn[i] @ w) <= 0.0:
-                w += y[i] * xn[i]
-                mistakes += 1
-        if mistakes == 0:
-            break
-    else:
-        return SeparabilityReport(False, None, None, 0.0, max_iterations)
-
-    w_raw = w[:-1] / scale
-    b_raw = float(w[-1]) - float(w[:-1] @ center) / scale
+    z = -pi[:-1]
+    w_raw = z[:-1] / scale
+    b_raw = float(z[-1]) - float(w_raw @ center)
     norm = float(np.linalg.norm(w_raw))
-    if norm == 0.0:
-        return _single_class_plane(x, y)
     w_unit = w_raw / norm
     b_unit = b_raw / norm
     margin = float(np.min(y * (x @ w_unit + b_unit)))
-    return SeparabilityReport(True, w_unit, b_unit, max(margin, 0.0), epochs)
+    return SeparabilityReport(True, w_unit, b_unit, margin, pivots)

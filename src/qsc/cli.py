@@ -27,7 +27,8 @@ for noisy or stochastic runs that is the map in expectation.  A map with no
 unique fixed point (tau = 0, all couplings 0) is rejected with exit 1.
 
 Numeric fields must be JSON numbers, not strings or booleans, and
-max_collisions, window and seed must be integral.
+max_collisions, window and seed must be integral, and a seed from any
+source must be nonnegative.
 
 Seed precedence: --seed, then the QSC_SEED environment variable, then the
 config's engine.seed, then the built-in default.
@@ -92,15 +93,22 @@ def _angle_factor(unit: str | None) -> float:
     raise InvalidConfig(f"angle_unit must be radians or degrees, got {unit!r}")
 
 
+def _nonnegative_seed(seed: int, where: str) -> int:
+    if seed < 0:
+        raise InvalidConfig(f"{where} must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _resolve_seed(cli_seed: int | None) -> int | None:
     if cli_seed is not None:
-        return cli_seed
+        return _nonnegative_seed(cli_seed, "--seed")
     env = os.environ.get("QSC_SEED")
     if env is not None:
         try:
-            return int(env, 0)
+            seed = int(env, 0)
         except ValueError:
             raise InvalidConfig(f"QSC_SEED must be an integer, got {env!r}") from None
+        return _nonnegative_seed(seed, "QSC_SEED")
     return None
 
 
@@ -151,6 +159,8 @@ def _parse_engine(block: dict, seed: int | None) -> dict:
     for key in ("max_collisions", "window", "seed"):
         if key in block:
             kwargs[key] = _number(block[key], f"engine.{key}", integral=True)
+    if "seed" in kwargs:
+        _nonnegative_seed(kwargs["seed"], "engine.seed")
     if "mixing_mode" in block:
         kwargs["mixing_mode"] = block["mixing_mode"]
     if seed is not None:
@@ -279,6 +289,8 @@ def _parse_qubit(text: str) -> tuple[float, float]:
 
 
 def cmd_transmon(args) -> int:
+    budget = TimingBudget(tau_int=args.tau_int, tau_r=args.tau_r, tau_pr=args.tau_pr,
+                          t1=args.t1, n_collisions=args.n_collisions)
     if args.omega_r is None and not args.qubit:
         params = derived_transmon_params()
     elif args.omega_r is None or not args.qubit:
@@ -300,8 +312,6 @@ def cmd_transmon(args) -> int:
               f"({'ok' if ok else 'FAIL'})")
     print(f"dispersive regime: {'ok' if report.ok else 'FAIL'}")
 
-    budget = TimingBudget(tau_int=args.tau_int, tau_r=args.tau_r, tau_pr=args.tau_pr,
-                          t1=args.t1, n_collisions=args.n_collisions)
     total, ok = response_time(budget)
     print(f"response time: {total:g} us over {budget.n_collisions} collisions of "
           f"{budget.tau_int:g} ns (T1 = {budget.t1:g} us: {'ok' if ok else 'FAIL'})")

@@ -65,8 +65,9 @@ class TimingBudget:
     n_collisions: int
 
     def __post_init__(self) -> None:
-        if min(self.tau_int, self.tau_r, self.tau_pr, self.t1) <= 0.0:
-            raise ValueError("all timing entries must be positive")
+        entries = (self.tau_int, self.tau_r, self.tau_pr, self.t1)
+        if not all(math.isfinite(v) and v > 0.0 for v in entries):
+            raise ValueError(f"all timing entries must be positive and finite, got {entries}")
         if self.n_collisions < 1:
             raise ValueError(f"n_collisions must be >= 1, got {self.n_collisions}")
 

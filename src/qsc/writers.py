@@ -11,7 +11,8 @@ Column orders are fixed contracts:
 * trajectory:    ``n,sigma_z,bloch_x,bloch_y,bloch_z,fidelity``
 * sweep:         ``param_name,param_value,sigma_z_ss,n_used,converged,label``
 * dataset:       feature columns, then ``sigma_z_ss,label``
-* separability:  JSON object ``{separable, w, b, margin, iterations}``
+* separability:  JSON object ``{separable, w, b, margin, iterations}``, where
+                  ``iterations`` counts the simplex pivots of the exact test
 """
 
 from __future__ import annotations

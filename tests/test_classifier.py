@@ -1,9 +1,11 @@
-"""Steady-state labeling, sweep helpers and the perceptron separability check."""
+"""Steady-state labeling, sweep helpers and the exact separability check."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsc.classifier import (
     CouplingOutOfRange,
@@ -140,9 +142,8 @@ def test_separability_xor_is_not_separable():
         point((0.0, 1.0), Label.CLASS2),
         point((1.0, 0.0), Label.CLASS2),
     ]
-    report = check_linear_separability(pts, max_iterations=200)
+    report = check_linear_separability(pts)
     assert not report.separable
-    assert report.iterations == 200
     assert report.w is None and report.b is None
     assert report.margin == 0.0
 
@@ -181,3 +182,84 @@ def test_separability_coincident_points_of_both_classes():
 def test_separability_empty_input():
     with pytest.raises(EmptyInput):
         check_linear_separability([])
+
+
+# Properties of the exact test on random 1-3-D sets.  Coordinates sit on a
+# grid, so exact degeneracies (coincident and collinear points) are common
+# while rounding stays far below any true margin.
+
+PROPERTY = settings(max_examples=150, deadline=None)
+COORD = st.integers(-1000, 1000).map(lambda k: k / 100.0)
+
+
+def _vectors(dims, min_size=0, max_size=20):
+    return st.lists(st.tuples(*[COORD] * dims), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def gapped_sets(draw):
+    """Points labeled by a random hyperplane, then pushed at least ``gap``
+    off it along its unit normal."""
+    dims = draw(st.integers(1, 3))
+    normal = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * dims)))
+    assume(np.linalg.norm(normal) > 0.1)
+    normal /= np.linalg.norm(normal)
+    offset = draw(st.floats(-5.0, 5.0))
+    gap = draw(st.floats(0.01, 1.0))
+    x = np.array(draw(_vectors(dims, min_size=2, max_size=30)))
+    signed = x @ normal + offset
+    side = np.where(signed >= 0.0, 1.0, -1.0)
+    x = x + (side * np.maximum(gap - np.abs(signed), 0.0))[:, None] * normal
+    assume(np.any(side > 0) and np.any(side < 0))
+    return x, side
+
+
+@PROPERTY
+@given(gapped_sets())
+def test_gapped_sets_are_separated_by_the_returned_plane(data):
+    x, side = data
+    report = check_linear_separability(
+        [point(row, Label.CLASS1 if s > 0 else Label.CLASS2) for row, s in zip(x, side)])
+    assert report.separable
+    assert np.linalg.norm(report.w) == pytest.approx(1.0, abs=1e-12)
+    assert report.margin > 0.0
+    assert np.all(side * (x @ report.w + report.b) >= report.margin)
+
+
+@st.composite
+def hull_sets(draw):
+    """A class-2 point at a convex combination of class-1 points, among
+    other class-2 points anywhere.  Integer coordinates, with the class-1
+    points scaled by the weight total, keep the combination exact."""
+    dims = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-1000, 1000)] * dims)
+    class1 = np.array(draw(st.lists(coords, min_size=1, max_size=8)), dtype=float)
+    weights = np.array(draw(st.lists(st.integers(1, 10), min_size=len(class1), max_size=len(class1))),
+                       dtype=float)
+    total = weights.sum()
+    class2 = [weights @ class1] + [total * np.array(row) for row in draw(st.lists(coords, max_size=8))]
+    return ([point(total * row, Label.CLASS1) for row in class1]
+            + [point(row, Label.CLASS2) for row in class2])
+
+
+@PROPERTY
+@given(hull_sets())
+def test_a_point_inside_the_other_class_hull_is_not_separable(pts):
+    report = check_linear_separability(pts)
+    assert not report.separable
+    assert report.w is None and report.b is None
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda dims: st.tuples(
+    _vectors(dims, min_size=1, max_size=20),
+    st.lists(st.booleans(), min_size=20, max_size=20),
+    st.tuples(*[st.floats(-10.0, 10.0)] * dims),
+    st.floats(1e-2, 1e2),
+)))
+def test_verdict_is_invariant_under_shift_and_positive_rescale(data):
+    rows, labels, shift, factor = data
+    labeled = [(np.array(row), Label.CLASS1 if flag else Label.CLASS2) for row, flag in zip(rows, labels)]
+    plain = check_linear_separability([point(row, label) for row, label in labeled])
+    moved = check_linear_separability([point(factor * row + np.array(shift), label) for row, label in labeled])
+    assert plain.separable == moved.separable

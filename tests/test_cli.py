@@ -262,6 +262,35 @@ def test_invalid_env_seed_exits_one(tmp_path, monkeypatch, capsys):
     assert "QSC_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", [
+    ("--seed", -1, "fig3a"),
+    ("--seed", -1, "fig4b"),
+    ("QSC_SEED", "-1", "fig3a"),
+])
+def test_negative_seed_exits_one_before_any_run(tmp_path, monkeypatch, capsys, source):
+    where, seed, preset = source
+    argv = ["run", "--preset", preset, "--out", tmp_path / "out"]
+    if where == "QSC_SEED":
+        monkeypatch.setenv("QSC_SEED", seed)
+    else:
+        argv += [where, seed]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert where in err and "-1" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {**BASE_CONFIG, "engine": {**BASE_CONFIG["engine"], "seed": -4}},
+    {**BASE_CONFIG, "sweep": {"path": "engine.seed", "values": [3, -4]}},
+])
+def test_negative_engine_seed_exits_one_before_any_run(tmp_path, capsys, config):
+    path = write_config(tmp_path, config)
+    assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 1
+    assert "engine.seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_output_exits_three(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file in the way", encoding="utf-8")
@@ -294,6 +323,16 @@ def test_transmon_requires_complete_override(capsys):
 def test_transmon_rejects_malformed_qubit(capsys):
     assert run_cli("transmon", "--omega-r", 10.0, "--qubit", "6.2") == 1
     assert "--qubit expects" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tau-int", "nan"), ("--tau-r", "nan"), ("--tau-pr", "inf"), ("--t1", "inf"), ("--t1", "nan"),
+])
+def test_transmon_rejects_non_finite_timing(capsys, flag, value):
+    assert run_cli("transmon", flag, value) == 1
+    captured = capsys.readouterr()
+    assert "timing" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

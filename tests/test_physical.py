@@ -119,6 +119,12 @@ def test_timing_budget_validation():
         TimingBudget(0.0, 20.0, 0.5, 20.0, 2000)
     with pytest.raises(ValueError):
         TimingBudget(5.0, 20.0, 0.5, 20.0, 0)
+    for bad in (math.nan, math.inf):
+        for index in range(4):
+            entries = [5.0, 20.0, 0.5, 20.0]
+            entries[index] = bad
+            with pytest.raises(ValueError):
+                TimingBudget(*entries, 2000)
 
 
 def test_response_time_exact_values():

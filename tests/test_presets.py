@@ -115,6 +115,15 @@ def test_dataset_presets_write_classifier_artifacts(tmp_path):
     assert sorted(payload) == ["b", "iterations", "margin", "separable", "w"]
 
 
+def test_fig5f_small_margin_seed_is_separable(tmp_path):
+    # At this seed the dataset is separable only by a margin of about 4e-5,
+    # which an iterative test with an epoch cap reports as not separable.
+    run_preset("fig5f", RunOptions(out_dir=tmp_path, seed=201396711))
+    payload = json.loads((tmp_path / "separability.json").read_text(encoding="utf-8"))
+    assert payload["separable"] is True
+    assert payload["margin"] > 0.0
+
+
 def test_same_seed_reproduces_bytes(tmp_path):
     a = run_preset("fig3b", fast_opts(tmp_path / "a"))
     b = run_preset("fig3b", fast_opts(tmp_path / "b"))
