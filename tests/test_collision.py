@@ -44,7 +44,7 @@ from qsc.collision import (
     steady_state_oracle,
     step,
 )
-from qsc.linalg import dagger, kron, trace_distance
+from qsc.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, kron, trace_distance
 from qsc.states import AngleOutOfRange, bloch_to_density, bloch_vector, fidelity, pure_qubit
 
 J_NOMINAL = 0.1
@@ -625,3 +625,54 @@ def test_batch_equals_each_run_alone(specs, shuffler: random.Random):
         for i, got in zip(indices, evolve_batch([fresh(i) for i in indices])):
             assert np.array_equal(got.rho_ss, alone[i].rho_ss)
             assert (got.n_used, got.converged) == (alone[i].n_used, alone[i].converged)
+
+
+# The composed mean map of random compositions is a channel: its Choi matrix,
+# rebuilt from the affine form (M, c), is positive, and it keeps the Bloch
+# sphere inside the ball.
+
+PAULIS = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+def _choi(m, c):
+    """Choi matrix sum_ij |i><j| (x) Phi(|i><j|) of the qubit map whose Pauli
+    transfer matrix is [[1, 0], [c, M]], extended linearly to every matrix."""
+    transfer = np.eye(4)
+    transfer[1:, 0], transfer[1:, 1:] = c, m
+    choi = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[i, j] = 1.0
+            coeffs = transfer @ np.array([np.trace(p @ unit) for p in PAULIS])
+            choi += np.kron(unit, 0.5 * sum(a * p for a, p in zip(coeffs, PAULIS)))
+    return choi
+
+
+@st.composite
+def random_compositions(draw):
+    """1-3 reservoirs, some noisy, optionally weighted, under one mixing mode."""
+    reservoirs = draw(st.lists(st.builds(ReservoirSpec, THETA, st.floats(0.0, 0.5), phi=PHI, noise=NOISE),
+                               min_size=1, max_size=3))
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(reservoirs), max_size=len(reservoirs)))
+        reservoirs = [dataclasses.replace(r, weight=w / sum(raw)) for r, w in zip(reservoirs, raw)]
+    cfg = dataclasses.replace(draw(ENGINE), mixing_mode=draw(st.sampled_from(MIXING_MODES)))
+    return reservoirs, cfg
+
+
+@PROPERTY
+@given(random_compositions(), st.integers(0, 2**32 - 1))
+def test_random_compositions_are_cptp(composition, seed):
+    m, c = affine_representation(*composition)
+    assert np.linalg.eigvalsh(_choi(m, c)).min() >= -1e-12
+    sphere = np.random.default_rng(seed).normal(size=(20, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    assert np.linalg.norm(sphere @ m.T + c, axis=1).max() <= 1.0 + 1e-12
+
+
+def test_choi_matrix_detects_a_non_positive_map():
+    # the universal NOT (b -> -b) is positive on the ball but not completely
+    # positive, so the Choi test must reject what the ball test accepts
+    assert np.linalg.eigvalsh(_choi(-np.eye(3), np.zeros(3))).min() < -0.5
+    assert np.allclose(np.linalg.eigvalsh(_choi(np.eye(3), np.zeros(3))), [0, 0, 0, 2])

@@ -1,15 +1,29 @@
-"""Artifact formatting: fixed column orders, 12 significant digits, seed headers."""
+"""Artifact formatting: fixed column orders, 12 significant digits, seed headers.
+
+The streamed, column-formatted writers are pinned against the per-cell
+reference kept below (``reference_write_table``): the same bytes in both
+formats, at row counts on either side of a chunk boundary.
+"""
 
 import json
 import math
+import numbers
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsc.classifier import Label, LabeledPoint, SeparabilityReport
-from qsc.collision import EngineConfig, ReservoirSpec, evolve
+from qsc.collision import EngineConfig, ReservoirSpec, Trajectory, evolve
 from qsc.states import pure_qubit
 from qsc.writers import (
+    ANGLE_UNIT,
+    CHUNK_ROWS,
+    SWEEP_COLUMNS,
+    TRAJECTORY_COLUMNS,
+    _column_texts,
+    _json_cell,
     format_cell,
     write_dataset,
     write_json,
@@ -79,6 +93,19 @@ def test_trajectory_json_layout(tmp_path):
 def test_write_table_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_table(tmp_path / "x.xml", ("a",), [[1.0]], seed=0, fmt="xml")
+    assert not (tmp_path / "x.xml").exists()
+
+
+@pytest.mark.parametrize("data", [
+    [[1.0, 2.0], [1.0]],          # ragged
+    [[1.0]],                       # fewer columns than names
+    [[1.0], [[1.0]]],              # not 1-D
+    [[1.0], [Label.CLASS1]],       # no formatter for the dtype
+])
+def test_write_table_rejects_malformed_columns_before_opening(tmp_path, data):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "x.csv", ("a", "b"), data, seed=0)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_csv_layout(tmp_path):
@@ -98,6 +125,7 @@ def test_sweep_requires_param_values(tmp_path):
     pts = [LabeledPoint((0.1, 0.1), 0.0, Label.CLASS1, 10, True)]
     with pytest.raises(ValueError):
         write_sweep(tmp_path / "sweep.csv", "delta_j", pts, seed=0)
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_dataset_csv_layout(tmp_path):
@@ -111,7 +139,8 @@ def test_dataset_csv_layout(tmp_path):
     assert lines[2] == "theta_1,theta_2,sigma_z_ss,label"
     assert lines[3] == "0.1,2.9,-0.483,class2"
     with pytest.raises(ValueError):
-        write_dataset(path, pts, ("theta_1", "theta_2", "theta_3"), seed=11)
+        write_dataset(tmp_path / "bad.csv", pts, ("theta_1", "theta_2", "theta_3"), seed=11)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_dataset_three_feature_columns(tmp_path):
@@ -156,3 +185,146 @@ def test_writes_are_byte_deterministic(tmp_path):
     write_trajectory(b, traj, seed=42)
     assert a.read_bytes() == b.read_bytes()
     assert b"\r" not in a.read_bytes()  # plain newlines on every platform
+
+
+# The parent design's per-cell writer, kept as the reference: every cell went
+# through ``_json_cell`` (and ``format_cell`` for CSV), the CSV lines were
+# joined in memory, and the JSON payload went through ``json.dumps``.
+
+def reference_json_cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Label):
+        return value.value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    f = float(value)
+    if f == 0.0:
+        f = 0.0
+    return float(format(f, ".12g"))
+
+
+def reference_format_cell(value):
+    cell = reference_json_cell(value)
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    if isinstance(cell, float):
+        return format(cell, ".12g")
+    return str(cell)
+
+
+def reference_write_table(path, columns, rows, seed, fmt):
+    if fmt == "csv":
+        lines = [f"# seed={int(seed)}", f"# angle_unit={ANGLE_UNIT}", ",".join(columns)]
+        lines.extend(",".join(reference_format_cell(v) for v in row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    else:
+        payload = {
+            "seed": int(seed),
+            "angle_unit": ANGLE_UNIT,
+            "columns": list(columns),
+            "rows": [[reference_json_cell(v) for v in row] for row in rows],
+        }
+        text = json.dumps(payload, indent=2) + "\n"
+    path.write_text(text, encoding="utf-8", newline="")
+
+
+# The float policy: normal draws over the whole exponent range, signed zeros
+# and the smallest subnormals, the decade where %.12g and repr pick different
+# notations, integral floats, and the non-finite values.
+
+FLOATS = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-4.0, 4.0), st.integers(-320, 300)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.nan, math.inf, -math.inf]),
+    st.floats(1e12, 1e16, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.integers(-2**53, 2**53).map(float),
+    st.floats(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(FLOATS, min_size=1, max_size=20))
+def test_float_policy_matches_the_reference(xs):
+    column = np.array(xs, dtype=float)
+    assert _column_texts(column, "csv") == [reference_format_cell(x) for x in xs]
+    assert _column_texts(column, "json") == [json.dumps(reference_json_cell(x)) for x in xs]
+    for x in xs:
+        assert format_cell(x) == reference_format_cell(x)
+        assert json.dumps(_json_cell(x)) == json.dumps(reference_json_cell(x))
+
+
+def test_float_policy_on_a_wide_random_column():
+    rng = np.random.default_rng(5)
+    xs = rng.normal(size=20_000) * 10.0 ** rng.integers(-320, 301, size=20_000)
+    assert _column_texts(xs, "csv") == [reference_format_cell(x) for x in xs]
+    assert _column_texts(xs, "json") == [json.dumps(reference_json_cell(x)) for x in xs]
+
+
+def test_non_finite_cells_keep_their_spellings():
+    column = np.array([math.nan, math.inf, -math.inf])
+    assert _column_texts(column, "csv") == ["nan", "inf", "-inf"]
+    assert _column_texts(column, "json") == ["NaN", "Infinity", "-Infinity"]
+
+
+# Byte equality with the reference, at row counts around one chunk.
+
+ROW_COUNTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
+SPECIALS = (-0.0, 1e-17, -1.0, 1e13, 5e-324, 2.0000000000001)
+
+
+def _floats(rng, n):
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-6, 3, size=n)
+    x[:len(SPECIALS)] = SPECIALS[:n]
+    return x
+
+
+def _trajectory_case(rng, n):
+    bloch = np.stack([_floats(rng, n) for _ in range(3)], axis=1)
+    traj = Trajectory(np.arange(n), _floats(rng, n), bloch, rng.random(n))
+    rows = [(int(traj.n[i]), traj.sigma_z[i], bloch[i, 0], bloch[i, 1], bloch[i, 2],
+             traj.fidelity[i]) for i in range(n)]
+    return (lambda path, fmt: write_trajectory(path, traj, 7, fmt)), TRAJECTORY_COLUMNS, rows
+
+
+def _points(rng, n, dims):
+    features, sigma = _floats(rng, n * dims).reshape(n, dims), _floats(rng, n)
+    return [LabeledPoint(tuple(features[i]), sigma[i], Label.CLASS1 if sigma[i] >= 0 else Label.CLASS2,
+                         int(rng.integers(1, 100_000)), bool(rng.random() < 0.9),
+                         param_value=float(features[i, 0]))
+            for i in range(n)]
+
+
+def _sweep_case(rng, n):
+    points = _points(rng, n, 1)
+    rows = [("delta_j", p.param_value, p.sigma_z_ss, p.n_used, p.converged, p.label) for p in points]
+    return (lambda path, fmt: write_sweep(path, "delta_j", points, 7, fmt)), SWEEP_COLUMNS, rows
+
+
+def _dataset_case(rng, n):
+    points = _points(rng, n, 3)
+    names = ("theta_1", "theta_2", "theta_3")
+    rows = [tuple(p.features) + (p.sigma_z_ss, p.label) for p in points]
+    return ((lambda path, fmt: write_dataset(path, points, names, 7, fmt)),
+            names + ("sigma_z_ss", "label"), rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", ROW_COUNTS)
+@pytest.mark.parametrize("case", [_trajectory_case, _sweep_case, _dataset_case])
+def test_writers_match_the_reference_bytes(tmp_path, case, n_rows, fmt):
+    write, columns, rows = case(np.random.default_rng(n_rows), n_rows)
+    write(tmp_path / f"new.{fmt}", fmt)
+    reference_write_table(tmp_path / f"ref.{fmt}", columns, rows, 7, fmt)
+    assert (tmp_path / f"new.{fmt}").read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_empty_table_matches_the_reference_bytes(tmp_path, fmt):
+    write_table(tmp_path / f"new.{fmt}", ("a", "b"), [[], []], seed=3, fmt=fmt)
+    reference_write_table(tmp_path / f"ref.{fmt}", ("a", "b"), [], 3, fmt)
+    new = (tmp_path / f"new.{fmt}").read_bytes()
+    assert new == (tmp_path / f"ref.{fmt}").read_bytes()
+    if fmt == "json":
+        assert b'"rows": []\n}\n' in new
