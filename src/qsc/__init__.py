@@ -12,7 +12,6 @@ from .classifier import (
     check_linear_separability,
     classify,
     generate_theta_dataset,
-    sweep_coupling_pairs,
     sweep_couplings,
     sweep_thetas,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "single_collision",
     "steady_state_oracle",
     "step",
-    "sweep_coupling_pairs",
     "sweep_couplings",
     "sweep_thetas",
     "system_reservoir_couplings",

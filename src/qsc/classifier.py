@@ -2,10 +2,12 @@
 
 A configuration of reservoir angles (or couplings) is fed to the engine, the
 steady magnetization is read out and the sign decides the class; ties go to
-class 1.  Sweep helpers evaluate whole point sets in one batched evolution
-(every point advances in lockstep in this process), and an exact linear
-program (Phase I of the simplex method) decides whether the labeled set is
-linearly separable in feature space.
+class 1.  One labeling function, ``label_runs``, serves every sweep (the
+preset sweeps here and the config sweeps of ``qsc.presets``): it evaluates
+the whole point set in one batched evolution (every point advances in
+lockstep in this process) and labels each steady state with ``classify``.
+An exact linear program (Phase I of the simplex method) decides whether the
+labeled set is linearly separable in feature space.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from .collision import evolve  # noqa: F401
 
 class CouplingOutOfRange(ValueError):
     """Raised when a coupling sweep would need a negative coupling."""
-
-
-class UnknownSampler(ValueError):
-    """Raised for an unrecognized dataset sampler name."""
 
 
 class EmptyInput(ValueError):
@@ -70,38 +68,16 @@ def classify(result: SteadyStateResult) -> Label:
     return Label.CLASS1 if result.sigma_z_ss >= 0.0 else Label.CLASS2
 
 
-def _as_point(
-    features: tuple[float, ...],
-    result: SteadyStateResult,
-    phi_scaled: float | None = None,
-    param_value: float | None = None,
-) -> LabeledPoint:
-    return LabeledPoint(
-        features,
-        result.sigma_z_ss,
-        classify(result),
-        result.n_used,
-        result.converged,
-        phi_scaled,
-        param_value,
-    )
+def label_runs(features, runs, param_values, phi_scaled=None) -> list[LabeledPoint]:
+    """One labeled point per (reservoirs, cfg, rng) run, in input order.
 
-
-def _coupling_points(pairs, cfg: EngineConfig, param_values) -> list[LabeledPoint]:
-    runs = [([ReservoirSpec(theta=0.0, coupling=j1), ReservoirSpec(theta=math.pi, coupling=j2)], cfg, None)
-            for j1, j2 in pairs]
-    return [_as_point(pair, result, param_value=value)
-            for pair, result, value in zip(pairs, evolve_batch(runs), param_values)]
-
-
-def sweep_coupling_pairs(pairs: list[tuple[float, float]], cfg: EngineConfig) -> list[LabeledPoint]:
-    """Steady states for explicit (j1, j2) pairs on the up/down reservoir pair."""
-    if not pairs:
-        raise EmptyInput("no coupling pairs")
-    for j1, j2 in pairs:
-        if j1 < 0.0 or j2 < 0.0:
-            raise CouplingOutOfRange(f"couplings must be nonnegative, got ({j1}, {j2})")
-    return _coupling_points([(j1, j2) for j1, j2 in pairs], cfg, [None] * len(pairs))
+    Every run's steady state comes from one ``evolve_batch`` call and its
+    label from ``classify``; ``features``, ``param_values`` and the optional
+    ``phi_scaled`` give each point's remaining fields, one entry per run.
+    """
+    phis = [None] * len(runs) if phi_scaled is None else phi_scaled
+    return [LabeledPoint(f, r.sigma_z_ss, classify(r), r.n_used, r.converged, phi, value)
+            for f, r, value, phi in zip(features, evolve_batch(runs), param_values, phis)]
 
 
 def sweep_couplings(delta_j_values, base_j: float, cfg: EngineConfig) -> list[LabeledPoint]:
@@ -118,7 +94,9 @@ def sweep_couplings(delta_j_values, base_j: float, cfg: EngineConfig) -> list[La
         if abs(d) > half + 1e-15:
             raise CouplingOutOfRange(f"|delta_j| = {abs(d)} exceeds base_j/2 = {half}")
     pairs = [(min(half + d, base_j), max(half - d, 0.0)) for d in deltas]
-    return _coupling_points(pairs, cfg, deltas)
+    runs = [([ReservoirSpec(theta=0.0, coupling=j1), ReservoirSpec(theta=math.pi, coupling=j2)], cfg, None)
+            for j1, j2 in pairs]
+    return label_runs(pairs, runs, deltas)
 
 
 def sweep_thetas(
@@ -144,33 +122,18 @@ def sweep_thetas(
         if noise is not None:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
         runs.append((reservoirs, cfg, rng))
-    points = []
-    for thetas, result in zip(tuples, evolve_batch(runs)):
-        phi = math.pi - (thetas[0] + thetas[1]) if len(thetas) == 2 else None
-        points.append(_as_point(thetas, result, phi_scaled=phi, param_value=phi))
-    return points
+    phis = [math.pi - (thetas[0] + thetas[1]) if len(thetas) == 2 else None for thetas in tuples]
+    return label_runs(tuples, runs, phis, phis)
 
 
-SAMPLERS = ("clipped-gaussian", "uniform")
-
-
-def generate_theta_dataset(
-    n: int, dims: int = 2, sampler: str = "clipped-gaussian", seed: int = DEFAULT_SEED
-) -> np.ndarray:
-    """Random reservoir-angle tuples in [0, pi], shape (n, dims).
-
-    ``clipped-gaussian`` draws normal(pi/2, 1) and clips into the range;
-    ``uniform`` draws uniformly.
-    """
+def generate_theta_dataset(n: int, dims: int = 2, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Random reservoir-angle tuples in [0, pi], shape (n, dims): draws of
+    normal(pi/2, 1) clipped into the range."""
     if n <= 0:
         raise EmptyInput(f"dataset size must be positive, got {n}")
     if dims not in (2, 3):
         raise ValueError(f"dims must be 2 or 3, got {dims}")
-    if sampler not in SAMPLERS:
-        raise UnknownSampler(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if sampler == "uniform":
-        return rng.uniform(0.0, math.pi, size=(n, dims))
     return np.clip(rng.normal(math.pi / 2.0, 1.0, size=(n, dims)), 0.0, math.pi)
 
 

@@ -26,8 +26,8 @@ from . import writers
 from .classifier import (
     LabeledPoint,
     check_linear_separability,
-    classify,
     generate_theta_dataset,
+    label_runs,
     sweep_couplings,
     sweep_thetas,
 )
@@ -37,7 +37,6 @@ from .collision import (
     NoiseSpec,
     ReservoirSpec,
     evolve,
-    evolve_batch,
     steady_state_oracle,
 )
 from .physical import (
@@ -272,9 +271,11 @@ def derived_transmon_params(j_target_mhz: float = PHYS_J_MHZ) -> TransmonParams:
     return TransmonParams(omega_r, ((w1, g_sys), (w2, g_sys), (w3, g3)))
 
 
-def transmon_report() -> dict:
+def transmon_report(convention: str = "angular") -> dict:
     """Everything the hardware mapping yields: couplings, regime checks, timing.
 
+    ``convention`` only labels the report: its numbers are quoted ordinary
+    frequencies and times, which the frequency convention does not change.
     The timing entries besides tau_int are representative bracketing values
     (relaxation well above the interaction time, preparation well below), not
     quoted numbers.
@@ -285,7 +286,7 @@ def transmon_report() -> dict:
     budget = TimingBudget(tau_int=5.0, tau_r=20.0, tau_pr=0.5, t1=20.0, n_collisions=2000)
     total_us, t1_ok = response_time(budget)
     return {
-        "frequency_convention": "angular",
+        "frequency_convention": convention,
         "omega_r_ghz": params.omega_r,
         "qubits": [{"omega_ghz": w, "g_mhz": g} for w, g in params.qubits],
         "j12_mhz": j12,
@@ -314,7 +315,7 @@ def transmon_report() -> dict:
 
 def _run_transmon(opts: RunOptions) -> PresetOutcome:
     path = Path(opts.out_dir) / "transmon.json"
-    writers.write_json(path, transmon_report())
+    writers.write_json(path, transmon_report(opts.convention))
     return PresetOutcome([path], True)
 
 
@@ -390,8 +391,6 @@ def run_custom_sweep(opts: RunOptions, param_name: str, values: list[float],
                      setups: list[tuple[list[ReservoirSpec], dict]]) -> PresetOutcome:
     """One batched steady state per sweep value, from its (reservoirs,
     engine fields) setup; the header carries the first run's seed."""
-    cfgs = [_cfg(opts, **engine) for _, engine in setups]
-    results = evolve_batch([(reservoirs, cfg, None) for (reservoirs, _), cfg in zip(setups, cfgs)])
-    points = [LabeledPoint((value,), r.sigma_z_ss, classify(r), r.n_used, r.converged, None, value)
-              for value, r in zip(values, results)]
-    return _sweep_run(opts, cfgs[0], param_name, points)
+    runs = [(reservoirs, _cfg(opts, **engine), None) for reservoirs, engine in setups]
+    points = label_runs([(value,) for value in values], runs, values)
+    return _sweep_run(opts, runs[0][1], param_name, points)

@@ -70,17 +70,6 @@ def format_cell(value) -> str:
     return _float_texts([value])[0]
 
 
-def _json_cell(value):
-    """One cell as a JSON value; a float is its CSV text read back."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (str, Label)):
-        return format_cell(value)
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    return float(format_cell(value))
-
-
 def _column_texts(column: np.ndarray, fmt: str) -> list[str]:
     """The cells of one column as CSV or JSON text; its dtype picks the
     formatter.  A JSON float is ``repr`` of the CSV text read back, which is
@@ -183,11 +172,13 @@ def write_dataset(path, points: Sequence[LabeledPoint], feature_names: Sequence[
 
 
 def _round_floats(obj):
+    """A JSON payload with each float (numpy floats too) replaced by its CSV
+    text read back; every other value passes through."""
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    return _json_cell(obj) if obj is not None else None
+    return float(format_cell(obj)) if isinstance(obj, float) else obj
 
 
 def write_json(path, payload: dict) -> None:

@@ -12,11 +12,9 @@ from qsc.classifier import (
     EmptyInput,
     Label,
     LabeledPoint,
-    UnknownSampler,
     check_linear_separability,
     classify,
     generate_theta_dataset,
-    sweep_coupling_pairs,
     sweep_couplings,
     sweep_thetas,
 )
@@ -59,11 +57,6 @@ def test_sweep_couplings_rejects_out_of_range_delta():
         sweep_couplings([], 0.1, FAST_CFG)
 
 
-def test_sweep_coupling_pairs_rejects_negative():
-    with pytest.raises(CouplingOutOfRange):
-        sweep_coupling_pairs([(0.1, -0.01)], FAST_CFG)
-
-
 def test_sweep_thetas_exchange_symmetry():
     # swapping the two reservoir angles cannot change the steady state
     rng = np.random.default_rng(61)
@@ -97,7 +90,7 @@ def test_generate_theta_dataset_shapes_and_range():
     data = generate_theta_dataset(42, dims=2)
     assert data.shape == (42, 2)
     assert np.all(data >= 0.0) and np.all(data <= math.pi)
-    triples = generate_theta_dataset(10, dims=3, sampler="uniform", seed=3)
+    triples = generate_theta_dataset(10, dims=3, seed=3)
     assert triples.shape == (10, 3)
 
 
@@ -114,8 +107,6 @@ def test_generate_theta_dataset_validation():
         generate_theta_dataset(0)
     with pytest.raises(ValueError):
         generate_theta_dataset(5, dims=4)
-    with pytest.raises(UnknownSampler):
-        generate_theta_dataset(5, sampler="cauchy")
 
 
 def test_separability_two_blobs():

@@ -5,14 +5,19 @@ argparse usage errors are remapped to 1.  Tests call main() directly with an
 argv list rather than spawning subprocesses.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsc.cli import main
-from qsc.collision import EngineConfig, NoiseSpec, ReservoirSpec, steady_state_oracle
+import qsc.writers
+from qsc.classifier import sweep_thetas
+from qsc.cli import _parse_engine, _parse_reservoir, main
+from qsc.collision import MIXING_MODES, EngineConfig, NoiseSpec, ReservoirSpec, steady_state_oracle
 from qsc.states import bloch_to_density, fidelity, magnetization, pure_qubit
 from qsc.writers import format_cell
 
@@ -239,6 +244,92 @@ def test_degree_input_converts_angles(tmp_path):
     assert run_cli("run", "--config", bad, "--out", tmp_path / "out2") == 1
 
 
+def test_config_sweep_labels_like_the_preset_sweep(tmp_path, monkeypatch):
+    # A config sweep over the second angle and the preset-side angle sweep
+    # label their steady states through the same path, so the points agree
+    # bitwise, and so do the rows written from them.
+    theta1, coupling, values = 0.4, 0.1, [0.3, 1.2, 2.0, 2.9]
+    engine = {"tau": 0.5, "max_collisions": 3000, "tol": 1e-6}
+    config = write_config(tmp_path, {
+        "reservoirs": [{"theta": theta1, "coupling": coupling}, {"theta": 1.0, "coupling": coupling}],
+        "engine": engine,
+        "sweep": {"path": "reservoirs.1.theta", "values": values},
+    })
+    written = []
+    write_sweep = qsc.writers.write_sweep
+
+    def spy(path, param_name, points, *args, **kwargs):
+        written.extend(points)
+        return write_sweep(path, param_name, points, *args, **kwargs)
+
+    monkeypatch.setattr(qsc.writers, "write_sweep", spy)
+    assert run_cli("run", "--config", config, "--out", tmp_path / "out") in (0, 2)
+    expected = sweep_thetas([(theta1, v) for v in values], coupling, EngineConfig(**engine))
+
+    def fields(p):
+        return p.sigma_z_ss, p.n_used, p.converged, p.label
+
+    assert [fields(p) for p in written] == [fields(p) for p in expected]
+    assert {p.label.value for p in expected} == {"class1", "class2"}
+    lines = (tmp_path / "out" / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[2:] for line in lines[3:]] == [
+        [format_cell(p.sigma_z_ss), format_cell(p.n_used), format_cell(p.converged), p.label.value]
+        for p in expected
+    ]
+
+
+# Config round trip: generated specs written out as a config block and parsed
+# back.  Every generated angle stays inside its range after the trip through
+# degrees, because rounding is monotone and the range ends survive it.
+NOISES = st.builds(NoiseSpec, epsilon=st.floats(0.25, 0.75), eta=st.floats(0.0, 0.25))
+RESERVOIRS = st.builds(
+    ReservoirSpec,
+    theta=st.floats(0.0, math.pi),
+    coupling=st.floats(0.0, 10.0),
+    weight=st.none() | st.floats(0.0, 1.0),
+    phi=st.just(0.0) | st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    noise=st.none() | NOISES,
+)
+ENGINES = st.builds(
+    EngineConfig,
+    h=st.floats(-1e4, 1e4),
+    tau=st.floats(0.0, 10.0),
+    max_collisions=st.integers(100, 10**6),
+    tol=st.floats(1e-15, 1.0),
+    window=st.integers(1, 100),
+    mixing_mode=st.sampled_from(MIXING_MODES),
+    seed=st.integers(0, 2**63 - 1),
+)
+
+
+def reservoir_block(spec: ReservoirSpec, factor: float) -> dict:
+    block = {"theta": spec.theta / factor, "coupling": spec.coupling}
+    if spec.weight is not None:
+        block["weight"] = spec.weight
+    if spec.phi != 0.0:
+        block["phi"] = spec.phi / factor
+    if spec.noise is not None:
+        block["noise"] = {"epsilon": spec.noise.epsilon, "eta": spec.noise.eta}
+    return block
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RESERVOIRS, min_size=1, max_size=3), ENGINES)
+def test_config_parser_round_trips_specs(reservoirs, cfg):
+    engine = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert EngineConfig(**_parse_engine(engine, None)) == cfg
+    for factor in (1.0, math.pi / 180.0):
+        blocks = json.loads(json.dumps([reservoir_block(spec, factor) for spec in reservoirs]))
+        parsed = [_parse_reservoir(block, factor, f"reservoirs.{i}") for i, block in enumerate(blocks)]
+        if factor == 1.0:
+            assert parsed == reservoirs
+            continue
+        for got, spec in zip(parsed, reservoirs):
+            assert got.theta == pytest.approx(spec.theta, abs=1e-12)
+            assert got.phi == pytest.approx(spec.phi, abs=1e-12)
+            assert (got.coupling, got.weight, got.noise) == (spec.coupling, spec.weight, spec.noise)
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     def header_seed(out_dir):
         first = (out_dir / "trajectory.csv").read_text(encoding="utf-8").splitlines()[0]
@@ -306,6 +397,18 @@ def test_transmon_default_report(capsys):
     assert "J(system, reservoir 1) = -48.9 MHz" in out
     assert "dispersive regime: FAIL" in out  # honest about the marginal ratios
     assert "response time: 10 us over 2000 collisions" in out
+
+
+def test_transmon_preset_records_the_convention(tmp_path):
+    for convention in ("angular", "ordinary"):
+        assert run_cli("run", "--preset", "transmon", "--convention", convention,
+                       "--out", tmp_path / convention) == 0
+    angular, ordinary = (json.loads((tmp_path / c / "transmon.json").read_text(encoding="utf-8"))
+                         for c in ("angular", "ordinary"))
+    assert (angular["frequency_convention"], ordinary["frequency_convention"]) == ("angular", "ordinary")
+    # the report quotes ordinary frequencies and times, whichever convention runs
+    del angular["frequency_convention"], ordinary["frequency_convention"]
+    assert ordinary == angular
 
 
 def test_transmon_custom_qubits(capsys):
@@ -381,7 +484,7 @@ def test_malformed_config_input_is_rejected_before_any_run(tmp_path, capsys, mon
         raise AssertionError("a run started")
 
     monkeypatch.setattr("qsc.presets.evolve", no_run)
-    monkeypatch.setattr("qsc.presets.evolve_batch", no_run)
+    monkeypatch.setattr("qsc.classifier.evolve_batch", no_run)
     config = write_config(tmp_path, {**BASE_CONFIG, **patch})
     assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 1
     assert "must be" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from qsc.writers import (
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
     _column_texts,
-    _json_cell,
+    _round_floats,
     format_cell,
     write_dataset,
     write_json,
@@ -252,7 +252,7 @@ def test_float_policy_matches_the_reference(xs):
     assert _column_texts(column, "json") == [json.dumps(reference_json_cell(x)) for x in xs]
     for x in xs:
         assert format_cell(x) == reference_format_cell(x)
-        assert json.dumps(_json_cell(x)) == json.dumps(reference_json_cell(x))
+        assert json.dumps(_round_floats(x)) == json.dumps(reference_json_cell(x))
 
 
 def test_float_policy_on_a_wide_random_column():
