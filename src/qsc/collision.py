@@ -15,7 +15,11 @@ fixed-point oracle all run on that one form; ``single_collision`` (unitary
 plus partial trace) is kept as the independent reference the compiled form
 is tested against.  One evolution loop serves both ``evolve`` (one run,
 optionally recorded) and ``evolve_batch`` (many independent runs advanced in
-lockstep, a chunk of collisions at a time).
+lockstep, a chunk of collisions at a time).  A deterministic run applies the
+same map R every collision, so the loop forms a chunk's states R^1 b ...
+R^L b from the chunk's start state b with one product against powers of R
+cached for the call; a random run multiplies its drawn maps one collision at
+a time.  Every collision's state is still formed and tested for convergence.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
@@ -57,9 +61,11 @@ MIXING_MODES = ("convex", "sequential", "stochastic")
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 
 # Collisions per chunk of the evolution loop.  For K runs a chunk holds
-# (_CHUNK + 1) * K * 4 doubles of states, about 0.17 MB at K = 42, and when
-# any run is random _CHUNK * K * 16 doubles of drawn maps, about 0.7 MB.
-# Chunks of 256 ran no faster and raised the peak memory of a noisy sweep.
+# (_CHUNK + 1) * K * 4 doubles of states, about 0.17 MB at K = 42.  The
+# deterministic runs share a stack of their maps' powers, K_det * _CHUNK * 16
+# doubles, about 0.7 MB at K = 42, built once per call; the random runs
+# draw _CHUNK * K * 16 doubles of maps per chunk, about 0.7 MB.  Chunks of
+# 256 ran no faster and raised the peak memory of a noisy sweep.
 _CHUNK = 128
 
 
@@ -192,7 +198,7 @@ def single_collision(rho_s: np.ndarray, rho_r: np.ndarray, u: np.ndarray) -> np.
     if u.shape != (4, 4):
         raise DimensionMismatch(f"propagator must be 4x4, got {u.shape}")
     defect = float(np.linalg.norm(dagger(u) @ u - np.eye(4)))
-    if defect > 1e-12:
+    if not defect <= 1e-12:  # a NaN defect fails too
         raise NonUnitaryPropagator(f"unitarity defect {defect:.3e} exceeds 1e-12")
     return partial_trace(u @ kron(rho_s, rho_r) @ dagger(u), keep=0)
 
@@ -341,24 +347,29 @@ def _result(b: np.ndarray, n_used: int, converged: bool) -> SteadyStateResult:
     return SteadyStateResult(rho, p_e - p_g, p_e, p_g, n_used, converged)
 
 
-def _chunk_maps(engines, rngs, mean: np.ndarray, active: np.ndarray, left: np.ndarray, length: int):
-    """Maps of the active runs for the next ``length`` collisions, shape
-    (length, K, 4, 4), and the state of each random run's stream before its
-    draws, keyed by column.  ``mean`` holds each run's mean map; a random
-    run's drawn maps replace it up to the run's budget, past which nothing
-    is drawn and no state is read."""
-    ops = np.broadcast_to(mean[active], (length, active.size, 4, 4))
-    random = [column for column, i in enumerate(active) if engines[i].random]
-    if not random:
-        return ops, {}
-    ops = ops.copy()
-    saved = {}
-    for column in random:
-        i = active[column]
-        n = min(length, int(left[column]))
-        saved[column] = rngs[i].bit_generator.state
-        ops[:n, column] = engines[i].maps(n, rngs[i])
-    return ops, saved
+def _powers(maps: np.ndarray, length: int) -> np.ndarray:
+    """R^1 ... R^length of each map R in the (K, 4, 4) stack ``maps``, laid
+    out (K, length * 4, 4): one product of a run's block with a state b gives
+    the states R^1 b ... R^length b of a chunk, four rows per collision."""
+    powers = np.empty((len(maps), length, 4, 4))
+    powers[:, 0] = maps
+    for n in range(1, length):
+        np.matmul(maps, powers[:, n - 1], out=powers[:, n])
+    return powers.reshape(len(maps), length * 4, 4)
+
+
+def _chunk_maps(engines, rngs, runs: np.ndarray, left: np.ndarray, length: int):
+    """Drawn maps of the random runs ``runs`` for the next ``length``
+    collisions, shape (length, len(runs), 4, 4), and the state of each run's
+    stream before its draws.  Past a run's budget nothing is drawn and no
+    state is read, so its maps there stay zero."""
+    maps = np.zeros((length, runs.size, 4, 4))
+    saved = []
+    for column, (i, n) in enumerate(zip(runs, left)):
+        n = min(length, int(n))
+        saved.append(rngs[i].bit_generator.state)
+        maps[:n, column] = engines[i].maps(n, rngs[i])
+    return maps, saved
 
 
 def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | None = None):
@@ -367,28 +378,43 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
 
     Runs advance in lockstep, a chunk of collisions at a time; a run retires
     at the chunk where it stops and its state is read at the collision it
-    stopped on.  Returns each run's final Bloch vector, collision count and
-    whether it converged.  With ``trail`` (one run only) the Bloch vectors
-    after each collision are appended to it chunk by chunk.
+    stopped on.  A deterministic run's states in a chunk that starts from b
+    are R^1 b ... R^length b, one product with the powers of its map R,
+    built once per call up to ``_CHUNK`` or the largest budget.  A random
+    run multiplies its drawn maps one collision at a time.  Either way every
+    collision's state is formed and passes the window test.  Returns each
+    run's final Bloch vector, collision count and whether it converged.
+    With ``trail`` (one run only) the Bloch vectors after each collision are
+    appended to it chunk by chunk.
     """
     tol = np.array([e.cfg.tol for e in engines])
     window = np.array([e.cfg.window for e in engines])
     budget = np.array([e.cfg.max_collisions for e in engines])
+    random = np.array([e.random for e in engines])
     final = np.tile(state0, (len(engines), 1))
     n_used = np.zeros(len(engines), dtype=np.int64)
     streak = np.zeros(len(engines), dtype=np.int64)  # consecutive steps under tol
     converged = np.zeros(len(engines), dtype=bool)
-    mean = np.stack([e.mean_op for e in engines])
-    active = np.arange(len(engines))
+    # Random runs come first in ``active`` and keep their order as runs
+    # retire, so the first ``drawn`` columns are random and the rest are the
+    # deterministic runs whose powers are the rows of ``powers``, in order.
+    active = np.argsort(~random, kind="stable")
+    powers = _powers(np.array([engines[i].mean_op for i in active if not random[i]]).reshape(-1, 4, 4),
+                     int(min(_CHUNK, budget.max())))
     while active.size:
         left = budget[active] - n_used[active]
         length = int(min(_CHUNK, left.max()))
-        maps, saved = _chunk_maps(engines, rngs, mean, active, left, length)
+        drawn = int(random[active].sum())
         buf = np.empty((length + 1, active.size, 4, 1))
         buf[0, :, :, 0] = final[active]
-        rows = list(buf)
-        for op, before, after in zip(maps, rows, rows[1:]):
-            np.matmul(op, before, out=after)
+        block = powers[:, : 4 * length] @ final[active[drawn:], :, None]
+        buf[1:, drawn:, :, 0] = block.reshape(-1, length, 4).swapaxes(0, 1)
+        saved = []
+        if drawn:
+            maps, saved = _chunk_maps(engines, rngs, active[:drawn], left[:drawn], length)
+            rows = list(buf[:, :drawn])
+            for op, before, after in zip(maps, rows, rows[1:]):
+                np.matmul(op, before, out=after)
 
         states = buf[..., 0]
         step = states[1:] - states[:-1]
@@ -406,13 +432,12 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
         hit = (run >= window[active]) & (t < left)
         met = hit.any(axis=0)
         taken = np.where(met, hit.argmax(axis=0) + 1, np.minimum(left, length))
-        for column, drawn_from in saved.items():
-            if met[column]:
+        for i, drawn_from, done, n in zip(active[:drawn], saved, met, taken):
+            if done:
                 # redraw only the collisions used, so the stream ends where
                 # n_used single collisions leave it
-                i = active[column]
                 rngs[i].bit_generator.state = drawn_from
-                engines[i].maps(int(taken[column]), rngs[i])
+                engines[i].maps(int(n), rngs[i])
 
         final[active] = states[taken, np.arange(active.size)]
         n_used[active] += taken
@@ -420,7 +445,14 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
         streak[active] = run[-1]
         if trail is not None:
             trail.append(states[1 : taken[0] + 1, 0, 1:].copy())
-        active = active[~met & (left > length)]
+        keep = ~met & (left > length)
+        kept = np.flatnonzero(keep[drawn:])
+        if kept.size < len(powers):
+            # move the kept rows down in place, so no second stack is made
+            for row, source in enumerate(kept):
+                powers[row] = powers[source]
+            powers = powers[: kept.size]
+        active = active[keep]
     return final[:, 1:], n_used, converged
 
 

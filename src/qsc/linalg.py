@@ -62,7 +62,7 @@ def expm_skew_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     defect = np.linalg.norm(u.conj().T @ u - np.eye(h.shape[0]))
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:  # a NaN defect fails too
         raise NonHermitianInput(f"propagator unitarity defect {defect:.3e} exceeds 1e-12")
     return u
 

@@ -77,8 +77,9 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 def bloch_to_density(b) -> np.ndarray:
     """Density matrix (I + b . sigma) / 2 from a Bloch vector."""
     x, y, z = (float(c) for c in b)
-    if x * x + y * y + z * z > 1.0 + 1e-10:
-        raise InvalidDensityMatrix(f"Bloch vector norm^2 {x*x+y*y+z*z} exceeds 1")
+    norm2 = x * x + y * y + z * z
+    if not norm2 <= 1.0 + 1e-10:  # a NaN norm fails too
+        raise InvalidDensityMatrix(f"Bloch vector norm^2 {norm2} is not at most 1")
     return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 

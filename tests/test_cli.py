@@ -123,6 +123,24 @@ def test_config_without_a_unique_fixed_point_exits_one(tmp_path, capsys, engine,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sweep", [
+    {},
+    {"sweep": {"path": "reservoirs.1.coupling", "values": [0.05, 0.1]}},
+], ids=["single", "sweep"])
+def test_overflowing_map_exits_one_before_writing(tmp_path, capsys, sweep):
+    # h * tau overflows the propagator's phases to NaN; a NaN defect must not
+    # pass the unitarity test and reach the artifacts as sigma_z = nan
+    config = write_config(tmp_path, {
+        "reservoirs": [{"theta": 0.0, "coupling": 0.1}, {"theta": 3.0, "coupling": 0.1}],
+        "engine": {"h": 1e308, "tau": 10.0},
+        **sweep,
+    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 1
+    assert "unitarity defect" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_sweep_seeds_each_value_unless_seed_is_given(tmp_path, monkeypatch):
     monkeypatch.delenv("QSC_SEED", raising=False)
     config = write_config(tmp_path, {

@@ -10,7 +10,9 @@ Both routes read the same compiled transfer matrices, so the property tests
 check those matrices against ``single_collision`` (unitary plus partial
 trace) on random inputs.  The evolution loop advances runs a chunk of
 collisions at a time, so its stopping rule is pinned at chunk boundaries,
-and a batch of runs must give bitwise what each run gives alone.
+and a batch of runs must give bitwise what each run gives alone.  A
+deterministic run's chunk comes from powers of its map, so it must agree
+with the per-collision product of drawn maps and with ``step``.
 """
 
 import dataclasses
@@ -96,8 +98,9 @@ class TestPairDynamics:
         assert np.allclose(rho, pure_qubit(math.pi), atol=1e-14)
 
     def test_single_collision_rejects_non_unitary(self):
-        with pytest.raises(NonUnitaryPropagator):
-            single_collision(pure_qubit(0.0), pure_qubit(0.0), np.eye(4) * 1.01)
+        for u in (np.eye(4) * 1.01, np.full((4, 4), np.nan)):
+            with pytest.raises(NonUnitaryPropagator):
+                single_collision(pure_qubit(0.0), pure_qubit(0.0), u)
 
 
 def test_channel_preserves_density_matrices():
@@ -531,6 +534,29 @@ def test_budget_equal_to_window():
     assert not moving.converged and moving.n_used == 12
 
 
+def settling(theta):
+    return [ReservoirSpec(0.0, 0.3), ReservoirSpec(theta, 0.2)]
+
+
+def test_powers_agree_with_the_per_collision_routes():
+    # A deterministic run forms each chunk's states from powers of its map.
+    # NoiseSpec(0, 0) draws bitwise the same map every collision, so the same
+    # run then goes through the per-collision product; step applies the map
+    # one collision at a time.
+    spec = settling(math.pi)
+    cfg = EngineConfig(max_collisions=10 * _CHUNK, tol=1e-4)
+    traj, result = evolve(None, spec, cfg)
+    assert result.converged and result.n_used > 3 * _CHUNK
+    noisy = [dataclasses.replace(r, noise=NoiseSpec(0.0, 0.0)) for r in spec]
+    drawn_traj, drawn = evolve(None, noisy, cfg)
+    assert (drawn.n_used, drawn.converged) == (result.n_used, result.converged)
+    assert np.max(np.abs(drawn_traj.bloch - traj.bloch)) < 1e-12
+    rho = pure_qubit(math.pi / 2.0)
+    for b in traj.bloch[1 : 3 * _CHUNK + 6]:
+        rho = step(rho, spec, cfg)
+        assert np.max(np.abs(bloch_vector(rho) - b)) < 1e-12
+
+
 def test_recorded_trajectory_is_sized_to_the_run():
     cfg = EngineConfig(max_collisions=10**8)
     tracemalloc.start()
@@ -625,6 +651,38 @@ def test_batch_equals_each_run_alone(specs, shuffler: random.Random):
         for i, got in zip(indices, evolve_batch([fresh(i) for i in indices])):
             assert np.array_equal(got.rho_ss, alone[i].rho_ss)
             assert (got.n_used, got.converged) == (alone[i].n_used, alone[i].converged)
+
+
+NOISY = [ReservoirSpec(0.4, 0.3, noise=NoiseSpec(0.2, 0.1)), ReservoirSpec(2.0, 0.2)]
+
+
+@pytest.mark.parametrize("runs, chunks", [
+    # every budget below one chunk, so the stack holds 60 powers: one run
+    # converges, one uses its budget, one is noisy
+    ([(settling(math.pi), EngineConfig(max_collisions=60, tol=0.5), None),
+      (settling(3.0), EngineConfig(max_collisions=60, tol=1e-9), None),
+      (NOISY, EngineConfig(max_collisions=60, tol=0.5), 5)], [0, 0, 0]),
+    # deterministic runs, each with its own map, retire in different chunks,
+    # one mid-chunk at its budget, while a noisy run carries on to its budget
+    ([(settling(math.pi), EngineConfig(max_collisions=12 * _CHUNK, tol=1e-2), None),
+      (NOISY, EngineConfig(max_collisions=12 * _CHUNK, tol=1e-9), 5),
+      (settling(3.0), EngineConfig(max_collisions=12 * _CHUNK, tol=0.5), None),
+      (settling(2.6), EngineConfig(max_collisions=200, tol=1e-9), None),
+      (settling(2.2), EngineConfig(max_collisions=12 * _CHUNK, tol=1e-5), None),
+      (settling(1.8), EngineConfig(max_collisions=12 * _CHUNK, tol=1e-3), None)], [3, 11, 0, 1, 10, 5]),
+], ids=["budget_below_a_chunk", "staggered_retirement"])
+def test_power_stack_edge_cases_equal_each_run_alone(runs, chunks):
+    def fresh(run):
+        reservoirs, cfg, stream = run
+        return reservoirs, cfg, None if stream is None else np.random.default_rng(stream)
+
+    batched = evolve_batch([fresh(run) for run in runs])
+    assert [(r.n_used - 1) // _CHUNK for r in batched] == chunks
+    for run, got in zip(runs, batched):
+        reservoirs, cfg, rng = fresh(run)
+        alone = evolve(None, reservoirs, cfg, record=False, rng=rng)[1]
+        assert np.array_equal(got.rho_ss, alone.rho_ss)
+        assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
 
 
 # The composed mean map of random compositions is a channel: its Choi matrix,

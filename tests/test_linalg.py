@@ -69,6 +69,12 @@ def test_expm_rejects_non_hermitian():
         expm_skew_hermitian(raising, 1.0)
 
 
+def test_expm_rejects_an_overflowing_propagator():
+    # the phases w * t overflow, so the propagator and its defect are NaN
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonHermitianInput, match="defect nan"):
+        expm_skew_hermitian(1e308 * SIGMA_Z, 10.0)
+
+
 def test_partial_trace_product_state():
     rng = np.random.default_rng(5)
     for _ in range(20):

@@ -75,8 +75,9 @@ def test_bloch_round_trip():
 
 
 def test_bloch_to_density_rejects_outside_ball():
-    with pytest.raises(InvalidDensityMatrix):
-        bloch_to_density([0.9, 0.9, 0.9])
+    for b in ([0.9, 0.9, 0.9], [math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]):
+        with pytest.raises(InvalidDensityMatrix):
+            bloch_to_density(b)
 
 
 def test_validate_density_matrix_rejects_bad_inputs():
