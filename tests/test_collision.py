@@ -19,12 +19,14 @@ import dataclasses
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsc import collision
 from qsc.collision import (
     _CHUNK,
     DEFAULT_SEED,
@@ -40,13 +42,14 @@ from qsc.collision import (
     evolve,
     evolve_batch,
     pair_hamiltonian,
+    pauli_transfer_matrices,
     pauli_transfer_matrix,
     resolve_weights,
     single_collision,
     steady_state_oracle,
     step,
 )
-from qsc.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, kron, trace_distance
+from qsc.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, NonHermitianInput, dagger, expm_skew_hermitian, kron, trace_distance
 from qsc.states import AngleOutOfRange, bloch_to_density, bloch_vector, fidelity, pure_qubit
 
 J_NOMINAL = 0.1
@@ -96,6 +99,13 @@ class TestPairDynamics:
         u = collision_unitary(0.0, 1.0, math.pi / 2.0)
         rho = single_collision(pure_qubit(0.0), pure_qubit(math.pi), u)
         assert np.allclose(rho, pure_qubit(math.pi), atol=1e-14)
+
+    def test_overflowing_phases_raise_before_any_warning(self):
+        # h * tau overflows the phases; the library error comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitianInput, match="overflow"):
+                collision_unitary(1e308, 0.1, 10.0)
 
     def test_single_collision_rejects_non_unitary(self):
         for u in (np.eye(4) * 1.01, np.full((4, 4), np.nan)):
@@ -479,6 +489,32 @@ def test_recorded_fidelity_matches_uhlmann_form(b0, t, spec, cfg, eps):
     assert np.max(np.abs(traj.fidelity - expected)) < 1e-12
 
 
+# The stacked compile: a call's unitaries come from one stacked exponential
+# and its transfer matrices from one stacked pass, each bitwise what it is
+# alone and equal to the unitary-plus-partial-trace reference.
+
+# (theta, phi, h, j, tau); theta None is the maximally mixed ancilla
+COMPILE_ITEM = st.tuples(THETA | st.none(), PHI, st.floats(-5.0, 5.0), st.floats(0.0, 0.5),
+                         st.just(0.0) | st.floats(0.0, 10.0))
+EIGENSTATES = [0.5 * np.eye(2)] + [0.5 * (np.eye(2) + p) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(COMPILE_ITEM, min_size=1, max_size=64))
+def test_stacked_compile_equals_each_item_alone(items):
+    ancillas = np.array([0.5 * np.eye(2) if theta is None else pure_qubit(theta, phi)
+                         for theta, phi, *_ in items])
+    unitaries = expm_skew_hermitian(np.array([pair_hamiltonian(h, j) for _, _, h, j, _ in items]),
+                                    [tau for *_, tau in items])
+    maps = pauli_transfer_matrices(ancillas, unitaries)
+    for (*_, h, j, tau), ancilla, u, r in zip(items, ancillas, unitaries, maps):
+        assert np.array_equal(u, collision_unitary(h, j, tau))
+        assert np.array_equal(r, pauli_transfer_matrices(ancilla[None], u[None])[0])
+        for rho in EIGENSTATES:
+            b = r @ np.concatenate(([1.0], bloch_vector(rho)))
+            assert np.max(np.abs(bloch_to_density(b[1:]) - single_collision(rho, ancilla, u))) < 1e-12
+
+
 # The evolution loop: stopping at and across chunk boundaries, buffers sized
 # to the run, random streams left where single collisions leave them, and
 # batches equal to their runs taken one at a time.
@@ -683,6 +719,26 @@ def test_power_stack_edge_cases_equal_each_run_alone(runs, chunks):
         alone = evolve(None, reservoirs, cfg, record=False, rng=rng)[1]
         assert np.array_equal(got.rho_ss, alone.rho_ss)
         assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
+
+
+def test_batch_compiles_in_one_pass(monkeypatch):
+    # fig5f's shape: 42 runs of three reservoirs at one coupling compile
+    # with one stacked exponential and one stacked transfer call
+    thetas = np.random.default_rng(5).uniform(0.0, math.pi, size=(42, 3))
+    cfg = EngineConfig(max_collisions=4000)
+    runs = [([ReservoirSpec(float(t), J_NOMINAL) for t in row], cfg, None) for row in thetas]
+    alone = [evolve(None, reservoirs, cfg, record=False)[1] for reservoirs, cfg, _ in runs]
+    calls = {"pauli_transfer_matrices": 0, "expm_skew_hermitian": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(collision, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(collision, name, counted)
+    batched = evolve_batch(runs)
+    assert calls == {"pauli_transfer_matrices": 1, "expm_skew_hermitian": 1}
+    for got, want in zip(batched, alone):
+        assert np.array_equal(got.rho_ss, want.rho_ss)
+        assert (got.n_used, got.converged) == (want.n_used, want.converged)
 
 
 # The composed mean map of random compositions is a channel: its Choi matrix,
