@@ -9,20 +9,20 @@ are combined per collision according to ``EngineConfig.mixing_mode``:
 * ``sequential`` - rho' = E_N[... E_1[rho]]   (list order)
 * ``stochastic`` - one E_i drawn per collision with probability q_i
 
-Each reservoir's map is compiled into its Pauli transfer matrix, the real
-4x4 matrix acting on (1, x, y, z), and every distinct reservoir of a call is
-compiled in one stacked pass: one stacked exponential for the call's
-distinct (h, j, tau) and one stacked transfer computation for its distinct
-ancillas, bitwise what each gives alone.  ``step``, the evolution loop and
-the fixed-point oracle all run on that one form; ``single_collision``
-(unitary plus partial trace) is kept as the independent reference the
-compiled form is tested against.  One evolution loop serves both ``evolve``
-(one run, optionally recorded) and ``evolve_batch`` (many independent runs
-advanced in lockstep, a chunk of collisions at a time).  A deterministic run
-applies the same map R every collision, so the loop forms a chunk's states
-R^1 b ... R^L b from the chunk's start state b with one product against
-powers of R cached for the call; a random run multiplies its drawn maps one
-collision at a time.  Every collision's state is still formed and tested for convergence.
+Each reservoir's map is its Pauli transfer matrix, the real 4x4 matrix
+acting on (1, x, y, z).  The free part h/2 (Z x 1 + 1 x Z) commutes with the
+exchange term, so the matrix has a closed form in cos(j tau), sin(j tau),
+h tau and the ancilla's Bloch vector a, affine in a (``transfer_matrix``).
+``step``, the evolution loop and the fixed-point oracle all run on that one
+form; ``single_collision`` (unitary plus partial trace) is kept as the
+independent reference the closed form is tested against.  One evolution
+loop serves both ``evolve`` (one run, optionally recorded) and
+``evolve_batch`` (many independent runs advanced in lockstep, a chunk of
+collisions at a time).  A deterministic run applies the same map R every
+collision, so the loop forms a chunk's states R^1 b ... R^L b from the
+chunk's start state b with one product against powers of R cached for the
+call; a random run multiplies its drawn maps one collision at a time.
+Every collision's state is still formed and tested for convergence.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
@@ -46,10 +46,9 @@ from .linalg import (
     IDENTITY_2,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     DimensionMismatch,
+    NonHermitianInput,
     dagger,
     expm_skew_hermitian,
     kron,
@@ -62,7 +61,6 @@ DEFAULT_SEED = 0xC0111DE
 MIXING_MODES = ("convex", "sequential", "stochastic")
 
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
-_PAULIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 # Collisions per chunk of the evolution loop.  For K runs a chunk holds
 # (_CHUNK + 1) * K * 4 doubles of states, about 0.17 MB at K = 42.  The
@@ -195,7 +193,7 @@ def collision_unitary(h: float, j: float, tau: float) -> np.ndarray:
 
 def single_collision(rho_s: np.ndarray, rho_r: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One validated collision; CPTP by construction.  The independent
-    reference against which the compiled transfer matrices are tested."""
+    reference against which the closed-form transfer matrices are tested."""
     rho_s = validate_density_matrix(rho_s)
     rho_r = validate_density_matrix(rho_r)
     u = np.asarray(u, dtype=complex)
@@ -207,33 +205,30 @@ def single_collision(rho_s: np.ndarray, rho_r: np.ndarray, u: np.ndarray) -> np.
     return partial_trace(u @ kron(rho_s, rho_r) @ dagger(u), keep=0)
 
 
-def pauli_transfer_matrices(ancillas: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """Real 4x4 forms R[i, j] = Tr[sigma_i E(sigma_j)] / 2 of the collision
-    maps E(rho) = Tr_anc[u (rho x rho_r) u^dag], acting on (1, x, y, z), one
-    per ancilla rho_r in the (m, 2, 2) stack ``ancillas`` and its unitary u
-    in the (m, 4, 4) stack ``unitaries``; shape (m, 4, 4).
+def transfer_matrix(h: float, j: float, tau: float, a) -> np.ndarray:
+    """Real 4x4 form R[i, k] = Tr[sigma_i E(sigma_k)] / 2 of the collision map
+    E(rho) = Tr_anc[u (rho x rho_r) u^dag], u = ``collision_unitary(h, j,
+    tau)``, acting on (1, x, y, z), for the ancilla rho_r with Bloch vector
+    ``a``.  With c = cos(j tau), s = sin(j tau) and w = h tau:
+
+        z' = c^2 z + s^2 a_z + s c (a_x y - a_y x)
+        (x', y') = R_z(w) [c (x, y) + s z (a_y, -a_x)]
 
     Row 0 is exactly (1, 0, 0, 0) since E preserves the trace, so the map
-    sends (1, b) to (1, M b + c) with M = R[1:, 1:] and c = R[1:, 0].
+    sends (1, b) to (1, M b + R[1:, 0]) with M = R[1:, 1:].  Phases that
+    overflow raise ``NonHermitianInput``, as ``collision_unitary`` does.
     """
-    ancillas = np.asarray(ancillas, dtype=complex)
-    unitaries = np.asarray(unitaries, dtype=complex)
-    m = len(unitaries)
-    # kron(sigma_j, rho_r) for every item and Pauli: [item, j, row, col]
-    joint = (_PAULIS[None, :, :, None, :, None] * ancillas[:, None, None, :, None, :]).reshape(m, 4, 4, 4)
-    evolved = unitaries[:, None] @ joint @ dagger(unitaries)[:, None]
-    # trace the ancilla out: E(sigma_j) as [item, j, sys, sys']
-    reduced = np.trace(evolved.reshape(m, 4, 2, 2, 2, 2), axis1=3, axis2=5)
-    bloch = np.trace(_PAULIS[1:] @ reduced[:, :, None], axis1=-2, axis2=-1).real
-    r = np.empty((m, 4, 4))
-    r[:, 0] = _TRACE_ROW
-    r[:, 1:] = 0.5 * bloch.swapaxes(1, 2)
-    return r
-
-
-def pauli_transfer_matrix(rho_r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``pauli_transfer_matrices`` of the one ancilla ``rho_r`` and unitary ``u``."""
-    return pauli_transfer_matrices(np.asarray(rho_r)[None], np.asarray(u)[None])[0]
+    if not (math.isfinite(h * tau) and math.isfinite(j * tau)):
+        raise NonHermitianInput("propagator phases h*t overflow: unitarity defect nan exceeds 1e-12")
+    c, s = math.cos(j * tau), math.sin(j * tau)
+    cos_w, sin_w = math.cos(h * tau), math.sin(h * tau)
+    a_x, a_y, a_z = a
+    return np.array([
+        _TRACE_ROW,
+        [0.0, cos_w * c, -sin_w * c, s * (cos_w * a_y + sin_w * a_x)],
+        [0.0, sin_w * c, cos_w * c, s * (sin_w * a_y - cos_w * a_x)],
+        [s * s * a_z, -s * c * a_y, s * c * a_x, c * c],
+    ])
 
 
 def resolve_weights(reservoirs: list[ReservoirSpec]) -> np.ndarray:
@@ -258,54 +253,29 @@ def _canonical_order(reservoirs: list[ReservoirSpec], weights: np.ndarray) -> li
     return sorted(range(len(reservoirs)), key=key)
 
 
-def _compile(runs: list[tuple[list[ReservoirSpec], EngineConfig]]) -> dict:
-    """Transfer matrices of every distinct reservoir of ``runs``, pairs of
-    (reservoirs, cfg), in one stacked pass: one ``expm_skew_hermitian`` call
-    for the distinct (h, j, tau) keys and one ``pauli_transfer_matrices``
-    call for the distinct ancillas under them.  Keyed by the ancilla angles
-    (theta, phi) followed by the unitary's key; a noisy reservoir also
-    brings the maximally mixed ancilla, keyed (None, None, h, j, tau)."""
-    ancillas: dict = {}
-    for reservoirs, cfg in runs:
-        for r in reservoirs:
-            key = (cfg.h, r.coupling, cfg.tau)
-            ancillas[(r.theta, r.phi, *key)] = None
-            if r.noise is not None:
-                ancillas[(None, None, *key)] = None
-    keys = {key[2:]: None for key in ancillas}
-    index = {key: i for i, key in enumerate(keys)}
-    hamiltonians = np.array([pair_hamiltonian(h, j) for h, j, _ in keys]).reshape(-1, 4, 4)
-    unitaries = expm_skew_hermitian(hamiltonians, [tau for _, _, tau in keys])
-    states = [0.5 * IDENTITY_2 if theta is None else pure_qubit(theta, phi) for theta, phi, *_ in ancillas]
-    maps = pauli_transfer_matrices(np.array(states).reshape(-1, 2, 2),
-                                   unitaries[[index[key[2:]] for key in ancillas]])
-    return dict(zip(ancillas, maps))
-
-
 class _Engine:
     """Compiled form of one run's collision map shared by step, the evolution
-    loop and the oracle: one Pauli transfer matrix per reservoir, and
-    ``mean_op``, the composed map in expectation.
-
-    The matrices are looked up in ``compiled``, the ``_compile`` result of
-    every run of a call, so every distinct reservoir of a call is compiled
-    in one stacked pass.
+    loop and the oracle: one closed-form Pauli transfer matrix per reservoir,
+    and ``mean_op``, the composed map in expectation.
     """
 
-    def __init__(self, reservoirs: list[ReservoirSpec], cfg: EngineConfig, compiled: dict):
+    def __init__(self, reservoirs: list[ReservoirSpec], cfg: EngineConfig):
         self.reservoirs = reservoirs
         self.cfg = cfg
-        self.weights = resolve_weights(reservoirs)
-        self.order = _canonical_order(reservoirs, self.weights)
         self.base_ops = []
         self.noise_ops = []
         for r in reservoirs:
-            key = (cfg.h, r.coupling, cfg.tau)
-            base = compiled[(r.theta, r.phi, *key)]
+            sin_theta = math.sin(r.theta)
+            a = (sin_theta * math.cos(r.phi), sin_theta * math.sin(r.phi), math.cos(r.theta))
+            base = transfer_matrix(cfg.h, r.coupling, cfg.tau, a)
             self.base_ops.append(base)
-            # Preparation noise is affine in the depolarization strength, so
-            # each noisy map is R_base + eps * (R_maximally_mixed - R_base).
-            self.noise_ops.append(None if r.noise is None else compiled[(None, None, *key)] - base)
+            # Depolarizing the ancilla by eps scales a by 1 - eps, and the map
+            # is affine in a, so each noisy map is R_base + eps * (R(a=0) - R_base).
+            self.noise_ops.append(
+                None if r.noise is None else transfer_matrix(cfg.h, r.coupling, cfg.tau, (0.0, 0.0, 0.0)) - base
+            )
+        self.weights = resolve_weights(reservoirs)
+        self.order = _canonical_order(reservoirs, self.weights)
         self.noisy = [i for i, op in enumerate(self.noise_ops) if op is not None]
         self.random = cfg.mixing_mode == "stochastic" or bool(self.noisy)
         self.cum_weights = np.cumsum(self.weights)
@@ -350,12 +320,6 @@ class _Engine:
         chosen = np.minimum(chosen, len(ops) - 1)
         stacked = np.stack([np.broadcast_to(op, (n, 4, 4)) for op in ops], axis=1)
         return stacked[np.arange(n), chosen]
-
-
-def _engines(runs: list[tuple[list[ReservoirSpec], EngineConfig]]) -> list[_Engine]:
-    """One engine per (reservoirs, cfg), all compiled in one stacked pass."""
-    compiled = _compile(runs)
-    return [_Engine(reservoirs, cfg, compiled) for reservoirs, cfg in runs]
 
 
 def _initial(rho: np.ndarray) -> np.ndarray:
@@ -506,7 +470,7 @@ def step(
 ) -> np.ndarray:
     """Apply one full collision round to ``rho_s`` and return the new state."""
     state = _initial(rho_s)
-    [engine] = _engines([(reservoirs, cfg)])
+    engine = _Engine(reservoirs, cfg)
     return bloch_to_density(engine.maps(1, _stream(engine, rng))[0].dot(state)[1:])
 
 
@@ -529,7 +493,7 @@ def evolve(
     if rho0 is None:
         rho0 = pure_qubit(math.pi / 2.0)
     state0 = _initial(rho0)
-    [engine] = _engines([(reservoirs, cfg)])
+    engine = _Engine(reservoirs, cfg)
     if target is not None:
         target = validate_density_matrix(target)
     trail = [state0[None, 1:]] if record else None
@@ -551,13 +515,12 @@ def evolve_batch(
     window, budget and random stream (None: seeded from its ``cfg.seed``).
     The runs advance together through the loop ``evolve`` uses, so each
     result is bitwise the one ``evolve(None, reservoirs, cfg, record=False,
-    rng=rng)`` returns.  Every distinct reservoir of the call is compiled in
-    one stacked pass before any run starts, and deterministic runs that
-    share a compiled map and a stopping rule, which evolve identically, are
-    run once.
+    rng=rng)`` returns.  Every run's maps are compiled before any run
+    starts, and deterministic runs that share a compiled map and a stopping
+    rule, which evolve identically, are run once.
     """
     state0 = _initial(pure_qubit(math.pi / 2.0))
-    engines = _engines([(reservoirs, cfg) for reservoirs, cfg, _ in runs])
+    engines = [_Engine(reservoirs, cfg) for reservoirs, cfg, _ in runs]
     slot: dict = {}
     distinct = []
     owner = []
@@ -582,7 +545,7 @@ def affine_representation(
     this is the map the mean state follows: noise at its mean strength
     epsilon, stochastic mixing as the convex sum.
     """
-    r = _engines([(reservoirs, cfg)])[0].mean_op
+    r = _Engine(reservoirs, cfg).mean_op
     return r[1:, 1:].copy(), r[1:, 0].copy()
 
 

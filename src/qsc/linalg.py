@@ -44,43 +44,31 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return a.ndim == 2 and a.shape[0] == a.shape[1] and np.linalg.norm(a - a.conj().T) <= tol
 
 
-def expm_skew_hermitian(h: np.ndarray, t) -> np.ndarray:
+def expm_skew_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """Propagator exp(-i*h*t) for Hermitian ``h`` via eigendecomposition.
 
-    ``h`` is one (n, n) matrix or an (m, n, n) stack of them, and ``t`` one
-    time or one per matrix; a stack is decomposed by a single
-    ``np.linalg.eigh`` call, and each matrix gives bitwise what it gives
-    alone.  The eigenbasis route keeps the result unitary to machine
-    precision, which a truncated series would not; each propagator is
-    checked against ``UNITARITY_TOL`` before it is returned, and phases
-    w * t that overflow are rejected before they reach ``np.exp``.  At
-    ``t = 0`` the result is exactly the identity, which the eigenbasis round
-    trip would miss by ~1e-16.
+    The eigenbasis route keeps the result unitary to machine precision,
+    which a truncated series would not; the result is checked against
+    ``UNITARITY_TOL`` before it is returned, and phases w * t that overflow
+    are rejected before they reach ``np.exp``.  At ``t = 0`` it is exactly
+    the identity, which the eigenbasis round trip would miss by ~1e-16.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {h.shape}")
-    stack = h.reshape(-1, *h.shape[-2:])
-    t = np.broadcast_to(np.asarray(t, dtype=float), stack.shape[:1])
-    if not np.all(np.linalg.norm(stack - dagger(stack), axis=(1, 2)) <= HERMITICITY_TOL):
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
+    if not is_hermitian(h):
         raise NonHermitianInput("generator is not Hermitian within 1e-12")
-    eye = np.eye(stack.shape[-1])
-    moving = t != 0.0
-    u = np.empty_like(stack)
-    u[~moving] = eye
-    if moving.any():
-        w, v = np.linalg.eigh(stack[moving])
-        t = t[moving, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(w * t).all():  # a NaN phase fails too
-                raise NonHermitianInput("propagator phases h*t overflow: unitarity defect nan exceeds 1e-12")
-        moved = (v * np.exp(-1j * w * t)[:, None, :]) @ dagger(v)
-        defect = np.linalg.norm(dagger(moved) @ moved - eye, axis=(1, 2))
-        failed = ~(defect <= UNITARITY_TOL)  # a NaN defect fails too
-        if failed.any():
-            raise NonHermitianInput(f"propagator unitarity defect {defect[failed][0]:.3e} exceeds 1e-12")
-        u[moving] = moved
-    return u.reshape(h.shape)
+    if t == 0.0:
+        return np.eye(h.shape[0], dtype=complex)
+    w, v = np.linalg.eigh(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(w * t).all():  # a NaN phase fails too
+            raise NonHermitianInput("propagator phases h*t overflow: unitarity defect nan exceeds 1e-12")
+    u = (v * np.exp(-1j * w * t)) @ dagger(v)
+    defect = np.linalg.norm(dagger(u) @ u - np.eye(h.shape[0]))
+    if not defect <= UNITARITY_TOL:  # a NaN defect fails too
+        raise NonHermitianInput(f"propagator unitarity defect {defect:.3e} exceeds 1e-12")
+    return u
 
 
 def partial_trace(rho: np.ndarray, keep: int = 0) -> np.ndarray:

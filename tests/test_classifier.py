@@ -19,6 +19,7 @@ from qsc.classifier import (
     sweep_thetas,
 )
 from qsc.collision import DEFAULT_SEED, EngineConfig, NoiseSpec, ReservoirSpec, steady_state_oracle
+from qsc.presets import NOMINAL_J, NOMINAL_TAU
 
 FAST_CFG = EngineConfig(max_collisions=200, tol=1e-4)
 
@@ -48,6 +49,15 @@ def test_sweep_couplings_features_and_labels():
     assert points[1].param_value == 0.0
     assert points[0].sigma_z_ss == pytest.approx(-1.0, abs=1e-4)
     assert points[2].sigma_z_ss == pytest.approx(1.0, abs=1e-4)
+
+
+def test_fig3a_sweep_matches_the_z_axis_closed_form():
+    # up/down ancillas: z_ss = (s1^2 - s2^2) / (s1^2 + s2^2), s_i = sin(j_i tau)
+    cfg = EngineConfig(tau=NOMINAL_TAU, max_collisions=100_000)
+    points = sweep_couplings(np.linspace(-0.05, 0.05, 21), NOMINAL_J, cfg)
+    for p in points:
+        s1, s2 = (math.sin(j * cfg.tau) ** 2 for j in p.features)
+        assert abs(p.sigma_z_ss - (s1 - s2) / (s1 + s2)) < 1e-11
 
 
 def test_sweep_couplings_rejects_out_of_range_delta():

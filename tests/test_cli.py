@@ -123,18 +123,21 @@ def test_config_without_a_unique_fixed_point_exits_one(tmp_path, capsys, engine,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("sweep", [
-    {},
-    {"sweep": {"path": "reservoirs.1.coupling", "values": [0.05, 0.1]}},
-], ids=["single", "sweep"])
-def test_overflowing_map_exits_one_before_writing(tmp_path, capsys, sweep):
-    # h * tau overflows the propagator's phases to NaN; a NaN defect must not
-    # pass the unitarity test and reach the artifacts as sigma_z = nan
-    config = write_config(tmp_path, {
-        "reservoirs": [{"theta": 0.0, "coupling": 0.1}, {"theta": 3.0, "coupling": 0.1}],
-        "engine": {"h": 1e308, "tau": 10.0},
-        **sweep,
-    })
+H_OVERFLOW = {
+    "reservoirs": [{"theta": 0.0, "coupling": 0.1}, {"theta": 3.0, "coupling": 0.1}],
+    "engine": {"h": 1e308, "tau": 10.0},
+}
+
+
+@pytest.mark.parametrize("payload", [
+    H_OVERFLOW,
+    {**H_OVERFLOW, "sweep": {"path": "reservoirs.1.coupling", "values": [0.05, 0.1]}},
+    {"reservoirs": [{"theta": 0.0, "coupling": 1e308}], "engine": {"tau": 10.0}},
+], ids=["single", "sweep", "coupling"])
+def test_overflowing_map_exits_one_before_writing(tmp_path, capsys, payload):
+    # h * tau or j * tau overflows the map's phases; a NaN must not reach the
+    # artifacts as sigma_z = nan
+    config = write_config(tmp_path, payload)
     with np.errstate(over="ignore", invalid="ignore"):
         assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 1
     assert "unitarity defect" in capsys.readouterr().err

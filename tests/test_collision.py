@@ -6,13 +6,14 @@ a single polar reservoir, and the agreement between the iterated evolution
 and the independent affine fixed-point solver.  The last one is the whole
 point of keeping two routes to the steady state, so it is exercised here on
 a handful of configurations and again, more broadly, in the acceptance tests.
-Both routes read the same compiled transfer matrices, so the property tests
-check those matrices against ``single_collision`` (unitary plus partial
-trace) on random inputs.  The evolution loop advances runs a chunk of
-collisions at a time, so its stopping rule is pinned at chunk boundaries,
-and a batch of runs must give bitwise what each run gives alone.  A
-deterministic run's chunk comes from powers of its map, so it must agree
-with the per-collision product of drawn maps and with ``step``.
+Both routes read the same closed-form transfer matrices, so the property
+tests check those matrices against ``single_collision`` (unitary plus partial
+trace) on random inputs, and the z-axis fixed point against its closed form.
+The evolution loop advances runs a chunk of collisions at a time, so its
+stopping rule is pinned at chunk boundaries, and a batch of runs must give
+bitwise what each run gives alone.  A deterministic run's chunk comes from
+powers of its map, so it must agree with the per-collision product of drawn
+maps and with ``step``.
 """
 
 import dataclasses
@@ -23,10 +24,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qsc import collision
 from qsc.collision import (
     _CHUNK,
     DEFAULT_SEED,
@@ -42,14 +42,14 @@ from qsc.collision import (
     evolve,
     evolve_batch,
     pair_hamiltonian,
-    pauli_transfer_matrices,
-    pauli_transfer_matrix,
     resolve_weights,
     single_collision,
     steady_state_oracle,
     step,
+    transfer_matrix,
 )
-from qsc.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, NonHermitianInput, dagger, expm_skew_hermitian, kron, trace_distance
+from qsc.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, NonHermitianInput, dagger, kron, trace_distance
+from qsc.presets import PHYS_H_MHZ, PHYS_J_MHZ, PHYS_TAU_US
 from qsc.states import AngleOutOfRange, bloch_to_density, bloch_vector, fidelity, pure_qubit
 
 J_NOMINAL = 0.1
@@ -101,11 +101,15 @@ class TestPairDynamics:
         assert np.allclose(rho, pure_qubit(math.pi), atol=1e-14)
 
     def test_overflowing_phases_raise_before_any_warning(self):
-        # h * tau overflows the phases; the library error comes first
+        # h * tau overflows the phases; the library error comes first, and the
+        # closed form checks both phases before any trig call
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonHermitianInput, match="overflow"):
                 collision_unitary(1e308, 0.1, 10.0)
+            for h, j in ((1e308, 0.1), (0.0, 1e308)):
+                with pytest.raises(NonHermitianInput, match="unitarity defect nan"):
+                    transfer_matrix(h, j, 10.0, (0.0, 0.0, 1.0))
 
     def test_single_collision_rejects_non_unitary(self):
         for u in (np.eye(4) * 1.01, np.full((4, 4), np.nan)):
@@ -281,8 +285,7 @@ def test_noisy_affine_form_depolarizes_at_the_mean_strength():
     # In expectation a noisy ancilla is depolarized by epsilon itself.
     spec = ReservoirSpec(1.1, 0.1, phi=0.4, noise=NoiseSpec(0.3, 0.1))
     cfg = EngineConfig(h=0.9, tau=0.8)
-    ancilla = 0.7 * pure_qubit(1.1, 0.4) + 0.15 * np.eye(2)
-    r = pauli_transfer_matrix(ancilla, collision_unitary(cfg.h, spec.coupling, cfg.tau))
+    r = transfer_matrix(cfg.h, spec.coupling, cfg.tau, 0.7 * bloch_vector(pure_qubit(1.1, 0.4)))
     m, c = affine_representation([spec], cfg)
     assert np.allclose(m, r[1:, 1:], atol=1e-14)
     assert np.allclose(c, r[1:, 0], atol=1e-14)
@@ -440,9 +443,13 @@ def _reference(rho, spec, cfg, eps=0.0):
 
 @PROPERTY
 @given(STATES, STATES, st.floats(-5.0, 5.0), st.floats(0.0, 0.5), st.floats(0.0, 10.0))
+# fig7's scale, in its ordinary and angular conventions
+@example(pure_qubit(math.pi / 2.0), pure_qubit(0.4, 1.0), PHYS_H_MHZ, PHYS_J_MHZ, PHYS_TAU_US)
+@example(pure_qubit(0.3, 2.0), pure_qubit(2.9), 2.0 * math.pi * PHYS_H_MHZ, 2.0 * math.pi * PHYS_J_MHZ, PHYS_TAU_US)
+@example(bloch_to_density([0.2, -0.5, 0.1]), 0.5 * np.eye(2), 2.0 * math.pi * PHYS_H_MHZ, PHYS_J_MHZ, PHYS_TAU_US)
 def test_transfer_matrix_matches_single_collision(rho, ancilla, h, j, tau):
     u = collision_unitary(h, j, tau)
-    r = pauli_transfer_matrix(ancilla, u)
+    r = transfer_matrix(h, j, tau, bloch_vector(ancilla))
     assert np.array_equal(r[0], [1.0, 0.0, 0.0, 0.0])
     b = r @ np.concatenate(([1.0], bloch_vector(rho)))
     assert np.max(np.abs(bloch_to_density(b[1:]) - single_collision(rho, ancilla, u))) < 1e-12
@@ -489,30 +496,22 @@ def test_recorded_fidelity_matches_uhlmann_form(b0, t, spec, cfg, eps):
     assert np.max(np.abs(traj.fidelity - expected)) < 1e-12
 
 
-# The stacked compile: a call's unitaries come from one stacked exponential
-# and its transfer matrices from one stacked pass, each bitwise what it is
-# alone and equal to the unitary-plus-partial-trace reference.
+# For ancillas on the z axis the transverse and longitudinal parts decouple,
+# so the fixed point's z has the closed form sum q s^2 cos(theta) / sum q s^2
+# with s = sin(j tau), independent of h and of the engine.
 
-# (theta, phi, h, j, tau); theta None is the maximally mixed ancilla
-COMPILE_ITEM = st.tuples(THETA | st.none(), PHI, st.floats(-5.0, 5.0), st.floats(0.0, 0.5),
-                         st.just(0.0) | st.floats(0.0, 10.0))
-EIGENSTATES = [0.5 * np.eye(2)] + [0.5 * (np.eye(2) + p) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(COMPILE_ITEM, min_size=1, max_size=64))
-def test_stacked_compile_equals_each_item_alone(items):
-    ancillas = np.array([0.5 * np.eye(2) if theta is None else pure_qubit(theta, phi)
-                         for theta, phi, *_ in items])
-    unitaries = expm_skew_hermitian(np.array([pair_hamiltonian(h, j) for _, _, h, j, _ in items]),
-                                    [tau for *_, tau in items])
-    maps = pauli_transfer_matrices(ancillas, unitaries)
-    for (*_, h, j, tau), ancilla, u, r in zip(items, ancillas, unitaries, maps):
-        assert np.array_equal(u, collision_unitary(h, j, tau))
-        assert np.array_equal(r, pauli_transfer_matrices(ancilla[None], u[None])[0])
-        for rho in EIGENSTATES:
-            b = r @ np.concatenate(([1.0], bloch_vector(rho)))
-            assert np.max(np.abs(bloch_to_density(b[1:]) - single_collision(rho, ancilla, u))) < 1e-12
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from([0.0, math.pi]), st.floats(0.0, 0.5), st.floats(0.05, 1.0)),
+                min_size=1, max_size=4),
+       st.floats(-5.0, 5.0), st.floats(0.0, 10.0))
+def test_z_axis_fixed_point_matches_its_closed_form(items, h, tau):
+    weights = np.array([raw for *_, raw in items]) / sum(raw for *_, raw in items)
+    sin2 = np.array([math.sin(j * tau) ** 2 for _, j, _ in items])
+    assume(float(weights @ sin2) > 1e-3)
+    reservoirs = [ReservoirSpec(theta, j, weight=float(w)) for (theta, j, _), w in zip(items, weights)]
+    expected = float(weights @ (sin2 * np.cos([theta for theta, *_ in items])) / (weights @ sin2))
+    got = steady_state_oracle(reservoirs, EngineConfig(h=h, tau=tau)).sigma_z_ss
+    assert abs(got - expected) < 1e-10
 
 
 # The evolution loop: stopping at and across chunk boundaries, buffers sized
@@ -719,26 +718,6 @@ def test_power_stack_edge_cases_equal_each_run_alone(runs, chunks):
         alone = evolve(None, reservoirs, cfg, record=False, rng=rng)[1]
         assert np.array_equal(got.rho_ss, alone.rho_ss)
         assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
-
-
-def test_batch_compiles_in_one_pass(monkeypatch):
-    # fig5f's shape: 42 runs of three reservoirs at one coupling compile
-    # with one stacked exponential and one stacked transfer call
-    thetas = np.random.default_rng(5).uniform(0.0, math.pi, size=(42, 3))
-    cfg = EngineConfig(max_collisions=4000)
-    runs = [([ReservoirSpec(float(t), J_NOMINAL) for t in row], cfg, None) for row in thetas]
-    alone = [evolve(None, reservoirs, cfg, record=False)[1] for reservoirs, cfg, _ in runs]
-    calls = {"pauli_transfer_matrices": 0, "expm_skew_hermitian": 0}
-    for name in calls:
-        def counted(*args, _inner=getattr(collision, name), _name=name):
-            calls[_name] += 1
-            return _inner(*args)
-        monkeypatch.setattr(collision, name, counted)
-    batched = evolve_batch(runs)
-    assert calls == {"pauli_transfer_matrices": 1, "expm_skew_hermitian": 1}
-    for got, want in zip(batched, alone):
-        assert np.array_equal(got.rho_ss, want.rho_ss)
-        assert (got.n_used, got.converged) == (want.n_used, want.converged)
 
 
 # The composed mean map of random compositions is a channel: its Choi matrix,

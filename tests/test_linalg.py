@@ -1,7 +1,6 @@
 """Matrix helper tests: exponentials, partial traces, trace distance."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -68,34 +67,14 @@ def test_expm_rejects_non_hermitian():
     raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NonHermitianInput):
         expm_skew_hermitian(raising, 1.0)
+    with pytest.raises(DimensionMismatch):
+        expm_skew_hermitian(np.zeros((2, 2, 2, 2)), 1.0)
 
 
 def test_expm_rejects_an_overflowing_propagator():
     # the phases w * t overflow, so the propagator and its defect are NaN
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonHermitianInput, match="defect nan"):
         expm_skew_hermitian(1e308 * SIGMA_Z, 10.0)
-
-
-def test_expm_stack_equals_each_matrix_alone():
-    rng = np.random.default_rng(17)
-    hs = np.array([random_hermitian(3, rng) for _ in range(5)])
-    ts = [0.0, 0.7, 2.0, 0.0, 9.5]
-    us = expm_skew_hermitian(hs, ts)
-    for h, t, u in zip(hs, ts, us):
-        assert np.array_equal(u, expm_skew_hermitian(h, t))
-    assert np.array_equal(us[0], np.eye(3)) and np.array_equal(us[3], np.eye(3))
-
-
-def test_expm_stack_checks_each_matrix():
-    with pytest.raises(NonHermitianInput, match="Hermitian"):
-        expm_skew_hermitian(np.array([SIGMA_Z, [[0.0, 1.0], [0.0, 0.0]]]), 1.0)
-    # one overflowing phase fails the stack before numpy can warn about it
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonHermitianInput, match="overflow"):
-            expm_skew_hermitian(np.array([SIGMA_Z, 1e308 * SIGMA_Z]), [1.0, 10.0])
-    with pytest.raises(DimensionMismatch):
-        expm_skew_hermitian(np.zeros((2, 2, 2, 2)), 1.0)
 
 
 def test_partial_trace_product_state():
