@@ -4,10 +4,11 @@ One float policy serves CSV and JSON: ``"%.12g" % (x + 0.0)``, that is 12
 significant digits in the shortest form with -0.0 folded to 0.0 and a ``.``
 decimal separator; a JSON float is that text read back.  Booleans are
 lowercase and integers plain.  Tables (trajectory, sweep, dataset) are
-formatted a column at a time, each cell once, and their rows are streamed
-to the file in chunks of ``CHUNK_ROWS``.  Files are UTF-8 with ``\\n`` line
-endings on every platform, so identical inputs give byte-identical outputs.
-Angle columns are always radians and the header comments say so.
+streamed to the file in chunks of ``CHUNK_ROWS`` rows, each chunk printed by
+one ``%`` over a row template built once per table; a float column equal
+to an earlier one reuses that column's texts.  Files are UTF-8 with ``\\n``
+line endings on every platform, so identical inputs give byte-identical
+outputs.  Angle columns are always radians and the header comments say so.
 
 Column orders are fixed contracts:
 
@@ -51,10 +52,16 @@ def _open(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _floats(values) -> np.ndarray:
+    """A column's values as the float policy prints them: adding 0.0 folds
+    -0.0 to 0.0."""
+    return np.asarray(values, dtype=float) + 0.0
+
+
 def _float_texts(values) -> list[str]:
     """The float policy, on a whole column at once: 12 significant digits in
-    the shortest form; adding 0.0 folds -0.0 to 0.0."""
-    return ["%.12g" % x for x in (np.asarray(values, dtype=float) + 0.0).tolist()]
+    the shortest form."""
+    return ["%.12g" % x for x in _floats(values).tolist()]
 
 
 def format_cell(value) -> str:
@@ -67,7 +74,7 @@ def format_cell(value) -> str:
         return value.value
     if isinstance(value, numbers.Integral):
         return str(int(value))
-    return _float_texts([value])[0]
+    return "%.12g" % (float(value) + 0.0)
 
 
 def _column_texts(column: np.ndarray, fmt: str) -> list[str]:
@@ -98,8 +105,9 @@ def write_table(path, columns: Sequence[str], data: Sequence, seed: int,
 
     ``data`` holds one 1-D array per column name, all of one length, of float,
     integer, bool or string dtype.  Every check runs before the file is
-    opened, so a rejected table leaves no file.  Each column is formatted
-    once, and the rows are written ``CHUNK_ROWS`` at a time.
+    opened, so a rejected table leaves no file.  The rows are written
+    ``CHUNK_ROWS`` at a time, each chunk with one ``%`` over the table's row
+    template and the chunk's cells interleaved into one flat argument list.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}, expected 'csv' or 'json'")
@@ -111,21 +119,40 @@ def write_table(path, columns: Sequence[str], data: Sequence, seed: int,
         if col.shape != (n_rows,) or col.dtype.kind not in "fbiuU":
             raise ValueError(f"column {name!r} must be {n_rows} numbers, bools or strings, "
                              f"got shape {col.shape} of {col.dtype}")
+    # One row template per table: an unshared CSV float column is "%.12g" over
+    # its floats, an integer column "%d", every other column "%s" over its
+    # texts.  A float column equal to an earlier one copies that column's
+    # texts, so they are formatted once.  Only specs and separators go into
+    # the template; every cell is an argument.
+    twins = [next((j for j in range(i) if data[j].dtype.kind == "f"
+                   and np.array_equal(data[j], col)), i) if col.dtype.kind == "f" else i
+             for i, col in enumerate(data)]
+    specs = ["%d" if col.dtype.kind in "iu"
+             else "%.12g" if col.dtype.kind == "f" and fmt == "csv" and twins.count(i) == 1
+             else "%s" for i, col in enumerate(data)]
+    ncols = len(data)
     if fmt == "csv":
         head = f"# seed={int(seed)}\n# angle_unit={ANGLE_UNIT}\n" + ",".join(columns)
-        row, sep, tail = ",".join(["%s"] * len(data)), "\n", "\n"
+        row, sep, tail = ",".join(specs), "\n", "\n"
     else:
         head = json.dumps({"seed": int(seed), "angle_unit": ANGLE_UNIT,
                            "columns": list(columns), "rows": []}, indent=2)
-        row, sep, tail = "    [\n      " + ",\n      ".join(["%s"] * len(data)) + "\n    ]", ",\n", "\n"
+        row, sep, tail = "    [\n      " + ",\n      ".join(specs) + "\n    ]", ",\n", "\n"
         if n_rows:  # the rows replace the empty list's "[]\n}"
             head, tail = head[:-len("[]\n}")] + "[", "\n  ]\n}\n"
     with _open(path) as fh:
         fh.write(head)
         lead = "\n"
         for start in range(0, n_rows, CHUNK_ROWS):
-            texts = [_column_texts(col[start:start + CHUNK_ROWS], fmt) for col in data]
-            fh.write(lead + sep.join(map(row.__mod__, zip(*texts))))
+            n = min(CHUNK_ROWS, n_rows - start)
+            flat = [None] * (n * ncols)
+            for i, (col, spec) in enumerate(zip(data, specs)):
+                part = col[start:start + n]
+                flat[i::ncols] = (flat[twins[i]::ncols] if twins[i] != i
+                                  else _floats(part).tolist() if spec == "%.12g"
+                                  else part.tolist() if spec == "%d"
+                                  else _column_texts(part, fmt))
+            fh.write(lead + sep.join([row] * n) % tuple(flat))
             lead = sep
         fh.write(tail)
 

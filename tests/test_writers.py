@@ -288,6 +288,15 @@ def _trajectory_case(rng, n):
     return (lambda path, fmt: write_trajectory(path, traj, 7, fmt)), TRAJECTORY_COLUMNS, rows
 
 
+def _evolved_trajectory_case(rng, n):
+    """As ``evolve`` builds it: ``sigma_z`` is the ``bloch_z`` column itself."""
+    bloch = np.stack([_floats(rng, n) for _ in range(3)], axis=1)
+    traj = Trajectory(np.arange(n), bloch[:, 2], bloch, rng.random(n))
+    rows = [(int(traj.n[i]), bloch[i, 2], bloch[i, 0], bloch[i, 1], bloch[i, 2],
+             traj.fidelity[i]) for i in range(n)]
+    return (lambda path, fmt: write_trajectory(path, traj, 7, fmt)), TRAJECTORY_COLUMNS, rows
+
+
 def _points(rng, n, dims):
     features, sigma = _floats(rng, n * dims).reshape(n, dims), _floats(rng, n)
     return [LabeledPoint(tuple(features[i]), sigma[i], Label.CLASS1 if sigma[i] >= 0 else Label.CLASS2,
@@ -312,7 +321,8 @@ def _dataset_case(rng, n):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n_rows", ROW_COUNTS)
-@pytest.mark.parametrize("case", [_trajectory_case, _sweep_case, _dataset_case])
+@pytest.mark.parametrize("case", [_trajectory_case, _evolved_trajectory_case, _sweep_case,
+                                  _dataset_case])
 def test_writers_match_the_reference_bytes(tmp_path, case, n_rows, fmt):
     write, columns, rows = case(np.random.default_rng(n_rows), n_rows)
     write(tmp_path / f"new.{fmt}", fmt)
@@ -328,3 +338,42 @@ def test_empty_table_matches_the_reference_bytes(tmp_path, fmt):
     assert new == (tmp_path / f"ref.{fmt}").read_bytes()
     if fmt == "json":
         assert b'"rows": []\n}\n' in new
+
+
+def _near_twins(n):
+    """Pairs of float columns that are, or almost are, one column twice."""
+    x = _floats(np.random.default_rng(n), n)
+    off = x.copy()
+    off[CHUNK_ROWS] = 2.0 * off[CHUNK_ROWS] + 1.0  # one cell past the first chunk, in print
+    zeros = np.zeros(n)
+    return {
+        "equal": (x, x.copy()),
+        "one_cell_apart": (x, off),
+        "signed_zeros": (-zeros, zeros),  # equal, and both print 0
+        "all_nan": (np.full(n, math.nan), np.full(n, math.nan)),  # never equal
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("pair", ["equal", "one_cell_apart", "signed_zeros", "all_nan"])
+def test_near_twin_columns_match_the_reference_bytes(tmp_path, pair, fmt):
+    n = CHUNK_ROWS + 3
+    a, b = _near_twins(n)[pair]
+    ints = np.arange(n)
+    write_table(tmp_path / f"new.{fmt}", ("a", "n", "b", "c"), [a, ints, b, a], seed=3, fmt=fmt)
+    reference_write_table(tmp_path / f"ref.{fmt}", ("a", "n", "b", "c"),
+                          list(zip(a, ints.tolist(), b, a)), 3, fmt)
+    assert (tmp_path / f"new.{fmt}").read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cell_text_never_reaches_the_row_template(tmp_path, fmt):
+    name = "a%sb%%{}é"
+    points = _points(np.random.default_rng(1), 5, 1)
+    write_sweep(tmp_path / f"new.{fmt}", name, points, 7, fmt)
+    rows = [(name, p.param_value, p.sigma_z_ss, p.n_used, p.converged, p.label) for p in points]
+    reference_write_table(tmp_path / f"ref.{fmt}", SWEEP_COLUMNS, rows, 7, fmt)
+    assert (tmp_path / f"new.{fmt}").read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
+    with pytest.raises(ValueError):
+        write_table(tmp_path / f"bad.{fmt}", (name, "%d"), [[name], [1.0, 2.0]], seed=0, fmt=fmt)
+    assert not (tmp_path / f"bad.{fmt}").exists()
