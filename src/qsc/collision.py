@@ -21,7 +21,9 @@ loop serves both ``evolve`` (one run, optionally recorded) and
 collisions at a time).  A deterministic run applies the same map R every
 collision, so the loop forms a chunk's states R^1 b ... R^L b from the
 chunk's start state b with one product against powers of R cached for the
-call; a random run multiplies its drawn maps one collision at a time.
+call; a random run multiplies its drawn maps one collision at a time.  One
+builder forms the drawn maps of all random runs of a call together, a chunk
+at a time, per group of runs that share a mixing mode and a reservoir count.
 Every collision's state is still formed and tested for convergence.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
@@ -31,8 +33,8 @@ row of uniforms on [0, 1), the stochastic channel choice first (stochastic
 mode only), then one noise draw per noisy reservoir in list order, in every
 mixing mode, so a stochastic collision also draws noise for the reservoirs
 it does not choose.  The loop reads a chunk of collisions' rows at once,
-and a run that stops mid-chunk leaves its generator where its last
-collision left it.
+each run from its own generator, and a run that stops mid-chunk leaves its
+generator where its last collision left it.
 """
 
 from __future__ import annotations
@@ -65,9 +67,12 @@ _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 # Collisions per chunk of the evolution loop.  For K runs a chunk holds
 # (_CHUNK + 1) * K * 4 doubles of states, about 0.17 MB at K = 42.  The
 # deterministic runs share a stack of their maps' powers, K_det * _CHUNK * 16
-# doubles, about 0.7 MB at K = 42, built once per call; the random runs
-# draw _CHUNK * K * 16 doubles of maps per chunk, about 0.7 MB.  Chunks of
-# 256 ran no faster and raised the peak memory of a noisy sweep.
+# doubles, about 0.7 MB at K = 42, built once per call.  The random runs'
+# maps are built in buffers allocated once per call and reused every chunk:
+# _CHUNK * K * 16 doubles of maps and as many for the slot being built, plus
+# _CHUNK * K * 4 doubles of draws and strengths at two reservoirs each,
+# about 1.5 MB at K = 42.  Chunks of 256 ran no faster and raised the peak
+# memory of a noisy sweep.
 _CHUNK = 128
 
 
@@ -287,7 +292,6 @@ class _Engine:
         ])
 
     def _compose(self, ops: list[np.ndarray]) -> np.ndarray:
-        # ops are (4, 4) maps or (n, 4, 4) stacks of them
         if self.cfg.mixing_mode == "sequential":
             acc = ops[0]
             for op in ops[1:]:
@@ -298,28 +302,161 @@ class _Engine:
         acc[..., 0, :] = _TRACE_ROW
         return acc
 
-    def maps(self, n: int, rng: np.random.Generator | None) -> np.ndarray:
-        """Transfer matrices of the next n collisions, shape (n, 4, 4).
 
-        Each collision reads one row of ``rng.random((n, k))``: the channel
-        choice first (stochastic mode only), then one draw u per noisy
-        reservoir in list order, whose strength is epsilon + (-1 + 2u) * eta.
-        """
-        if not self.random:
-            return np.broadcast_to(self.mean_op, (n, 4, 4))
-        stochastic = self.cfg.mixing_mode == "stochastic"
-        draws = rng.random((n, stochastic + len(self.noisy)))
-        ops = list(self.base_ops)
-        for column, i in enumerate(self.noisy, start=stochastic):
-            noise = self.reservoirs[i].noise
-            eps = noise.epsilon + (-1.0 + 2.0 * draws[:, column]) * noise.eta
-            ops[i] = self.base_ops[i] + eps[:, None, None] * self.noise_ops[i]
-        if not stochastic:
-            return self._compose(ops)
-        chosen = np.searchsorted(self.cum_weights, draws[:, 0], side="right")
-        chosen = np.minimum(chosen, len(ops) - 1)
-        stacked = np.stack([np.broadcast_to(op, (n, 4, 4)) for op in ops], axis=1)
-        return stacked[np.arange(n), chosen]
+class _MapGroup:
+    """The random runs of one call that share a mixing mode and a reservoir
+    count K, and the buffers their drawn maps are built in.
+
+    Each run's reservoirs are stacked once, in the order the mode composes
+    them: canonical for convex, list order otherwise.  A reservoir without
+    noise gets epsilon = eta = 0 and a zero noise map, so one formula serves
+    every slot.  Each chunk the group reads its runs' uniforms into ``u``,
+    laid out (length, runs, K + stochastic): a run's row of draws lands in
+    the slots it feeds, with the channel choice in slot K.  The maps are then
+    a fixed number of in-place operations per slot, on buffers allocated
+    once per call.
+    """
+
+    def __init__(self, engines: list[_Engine], rngs: list, length: int):
+        self.mode = engines[0].cfg.mixing_mode
+        k = len(engines[0].reservoirs)
+        stochastic = self.mode == "stochastic"
+        zero = np.zeros((4, 4))
+        base, noise, eps0, eta, weights, self.dest = [], [], [], [], [], []
+        for e in engines:
+            order = e.order if self.mode == "convex" else list(range(k))
+            specs = [e.reservoirs[r].noise or NoiseSpec(0.0, 0.0) for r in order]
+            base.append([e.base_ops[r] for r in order])
+            noise.append([zero if e.noise_ops[r] is None else e.noise_ops[r] for r in order])
+            eps0.append([s.epsilon for s in specs])
+            eta.append([s.eta for s in specs])
+            weights.append(e.cum_weights if stochastic else e.weights[order])
+            self.dest.append(np.array([k] * stochastic + [order.index(r) for r in e.noisy]))
+        self.base, self.noise = np.array(base), np.array(noise)
+        self.eps0, self.eta, self.weights = np.array(eps0), np.array(eta), np.array(weights)
+        self.rngs = rngs
+        self.saved = []
+        # Flat buffers: each chunk views their heads in its (length, size)
+        # shape, which stays contiguous as runs retire.  Slots no draw feeds
+        # keep earlier uniforms; their eta is 0, so they read epsilon = 0.
+        g = len(engines)
+        self.u = np.zeros(length * g * (k + stochastic))
+        self.eps = np.empty(length * g * k)
+        self.slot = np.empty(length * g * 16)
+        if self.mode == "sequential":
+            self.spare = np.empty(length * g * 16)
+        if stochastic:
+            self.mask = np.empty(length * g, dtype=bool)
+
+    @property
+    def size(self) -> int:
+        return len(self.rngs)
+
+    def build(self, left: np.ndarray, out: np.ndarray) -> None:
+        """Draw each run's next min(length, left) rows from its own stream and
+        write the maps of the next ``length`` collisions into ``out``, shape
+        (length, size, 4, 4).  Past a run's budget nothing is drawn, and its
+        maps there are built from earlier uniforms and never read."""
+        length, g, k = len(out), self.size, self.base.shape[1]
+        u = self.u[: length * g * (k + (self.mode == "stochastic"))].reshape(length, g, -1)
+        self.saved = []
+        for column, (rng, dest, n) in enumerate(zip(self.rngs, self.dest, left)):
+            n = min(length, int(n))
+            self.saved.append(rng.bit_generator.state)
+            u[:n, column, dest] = rng.random((n, len(dest)))
+        # epsilon + (-1 + 2u) * eta of every slot
+        eps = self.eps[: length * g * k].reshape(length, g, k)
+        np.multiply(u[..., :k], 2.0, out=eps)
+        eps -= 1.0
+        eps *= self.eta
+        eps += self.eps0
+        slot = self.slot[: out.size].reshape(out.shape)
+
+        def op(s: int, into: np.ndarray) -> np.ndarray:
+            # base + epsilon * noise of slot s
+            np.multiply(eps[:, :, s, None, None], self.noise[:, s], out=into)
+            into += self.base[:, s]
+            return into
+
+        if self.mode == "convex":
+            # sum(w * op) in canonical order, from 0 as Python's sum starts
+            out[...] = 0.0
+            for s in range(k):
+                term = op(s, slot)
+                term *= self.weights[:, s, None, None]
+                out += term
+            out[..., 0, :] = _TRACE_ROW
+        elif self.mode == "sequential":
+            # op_{K-1} @ ... @ op_0, alternating between two buffers so the
+            # last product lands in out
+            spare = self.spare[: out.size].reshape(out.shape)
+            chain = [out if (k - 1 - s) % 2 == 0 else spare for s in range(k)]
+            op(0, chain[0])
+            for s in range(1, k):
+                np.matmul(op(s, slot), chain[s - 1], out=chain[s])
+        else:
+            # slot s replaces the earlier ones where the choice reaches
+            # cum_weights[s - 1], which leaves slot searchsorted(cum_weights,
+            # choice, side="right") capped at K - 1
+            mask = self.mask[: length * g].reshape(length, g)
+            op(0, out)
+            for s in range(1, k):
+                np.less_equal(self.weights[:, s - 1], u[..., k], out=mask)
+                np.copyto(out, op(s, slot), where=mask[..., None, None])
+
+    def retire(self, met: np.ndarray, taken: np.ndarray, keep: np.ndarray) -> None:
+        """Redraw only the ``taken`` collisions of a run that ``met`` its
+        window, so its stream ends where that many single collisions leave
+        it, then drop the runs whose entry of ``keep`` is False."""
+        for rng, dest, state, done, n in zip(self.rngs, self.dest, self.saved, met, taken):
+            if done:
+                rng.bit_generator.state = state
+                rng.random((int(n), len(dest)))
+        if keep.all():
+            return
+        self.base, self.noise = self.base[keep], self.noise[keep]
+        self.eps0, self.eta, self.weights = self.eps0[keep], self.eta[keep], self.weights[keep]
+        self.rngs = [r for r, kept in zip(self.rngs, keep) if kept]
+        self.dest = [d for d, kept in zip(self.dest, keep) if kept]
+
+
+class _DrawnMaps:
+    """The one builder of drawn maps: the maps of every random run of a call,
+    a chunk at a time, in groups of one mixing mode and reservoir count.
+    ``runs`` lists the random runs grouped, which is the column order of
+    every chunk's maps; the columns keep that order as runs retire."""
+
+    def __init__(self, engines: list[_Engine], rngs: list, runs, length: int):
+        members: dict = {}
+        for i in runs:
+            members.setdefault((engines[i].cfg.mixing_mode, len(engines[i].reservoirs)), []).append(int(i))
+        self.groups = [_MapGroup([engines[i] for i in m], [rngs[i] for i in m], length)
+                       for m in members.values()]
+        self.runs = np.array([i for m in members.values() for i in m], dtype=np.int64)
+        self.maps = np.empty(length * self.runs.size * 16)
+
+    def _spans(self):
+        # each group's columns, in order, fixed before the caller sees them
+        start = 0
+        for group in self.groups:
+            stop = start + group.size
+            yield group, slice(start, stop)
+            start = stop
+
+    def chunk(self, left: np.ndarray, length: int) -> np.ndarray:
+        """Maps of the next ``length`` collisions of the runs still drawing,
+        shape (length, runs, 4, 4); ``left`` is each run's remaining budget."""
+        maps = self.maps[: length * len(left) * 16].reshape(length, len(left), 4, 4)
+        for group, cols in self._spans():
+            group.build(left[cols], maps[:, cols])
+        return maps
+
+    def retire(self, met: np.ndarray, taken: np.ndarray, keep: np.ndarray) -> None:
+        """Rewind each run that met its window to its last collision, then
+        drop the runs whose entry of ``keep`` is False."""
+        for group, cols in self._spans():
+            group.retire(met[cols], taken[cols], keep[cols])
+        self.groups = [group for group in self.groups if group.size]
 
 
 def _initial(rho: np.ndarray) -> np.ndarray:
@@ -355,20 +492,6 @@ def _powers(maps: np.ndarray, length: int) -> np.ndarray:
     return powers.reshape(len(maps), length * 4, 4)
 
 
-def _chunk_maps(engines, rngs, runs: np.ndarray, left: np.ndarray, length: int):
-    """Drawn maps of the random runs ``runs`` for the next ``length``
-    collisions, shape (length, len(runs), 4, 4), and the state of each run's
-    stream before its draws.  Past a run's budget nothing is drawn and no
-    state is read, so its maps there stay zero."""
-    maps = np.zeros((length, runs.size, 4, 4))
-    saved = []
-    for column, (i, n) in enumerate(zip(runs, left)):
-        n = min(length, int(n))
-        saved.append(rngs[i].bit_generator.state)
-        maps[:n, column] = engines[i].maps(n, rngs[i])
-    return maps, saved
-
-
 def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | None = None):
     """The evolution loop: advance every run from ``state0`` until it meets
     its own tolerance window or uses its own budget.
@@ -378,11 +501,13 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
     stopped on.  A deterministic run's states in a chunk that starts from b
     are R^1 b ... R^length b, one product with the powers of its map R,
     built once per call up to ``_CHUNK`` or the largest budget.  A random
-    run multiplies its drawn maps one collision at a time.  Either way every
-    collision's state is formed and passes the window test.  Returns each
-    run's final Bloch vector, collision count and whether it converged.
-    With ``trail`` (one run only) the Bloch vectors after each collision are
-    appended to it chunk by chunk.
+    run multiplies its drawn maps one collision at a time; ``_DrawnMaps``
+    builds every random run's maps for the chunk together, each run drawing
+    from its own stream, and rewinds a run that stops mid-chunk to its last
+    collision.  Either way every collision's state is formed and passes the
+    window test.  Returns each run's final Bloch vector, collision count and
+    whether it converged.  With ``trail`` (one run only) the Bloch vectors
+    after each collision are appended to it chunk by chunk.
     """
     tol = np.array([e.cfg.tol for e in engines])
     window = np.array([e.cfg.window for e in engines])
@@ -392,12 +517,14 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
     n_used = np.zeros(len(engines), dtype=np.int64)
     streak = np.zeros(len(engines), dtype=np.int64)  # consecutive steps under tol
     converged = np.zeros(len(engines), dtype=bool)
-    # Random runs come first in ``active`` and keep their order as runs
-    # retire, so the first ``drawn`` columns are random and the rest are the
-    # deterministic runs whose powers are the rows of ``powers``, in order.
-    active = np.argsort(~random, kind="stable")
-    powers = _powers(np.array([engines[i].mean_op for i in active if not random[i]]).reshape(-1, 4, 4),
-                     int(min(_CHUNK, budget.max())))
+    # Random runs come first in ``active``, grouped as ``draws`` builds their
+    # maps, and keep their order as runs retire, so the first ``drawn``
+    # columns are random and the rest are the deterministic runs whose powers
+    # are the rows of ``powers``, in order.
+    longest = int(min(_CHUNK, budget.max()))
+    draws = _DrawnMaps(engines, rngs, np.flatnonzero(random), longest)
+    active = np.concatenate([draws.runs, np.flatnonzero(~random)])
+    powers = _powers(np.array([engines[i].mean_op for i in active[draws.runs.size:]]).reshape(-1, 4, 4), longest)
     while active.size:
         left = budget[active] - n_used[active]
         length = int(min(_CHUNK, left.max()))
@@ -406,9 +533,8 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
         buf[0, :, :, 0] = final[active]
         block = powers[:, : 4 * length] @ final[active[drawn:], :, None]
         buf[1:, drawn:, :, 0] = block.reshape(-1, length, 4).swapaxes(0, 1)
-        saved = []
         if drawn:
-            maps, saved = _chunk_maps(engines, rngs, active[:drawn], left[:drawn], length)
+            maps = draws.chunk(left[:drawn], length)
             rows = list(buf[:, :drawn])
             for op, before, after in zip(maps, rows, rows[1:]):
                 np.matmul(op, before, out=after)
@@ -429,12 +555,6 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
         hit = (run >= window[active]) & (t < left)
         met = hit.any(axis=0)
         taken = np.where(met, hit.argmax(axis=0) + 1, np.minimum(left, length))
-        for i, drawn_from, done, n in zip(active[:drawn], saved, met, taken):
-            if done:
-                # redraw only the collisions used, so the stream ends where
-                # n_used single collisions leave it
-                rngs[i].bit_generator.state = drawn_from
-                engines[i].maps(int(n), rngs[i])
 
         final[active] = states[taken, np.arange(active.size)]
         n_used[active] += taken
@@ -443,6 +563,8 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
         if trail is not None:
             trail.append(states[1 : taken[0] + 1, 0, 1:].copy())
         keep = ~met & (left > length)
+        if drawn:
+            draws.retire(met[:drawn], taken[:drawn], keep[:drawn])
         kept = np.flatnonzero(keep[drawn:])
         if kept.size < len(powers):
             # move the kept rows down in place, so no second stack is made
@@ -471,7 +593,10 @@ def step(
     """Apply one full collision round to ``rho_s`` and return the new state."""
     state = _initial(rho_s)
     engine = _Engine(reservoirs, cfg)
-    return bloch_to_density(engine.maps(1, _stream(engine, rng))[0].dot(state)[1:])
+    op = engine.mean_op
+    if engine.random:
+        op = _DrawnMaps([engine], [_stream(engine, rng)], [0], 1).chunk(np.ones(1, dtype=np.int64), 1)[0, 0]
+    return bloch_to_density(op.dot(state)[1:])
 
 
 def evolve(

@@ -60,8 +60,9 @@ def _floats(values) -> np.ndarray:
 
 def _float_texts(values) -> list[str]:
     """The float policy, on a whole column at once: 12 significant digits in
-    the shortest form."""
-    return ["%.12g" % x for x in _floats(values).tolist()]
+    the shortest form, one ``%`` over the column split at its newlines."""
+    values = _floats(values).tolist()
+    return ("\n".join(["%.12g"] * len(values)) % tuple(values)).split("\n") if values else []
 
 
 def format_cell(value) -> str:

@@ -317,6 +317,18 @@ def test_random_runs_average_to_the_mean_map(mode):
     assert abs(z.mean() - iterate(noiseless)) > 100 * se
 
 
+def test_drawn_convex_maps_keep_the_trace_exact():
+    # The weights may sum to one only within 1e-12.  A drawn convex map whose
+    # trace row kept that defect would shrink the state by (1 - 5e-13)^n,
+    # about 1e-9 off the fixed point after 20 000 collisions.
+    noise = NoiseSpec(0.3, 0.0)
+    reservoirs = [ReservoirSpec(0.3, 0.5, 0.5, noise=noise), ReservoirSpec(2.0, 0.5, 0.5 - 5e-13, noise=noise)]
+    cfg = EngineConfig(max_collisions=20_000, tol=1e-300)
+    _, result = evolve(None, reservoirs, cfg, record=False)
+    assert result.n_used == 20_000
+    assert np.max(np.abs(result.rho_ss - steady_state_oracle(reservoirs, cfg).rho_ss)) < 1e-13
+
+
 def test_evolve_reports_budget_exhaustion_without_raising():
     cfg = EngineConfig(max_collisions=40, tol=1e-15)
     traj, result = evolve(None, up_down_pair(), cfg)
@@ -646,12 +658,24 @@ def test_evolution_draws_in_single_collision_order(mode):
 NOISE = st.none() | st.floats(0.0, 0.5).flatmap(lambda eps: st.builds(NoiseSpec, st.just(eps), st.floats(0.0, eps)))
 
 
+def maybe_weighted(draw, reservoirs):
+    """The reservoirs as given (uniform weights), or with explicit weights
+    normalised to sum to one, which reorders the canonical convex sum."""
+    if not draw(st.booleans()):
+        return reservoirs
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(reservoirs), max_size=len(reservoirs)))
+    return [dataclasses.replace(r, weight=w / sum(raw)) for r, w in zip(reservoirs, raw)]
+
+
 @st.composite
 def batch_runs(draw):
-    """(reservoirs, cfg, stream seed or None) of one run, with mixed modes,
-    noise, tolerances, windows and budgets up to a few chunks."""
+    """(reservoirs, cfg, stream seed or None) of one run: 1-3 reservoirs,
+    optionally weighted, any mixing mode, noise, tolerances, windows and
+    budgets up to a few chunks.  A batch of them mixes reservoir counts and
+    modes, so its random runs fall into several groups of shared maps."""
     reservoirs = draw(st.lists(st.builds(ReservoirSpec, THETA, st.floats(0.05, 0.5), phi=PHI, noise=NOISE),
                                min_size=1, max_size=3))
+    reservoirs = maybe_weighted(draw, reservoirs)
     window = draw(st.integers(1, 40))
     cfg = EngineConfig(
         h=draw(st.floats(-2.0, 2.0)),
@@ -677,18 +701,27 @@ def test_batch_equals_each_run_alone(specs, shuffler: random.Random):
         reservoirs, cfg, stream = specs[i]
         return reservoirs, cfg, None if stream is None else np.random.default_rng(stream)
 
-    alone = []
+    # each explicit stream must end where the run alone leaves it, which pins
+    # the batched draws and the rewind of a run that stops mid-chunk
+    alone, ends = [], []
     for i in range(len(specs)):
         reservoirs, cfg, rng = fresh(i)
         alone.append(evolve(None, reservoirs, cfg, record=False, rng=rng)[1])
+        ends.append(None if rng is None else rng.random())
     order = list(range(len(specs)))
     for indices in (order, shuffler.sample(order, len(order))):
-        for i, got in zip(indices, evolve_batch([fresh(i) for i in indices])):
+        runs = [fresh(i) for i in indices]
+        for i, (_, _, rng), got in zip(indices, runs, evolve_batch(runs)):
             assert np.array_equal(got.rho_ss, alone[i].rho_ss)
             assert (got.n_used, got.converged) == (alone[i].n_used, alone[i].converged)
+            assert (None if rng is None else rng.random()) == ends[i]
 
 
 NOISY = [ReservoirSpec(0.4, 0.3, noise=NoiseSpec(0.2, 0.1)), ReservoirSpec(2.0, 0.2)]
+# two weighted reservoirs whose canonical order is their list order, and two
+# whose canonical order is reversed, each with one noisy reservoir
+FIRST_NOISY = [ReservoirSpec(0.4, 0.3, 0.7, noise=NoiseSpec(0.2, 0.1)), ReservoirSpec(2.0, 0.2, 0.3)]
+SECOND_NOISY = [ReservoirSpec(2.5, 0.25, 0.3), ReservoirSpec(1.0, 0.35, 0.7, noise=NoiseSpec(0.3, 0.05))]
 
 
 @pytest.mark.parametrize("runs, chunks", [
@@ -705,19 +738,29 @@ NOISY = [ReservoirSpec(0.4, 0.3, noise=NoiseSpec(0.2, 0.1)), ReservoirSpec(2.0, 
       (settling(2.6), EngineConfig(max_collisions=200, tol=1e-9), None),
       (settling(2.2), EngineConfig(max_collisions=12 * _CHUNK, tol=1e-5), None),
       (settling(1.8), EngineConfig(max_collisions=12 * _CHUNK, tol=1e-3), None)], [3, 11, 0, 1, 10, 5]),
-], ids=["budget_below_a_chunk", "staggered_retirement"])
+    # random runs that share a mixing mode and a reservoir count but not
+    # their noisy reservoirs; some stop mid-chunk while the others go on
+    ([(FIRST_NOISY, EngineConfig(max_collisions=400, tol=1e-2), 5),
+      (SECOND_NOISY, EngineConfig(max_collisions=400, tol=1e-2), 5),
+      (SECOND_NOISY, EngineConfig(max_collisions=400, tol=1e-9), 6),
+      (FIRST_NOISY, EngineConfig(max_collisions=400, tol=1e-2, mixing_mode="sequential"), 5),
+      (SECOND_NOISY, EngineConfig(max_collisions=400, tol=3e-3, mixing_mode="sequential"), 5)], [2, 2, 3, 2, 2]),
+], ids=["budget_below_a_chunk", "staggered_retirement", "different_noisy_sets"])
 def test_power_stack_edge_cases_equal_each_run_alone(runs, chunks):
     def fresh(run):
         reservoirs, cfg, stream = run
         return reservoirs, cfg, None if stream is None else np.random.default_rng(stream)
 
-    batched = evolve_batch([fresh(run) for run in runs])
+    batch = [fresh(run) for run in runs]
+    batched = evolve_batch(batch)
     assert [(r.n_used - 1) // _CHUNK for r in batched] == chunks
-    for run, got in zip(runs, batched):
+    for run, (_, _, batch_rng), got in zip(runs, batch, batched):
         reservoirs, cfg, rng = fresh(run)
         alone = evolve(None, reservoirs, cfg, record=False, rng=rng)[1]
         assert np.array_equal(got.rho_ss, alone.rho_ss)
         assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
+        if rng is not None:
+            assert batch_rng.random() == rng.random()
 
 
 # The composed mean map of random compositions is a channel: its Choi matrix,
@@ -747,9 +790,7 @@ def random_compositions(draw):
     """1-3 reservoirs, some noisy, optionally weighted, under one mixing mode."""
     reservoirs = draw(st.lists(st.builds(ReservoirSpec, THETA, st.floats(0.0, 0.5), phi=PHI, noise=NOISE),
                                min_size=1, max_size=3))
-    if draw(st.booleans()):
-        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(reservoirs), max_size=len(reservoirs)))
-        reservoirs = [dataclasses.replace(r, weight=w / sum(raw)) for r, w in zip(reservoirs, raw)]
+    reservoirs = maybe_weighted(draw, reservoirs)
     cfg = dataclasses.replace(draw(ENGINE), mixing_mode=draw(st.sampled_from(MIXING_MODES)))
     return reservoirs, cfg
 
@@ -762,6 +803,25 @@ def test_random_compositions_are_cptp(composition, seed):
     sphere = np.random.default_rng(seed).normal(size=(20, 3))
     sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
     assert np.linalg.norm(sphere @ m.T + c, axis=1).max() <= 1.0 + 1e-12
+
+
+@PROPERTY
+@given(random_compositions(), st.integers(0, 2**32 - 1))
+def test_drawn_map_without_spread_is_the_mean_map_bitwise(composition, seed):
+    # With eta = 0 a noisy reservoir still draws, but every strength is
+    # epsilon, so a drawn convex or sequential map is the mean map, summed in
+    # the same canonical order from the same start.
+    reservoirs, cfg = composition
+    assume(cfg.mixing_mode != "stochastic" and any(r.noise for r in reservoirs))
+    reservoirs = [r if r.noise is None else dataclasses.replace(r, noise=NoiseSpec(r.noise.epsilon, 0.0))
+                  for r in reservoirs]
+    m, c = affine_representation(reservoirs, cfg)
+    mean = np.eye(4)
+    mean[1:, 0], mean[1:, 1:] = c, m
+    rho = random_density(np.random.default_rng(seed))
+    state = np.concatenate(([1.0], bloch_vector(rho)))
+    got = step(rho, reservoirs, cfg, rng=np.random.default_rng(seed))
+    assert np.array_equal(got, bloch_to_density(mean.dot(state)[1:]))
 
 
 def test_choi_matrix_detects_a_non_positive_map():
