@@ -23,8 +23,9 @@ collision, so the loop forms a chunk's states R^1 b ... R^L b from the
 chunk's start state b with one product against powers of R cached for the
 call; a random run multiplies its drawn maps one collision at a time.  One
 builder forms the drawn maps of all random runs of a call together, a chunk
-at a time, per group of runs that share a mixing mode and a reservoir count.
-Every collision's state is still formed and tested for convergence.
+at a time, per group of runs that share a mixing mode and a reservoir count;
+a convex group forms per chunk only the entries that noise moves.  Every
+collision's state is still formed and tested for convergence.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
@@ -33,7 +34,8 @@ row of uniforms on [0, 1), the stochastic channel choice first (stochastic
 mode only), then one noise draw per noisy reservoir in list order, in every
 mixing mode, so a stochastic collision also draws noise for the reservoirs
 it does not choose.  The loop reads a chunk of collisions' rows at once,
-each run from its own generator, and a run that stops mid-chunk leaves its
+each run from its own generator, and a run that stops mid-chunk is
+redrawn from where its generator stood when the call began, so it leaves the
 generator where its last collision left it.
 """
 
@@ -69,9 +71,11 @@ _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 # deterministic runs share a stack of their maps' powers, K_det * _CHUNK * 16
 # doubles, about 0.7 MB at K = 42, built once per call.  The random runs'
 # maps are built in buffers allocated once per call and reused every chunk:
-# _CHUNK * K * 16 doubles of maps and as many for the slot being built, plus
-# _CHUNK * K * 4 doubles of draws and strengths at two reservoirs each,
-# about 1.5 MB at K = 42.  Chunks of 256 ran no faster and raised the peak
+# _CHUNK * K * 16 doubles of maps, two sums of _CHUNK * K doubles per moving
+# entry (convex; four on a fig7 run) or two more map buffers (sequential,
+# stochastic), and _CHUNK * K doubles of draws, uniforms, strengths and
+# gather indices per slot, about 1.4 MB for a noisy convex sweep at K = 42
+# with two reservoirs.  Chunks of 256 ran no faster and raised the peak
 # memory of a noisy sweep.
 _CHUNK = 128
 
@@ -310,11 +314,21 @@ class _MapGroup:
     Each run's reservoirs are stacked once, in the order the mode composes
     them: canonical for convex, list order otherwise.  A reservoir without
     noise gets epsilon = eta = 0 and a zero noise map, so one formula serves
-    every slot.  Each chunk the group reads its runs' uniforms into ``u``,
-    laid out (length, runs, K + stochastic): a run's row of draws lands in
-    the slots it feeds, with the channel choice in slot K.  The maps are then
-    a fixed number of in-place operations per slot, on buffers allocated
-    once per call.
+    every slot.  Each chunk every run reads its rows of uniforms from its own
+    stream into its own block of ``drawn``, and one ``take`` lays them out
+    (slot, length, runs) in ``u``: a run's row of draws lands in the slots it
+    feeds, with the channel choice in slot K, and a slot no draw feeds reads
+    0, whose eta is 0, so it reads epsilon = 0.  The maps are then a fixed
+    number of in-place operations per slot, on buffers allocated once per
+    call.
+
+    A convex mixture differs from one collision to the next only in its
+    ``moving`` entries, where some noise map is nonzero.  Every other entry
+    is a sum from +0.0 of terms w * (base + epsilon * (+-0.0)): a nonzero
+    base passes unchanged, and a zero one gives a zero whose sign a sum from
+    +0.0 drops, so the entry has the same bits every collision.  Those
+    fixed entries are written once per layout of the maps, and only the
+    moving ones are formed per chunk.
     """
 
     def __init__(self, engines: list[_Engine], rngs: list, length: int):
@@ -322,7 +336,7 @@ class _MapGroup:
         k = len(engines[0].reservoirs)
         stochastic = self.mode == "stochastic"
         zero = np.zeros((4, 4))
-        base, noise, eps0, eta, weights, self.dest = [], [], [], [], [], []
+        base, noise, eps0, eta, weights, dests = [], [], [], [], [], []
         for e in engines:
             order = e.order if self.mode == "convex" else list(range(k))
             specs = [e.reservoirs[r].noise or NoiseSpec(0.0, 0.0) for r in order]
@@ -331,62 +345,122 @@ class _MapGroup:
             eps0.append([s.epsilon for s in specs])
             eta.append([s.eta for s in specs])
             weights.append(e.cum_weights if stochastic else e.weights[order])
-            self.dest.append(np.array([k] * stochastic + [order.index(r) for r in e.noisy]))
+            dests.append([k] * stochastic + [order.index(r) for r in e.noisy])
         self.base, self.noise = np.array(base), np.array(noise)
         self.eps0, self.eta, self.weights = np.array(eps0), np.array(eta), np.array(weights)
         self.rngs = rngs
-        self.saved = []
-        # Flat buffers: each chunk views their heads in its (length, size)
-        # shape, which stays contiguous as runs retire.  Slots no draw feeds
-        # keep earlier uniforms; their eta is 0, so they read epsilon = 0.
+        # where each stream stood when the call began, and the rows it has
+        # drawn since (in the last chunk: ``last_rows``), for rewinding a run
+        # that stops mid-chunk
+        self.initial = [rng.bit_generator.state for rng in rngs]
+        self.drawn_rows = np.zeros(len(rngs), dtype=np.int64)
+        self.last_rows = np.zeros(len(rngs), dtype=np.int64)
         g = len(engines)
-        self.u = np.zeros(length * g * (k + stochastic))
-        self.eps = np.empty(length * g * k)
-        self.slot = np.empty(length * g * 16)
-        if self.mode == "sequential":
-            self.spare = np.empty(length * g * 16)
-        if stochastic:
-            self.mask = np.empty(length * g, dtype=bool)
+        # Run r draws its rows into blocks[r], a (length, cols) view of
+        # ``drawn``; the last element of ``drawn`` stays 0 and feeds every
+        # slot no draw feeds.
+        cols = np.array([len(d) for d in dests])
+        ends = np.cumsum(cols)
+        self.drawn = np.zeros(length * int(ends[-1]) + 1)
+        self.blocks = [self.drawn[length * (e - c) : length * e].reshape(length, c)
+                       for c, e in zip(cols.tolist(), ends.tolist())]
+        # every draw column of every run: its run, its place in the run's
+        # row, and where its rows lie in ``drawn``
+        run = np.repeat(np.arange(g), cols)
+        column = np.arange(run.size) - (ends - cols)[run]
+        first = length * (ends - cols)[run] + column
+        self.gather = np.full((k + stochastic, length, g), self.drawn.size - 1, dtype=np.intp)
+        self.gather[np.concatenate(dests), :, run] = first[:, None] + np.arange(length) * cols[run][:, None]
+        self.u = np.empty((k + stochastic) * length * g)
+        self.eps = np.empty(k * length * g)
+        if self.mode == "convex":
+            self.moving = np.flatnonzero((self.noise.reshape(g, k, 16) != 0.0).any(axis=(0, 1)))
+            self.cells = [divmod(int(entry), 4) for entry in self.moving]
+            self.sum = np.empty(len(self.moving) * length * g)
+            self.term = np.empty(len(self.moving) * length * g)
+            # the same sum as every chunk's, at epsilon = epsilon_0
+            fixed = np.zeros((g, 4, 4))
+            for s in range(k):
+                term = self.eps0[:, s, None, None] * self.noise[:, s]
+                term += self.base[:, s]
+                term *= self.weights[:, s, None, None]
+                fixed += term
+            fixed[:, 0, :] = _TRACE_ROW
+            self.fixed = fixed
+        else:
+            self.slot = np.empty(length * g * 16)
+            if self.mode == "sequential":
+                self.spare = np.empty(length * g * 16)
+            else:
+                self.mask = np.empty(length * g, dtype=bool)
+        self._lay_out()
+
+    def _lay_out(self) -> None:
+        # per-slot stacks with the runs last, as build's (slot, length, runs)
+        # arrays read them
+        self.eps0_rows = self.eps0.T[:, None, :].copy()
+        self.eta_rows = self.eta.T[:, None, :].copy()
+        if self.mode == "convex":
+            g, k = self.base.shape[:2]
+            # (slot, moving entry, 1, runs)
+            take = lambda stack: stack.reshape(g, k, 16)[:, :, self.moving].transpose(1, 2, 0)[:, :, None].copy()
+            self.base_rows, self.noise_rows = take(self.base), take(self.noise)
+            self.weight_rows = self.weights.T.copy()
 
     @property
     def size(self) -> int:
         return len(self.rngs)
 
-    def build(self, left: np.ndarray, out: np.ndarray) -> None:
+    def build(self, left: np.ndarray, out: np.ndarray, fresh: bool) -> None:
         """Draw each run's next min(length, left) rows from its own stream and
         write the maps of the next ``length`` collisions into ``out``, shape
         (length, size, 4, 4).  Past a run's budget nothing is drawn, and its
-        maps there are built from earlier uniforms and never read."""
+        maps there are built from earlier uniforms and never read.  ``fresh``
+        says that ``out`` does not hold this group's fixed entries yet."""
         length, g, k = len(out), self.size, self.base.shape[1]
-        u = self.u[: length * g * (k + (self.mode == "stochastic"))].reshape(length, g, -1)
-        self.saved = []
-        for column, (rng, dest, n) in enumerate(zip(self.rngs, self.dest, left)):
-            n = min(length, int(n))
-            self.saved.append(rng.bit_generator.state)
-            u[:n, column, dest] = rng.random((n, len(dest)))
+        rows = np.minimum(left, length)
+        for rng, block, n in zip(self.rngs, self.blocks, rows.tolist()):
+            rng.random(out=block[:n])
+        self.drawn_rows += rows
+        self.last_rows = rows
+        gather = self.gather[:, :length]
+        u = self.u[: gather.size].reshape(gather.shape)
+        np.take(self.drawn, gather, out=u, mode="clip")
         # epsilon + (-1 + 2u) * eta of every slot
-        eps = self.eps[: length * g * k].reshape(length, g, k)
-        np.multiply(u[..., :k], 2.0, out=eps)
+        eps = self.eps[: k * length * g].reshape(k, length, g)
+        np.multiply(u[:k], 2.0, out=eps)
         eps -= 1.0
-        eps *= self.eta
-        eps += self.eps0
-        slot = self.slot[: out.size].reshape(out.shape)
+        eps *= self.eta_rows
+        eps += self.eps0_rows
+
+        if self.mode == "convex":
+            # sum(w * op) in canonical order, from 0 as Python's sum starts,
+            # over the moving entries
+            shape = (len(self.moving), length, g)
+            acc = self.sum[: math.prod(shape)].reshape(shape)
+            spare = self.term[: acc.size].reshape(shape)
+            for s in range(k):
+                term = spare if s else acc
+                np.multiply(eps[s], self.noise_rows[s], out=term)
+                term += self.base_rows[s]
+                term *= self.weight_rows[s]
+                if s < k - 1:
+                    acc += term if s else 0.0
+            if fresh:
+                out[...] = self.fixed
+            # the last slot's term joins the sum as it is written into out
+            for c, (i, j) in enumerate(self.cells):
+                np.add(acc[c], spare[c] if k > 1 else 0.0, out=out[:, :, i, j])
+            return
 
         def op(s: int, into: np.ndarray) -> np.ndarray:
             # base + epsilon * noise of slot s
-            np.multiply(eps[:, :, s, None, None], self.noise[:, s], out=into)
+            np.multiply(eps[s, :, :, None, None], self.noise[:, s], out=into)
             into += self.base[:, s]
             return into
 
-        if self.mode == "convex":
-            # sum(w * op) in canonical order, from 0 as Python's sum starts
-            out[...] = 0.0
-            for s in range(k):
-                term = op(s, slot)
-                term *= self.weights[:, s, None, None]
-                out += term
-            out[..., 0, :] = _TRACE_ROW
-        elif self.mode == "sequential":
+        slot = self.slot[: out.size].reshape(out.shape)
+        if self.mode == "sequential":
             # op_{K-1} @ ... @ op_0, alternating between two buffers so the
             # last product lands in out
             spare = self.spare[: out.size].reshape(out.shape)
@@ -401,23 +475,36 @@ class _MapGroup:
             mask = self.mask[: length * g].reshape(length, g)
             op(0, out)
             for s in range(1, k):
-                np.less_equal(self.weights[:, s - 1], u[..., k], out=mask)
+                np.less_equal(self.weights[:, s - 1], u[k], out=mask)
                 np.copyto(out, op(s, slot), where=mask[..., None, None])
 
     def retire(self, met: np.ndarray, taken: np.ndarray, keep: np.ndarray) -> None:
-        """Redraw only the ``taken`` collisions of a run that ``met`` its
-        window, so its stream ends where that many single collisions leave
-        it, then drop the runs whose entry of ``keep`` is False."""
-        for rng, dest, state, done, n in zip(self.rngs, self.dest, self.saved, met, taken):
-            if done:
-                rng.bit_generator.state = state
-                rng.random((int(n), len(dest)))
+        """Rewind a run that ``met`` its window to the start of the call and
+        redraw only the rows of the collisions it took, so its stream ends
+        where that many single collisions leave it, then drop the runs whose
+        entry of ``keep`` is False."""
+        # drawn is free scratch now: the next chunk draws every row it reads
+        scratch = self.drawn[:-1]
+        for r in np.flatnonzero(met):
+            rng = self.rngs[r]
+            rng.bit_generator.state = self.initial[r]
+            left = int(self.drawn_rows[r] - self.last_rows[r] + taken[r]) * self.blocks[r].shape[1]
+            while left:
+                n = min(left, scratch.size)
+                rng.random(out=scratch[:n])
+                left -= n
         if keep.all():
             return
         self.base, self.noise = self.base[keep], self.noise[keep]
         self.eps0, self.eta, self.weights = self.eps0[keep], self.eta[keep], self.weights[keep]
+        if self.mode == "convex":
+            self.fixed = self.fixed[keep]
+        self.gather = self.gather[:, :, keep]
+        self.drawn_rows, self.last_rows = self.drawn_rows[keep], self.last_rows[keep]
         self.rngs = [r for r, kept in zip(self.rngs, keep) if kept]
-        self.dest = [d for d, kept in zip(self.dest, keep) if kept]
+        self.initial = [s for s, kept in zip(self.initial, keep) if kept]
+        self.blocks = [b for b, kept in zip(self.blocks, keep) if kept]
+        self._lay_out()
 
 
 class _DrawnMaps:
@@ -434,6 +521,7 @@ class _DrawnMaps:
                        for m in members.values()]
         self.runs = np.array([i for m in members.values() for i in m], dtype=np.int64)
         self.maps = np.empty(length * self.runs.size * 16)
+        self.layout = None
 
     def _spans(self):
         # each group's columns, in order, fixed before the caller sees them
@@ -447,8 +535,12 @@ class _DrawnMaps:
         """Maps of the next ``length`` collisions of the runs still drawing,
         shape (length, runs, 4, 4); ``left`` is each run's remaining budget."""
         maps = self.maps[: length * len(left) * 16].reshape(length, len(left), 4, 4)
+        # the same shape puts every group's columns where the last chunk had
+        # them, so the fixed entries written there are still in place
+        fresh = maps.shape != self.layout
+        self.layout = maps.shape
         for group, cols in self._spans():
-            group.build(left[cols], maps[:, cols])
+            group.build(left[cols], maps[:, cols], fresh)
         return maps
 
     def retire(self, met: np.ndarray, taken: np.ndarray, keep: np.ndarray) -> None:
@@ -486,9 +578,10 @@ def _powers(maps: np.ndarray, length: int) -> np.ndarray:
     out (K, length * 4, 4): one product of a run's block with a state b gives
     the states R^1 b ... R^length b of a chunk, four rows per collision."""
     powers = np.empty((len(maps), length, 4, 4))
-    powers[:, 0] = maps
-    for n in range(1, length):
-        np.matmul(maps, powers[:, n - 1], out=powers[:, n])
+    if len(maps):
+        powers[:, 0] = maps
+        for n in range(1, length):
+            np.matmul(maps, powers[:, n - 1], out=powers[:, n])
     return powers.reshape(len(maps), length * 4, 4)
 
 
@@ -531,8 +624,9 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
         drawn = int(random[active].sum())
         buf = np.empty((length + 1, active.size, 4, 1))
         buf[0, :, :, 0] = final[active]
-        block = powers[:, : 4 * length] @ final[active[drawn:], :, None]
-        buf[1:, drawn:, :, 0] = block.reshape(-1, length, 4).swapaxes(0, 1)
+        if drawn < active.size:
+            block = powers[:, : 4 * length] @ final[active[drawn:], :, None]
+            buf[1:, drawn:, :, 0] = block.reshape(-1, length, 4).swapaxes(0, 1)
         if drawn:
             maps = draws.chunk(left[:drawn], length)
             rows = list(buf[:, :drawn])
@@ -540,26 +634,32 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
                 np.matmul(op, before, out=after)
 
         states = buf[..., 0]
-        step = states[1:] - states[:-1]
+        step = states[1:, :, 1:] - states[:-1, :, 1:]
         step *= step
         # Both states have unit trace, so half the Bloch step is exactly
         # their trace distance.
-        dist = step[..., 1] + step[..., 2]
-        dist += step[..., 3]
+        dist = step[..., 0] + step[..., 1]
+        dist += step[..., 2]
         below = 0.5 * np.sqrt(dist) < tol[active]
-        # A run's streak at collision t counts back to its last step at or
-        # above tol; one carried over from earlier chunks sits before t = 0.
-        t = np.arange(length)[:, None]
-        last_miss = np.maximum.accumulate(np.where(below, -1 - streak[active], t), axis=0)
-        run = t - last_miss
-        hit = (run >= window[active]) & (t < left)
-        met = hit.any(axis=0)
-        taken = np.where(met, hit.argmax(axis=0) + 1, np.minimum(left, length))
+        if below.any():
+            # A run's streak at collision t counts back to its last step at or
+            # above tol; one carried over from earlier chunks sits before t = 0.
+            t = np.arange(length)[:, None]
+            last_miss = np.maximum.accumulate(np.where(below, -1 - streak[active], t), axis=0)
+            run = t - last_miss
+            hit = (run >= window[active]) & (t < left)
+            met = hit.any(axis=0)
+            taken = np.where(met, hit.argmax(axis=0) + 1, np.minimum(left, length))
+            streak[active] = run[-1]
+        else:
+            # every step is at or above tol: each streak ends at 0, unmet
+            met = np.zeros(active.size, dtype=bool)
+            taken = np.minimum(left, length)
+            streak[active] = 0
 
         final[active] = states[taken, np.arange(active.size)]
         n_used[active] += taken
         converged[active] = met
-        streak[active] = run[-1]
         if trail is not None:
             trail.append(states[1 : taken[0] + 1, 0, 1:].copy())
         keep = ~met & (left > length)

@@ -37,6 +37,8 @@ from qsc.collision import (
     ReservoirSpec,
     SingularSystem,
     WeightsNotNormalized,
+    _DrawnMaps,
+    _Engine,
     affine_representation,
     collision_unitary,
     evolve,
@@ -822,6 +824,40 @@ def test_drawn_map_without_spread_is_the_mean_map_bitwise(composition, seed):
     state = np.concatenate(([1.0], bloch_vector(rho)))
     got = step(rho, reservoirs, cfg, rng=np.random.default_rng(seed))
     assert np.array_equal(got, bloch_to_density(mean.dot(state)[1:]))
+
+
+@PROPERTY
+@given(st.lists(random_compositions(), min_size=1, max_size=4), st.integers(0, 2**32 - 8))
+def test_drawn_convex_maps_are_each_collisions_mixture_bitwise(compositions, seed):
+    # A convex group forms per chunk only the entries a noise map moves and
+    # writes the others once per layout, so every chunk's maps must still be
+    # each collision's mixture of base + epsilon * noise: after a run retires
+    # and the columns move, and in a shorter last chunk.
+    engines = [_Engine(reservoirs, dataclasses.replace(cfg, mixing_mode="convex"))
+               for reservoirs, cfg in compositions]
+    engines = [e for e in engines if e.random]
+    assume(engines)
+    streams = [np.random.default_rng(seed + i) for i in range(len(engines))]
+    draws = _DrawnMaps(engines, [np.random.default_rng(seed + i) for i in range(len(engines))],
+                       np.arange(len(engines)), 8)
+    columns = list(draws.runs)  # the runs grouped by reservoir count
+    left = np.full(len(columns), 20)
+    for chunk, length in enumerate((8, 8, 4)):
+        maps = draws.chunk(left, length)
+        for t in range(length):
+            for column, run in enumerate(columns):
+                e = engines[run]
+                ops = list(e.base_ops)
+                for i, u in zip(e.noisy, streams[run].random(len(e.noisy))):
+                    noise = e.reservoirs[i].noise
+                    ops[i] = e.base_ops[i] + ((u * 2.0 - 1.0) * noise.eta + noise.epsilon) * e.noise_ops[i]
+                assert maps[t, column].tobytes() == e._compose(ops).tobytes()
+        left -= length
+        # the first column retires after the first chunk
+        keep = np.ones(len(columns), dtype=bool)
+        keep[0] = chunk > 0 or len(columns) == 1
+        draws.retire(np.zeros(len(columns), dtype=bool), np.full(len(columns), length), keep)
+        columns, left = [c for c, kept in zip(columns, keep) if kept], left[keep]
 
 
 def test_choi_matrix_detects_a_non_positive_map():
