@@ -21,11 +21,13 @@ loop serves both ``evolve`` (one run, optionally recorded) and
 collisions at a time).  A deterministic run applies the same map R every
 collision, so the loop forms a chunk's states R^1 b ... R^L b from the
 chunk's start state b with one product against powers of R cached for the
-call; a random run multiplies its drawn maps one collision at a time.  One
-builder forms the drawn maps of all random runs of a call together, a chunk
-at a time, per group of runs that share a mixing mode and a reservoir count;
-a convex group forms per chunk only the entries that noise moves.  Every
-collision's state is still formed and tested for convergence.
+call, laid out per Bloch component so that each run's x, y and z over the
+chunk come out as contiguous rows for the window test; a random run
+multiplies its drawn maps one collision at a time.  One builder forms the
+drawn maps of all random runs of a call together, a chunk at a time, per
+group of runs that share a mixing mode and a reservoir count; a convex group
+forms per chunk only the entries that noise moves.  Every collision's state
+is still formed and tested for convergence.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
@@ -66,17 +68,19 @@ MIXING_MODES = ("convex", "sequential", "stochastic")
 
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 
-# Collisions per chunk of the evolution loop.  For K runs a chunk holds
-# (_CHUNK + 1) * K * 4 doubles of states, about 0.17 MB at K = 42.  The
-# deterministic runs share a stack of their maps' powers, K_det * _CHUNK * 16
-# doubles, about 0.7 MB at K = 42, built once per call.  The random runs'
-# maps are built in buffers allocated once per call and reused every chunk:
-# _CHUNK * K * 16 doubles of maps, two sums of _CHUNK * K doubles per moving
-# entry (convex; four on a fig7 run) or two more map buffers (sequential,
-# stochastic), and _CHUNK * K doubles of draws, uniforms, strengths and
-# gather indices per slot, about 1.4 MB for a noisy convex sweep at K = 42
-# with two reservoirs.  Chunks of 256 ran no faster and raised the peak
-# memory of a noisy sweep.
+# Collisions per chunk of the evolution loop.  The deterministic runs share
+# a stack of the Bloch rows of their maps' powers, K_det * _CHUNK * 12
+# doubles, about 0.5 MB at K = 42, built once per call.  Each chunk's product
+# with it, and the squared steps read from that product, take K_det * _CHUNK
+# * 3 doubles each (about 0.13 MB), and the step distances of all K runs
+# K * _CHUNK doubles.  The random runs multiply into their own buffer of
+# (_CHUNK + 1) * K_r * 4 doubles of states.  Their maps are built in buffers
+# allocated once per call and reused every chunk: _CHUNK * K_r * 16 doubles
+# of maps, two sums of _CHUNK * K_r doubles per moving entry (convex; four on
+# a fig7 run) or two more map buffers (sequential, stochastic), and _CHUNK *
+# K_r doubles of draws, uniforms, strengths and gather indices per slot,
+# about 1.4 MB for a noisy convex sweep at K_r = 42 with two reservoirs.
+# Chunks of 256 ran no faster and raised the peak memory of a noisy sweep.
 _CHUNK = 128
 
 
@@ -574,15 +578,21 @@ def _result(b: np.ndarray, n_used: int, converged: bool) -> SteadyStateResult:
 
 
 def _powers(maps: np.ndarray, length: int) -> np.ndarray:
-    """R^1 ... R^length of each map R in the (K, 4, 4) stack ``maps``, laid
-    out (K, length * 4, 4): one product of a run's block with a state b gives
-    the states R^1 b ... R^length b of a chunk, four rows per collision."""
-    powers = np.empty((len(maps), length, 4, 4))
+    """Bloch rows of R^1 ... R^length of each map R in the (K, 4, 4) stack
+    ``maps``, laid out component-major, (K, 3 * length, 4): row
+    c * length + n - 1 is row c + 1 of R^n, and the trace row is left out.
+    One product of a run's block with a state (1, b) gives the x, then the y,
+    then the z of the states R^1 b ... R^length b of a chunk, each a
+    contiguous row."""
+    powers = np.empty((len(maps), 3, length, 4))
     if len(maps):
-        powers[:, 0] = maps
+        # R^n = R @ R^(n-1) on whole 4x4 maps; only the Bloch rows are kept
+        power = maps.copy()
+        powers[:, :, 0] = maps[:, 1:]
         for n in range(1, length):
-            np.matmul(maps, powers[:, n - 1], out=powers[:, n])
-    return powers.reshape(len(maps), length * 4, 4)
+            np.matmul(maps, power, out=power)
+            powers[:, :, n] = power[:, 1:]
+    return powers.reshape(len(maps), 3 * length, 4)
 
 
 def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | None = None):
@@ -593,12 +603,15 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
     at the chunk where it stops and its state is read at the collision it
     stopped on.  A deterministic run's states in a chunk that starts from b
     are R^1 b ... R^length b, one product with the powers of its map R,
-    built once per call up to ``_CHUNK`` or the largest budget.  A random
-    run multiplies its drawn maps one collision at a time; ``_DrawnMaps``
-    builds every random run's maps for the chunk together, each run drawing
-    from its own stream, and rewinds a run that stops mid-chunk to its last
-    collision.  Either way every collision's state is formed and passes the
-    window test.  Returns each run's final Bloch vector, collision count and
+    built once per call up to ``_CHUNK`` or the largest budget and laid out
+    per Bloch component, so the product gives each run's x, y and z over the
+    chunk as three contiguous rows.  A random run multiplies its drawn maps
+    one collision at a time into its own state buffer; ``_DrawnMaps`` builds
+    every random run's maps for the chunk together, each run drawing from its
+    own stream, and rewinds a run that stops mid-chunk to its last
+    collision.  Either way every collision's state is formed, and the window
+    test reads each run's step distances as one row of a (runs, collisions)
+    array.  Returns each run's final Bloch vector, collision count and
     whether it converged.  With ``trail`` (one run only) the Bloch vectors
     after each collision are appended to it chunk by chunk.
     """
@@ -611,57 +624,79 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
     streak = np.zeros(len(engines), dtype=np.int64)  # consecutive steps under tol
     converged = np.zeros(len(engines), dtype=bool)
     # Random runs come first in ``active``, grouped as ``draws`` builds their
-    # maps, and keep their order as runs retire, so the first ``drawn``
-    # columns are random and the rest are the deterministic runs whose powers
-    # are the rows of ``powers``, in order.
+    # maps, and keep their order as runs retire, so the first ``drawn`` rows
+    # of ``dist`` are random and the rest are the deterministic runs whose
+    # powers are the rows of ``powers``, in order.
     longest = int(min(_CHUNK, budget.max()))
     draws = _DrawnMaps(engines, rngs, np.flatnonzero(random), longest)
     active = np.concatenate([draws.runs, np.flatnonzero(~random)])
     powers = _powers(np.array([engines[i].mean_op for i in active[draws.runs.size:]]).reshape(-1, 4, 4), longest)
+    steps = np.empty((len(powers), 3, longest))
+    distances = np.empty(len(engines) * longest)
     while active.size:
         left = budget[active] - n_used[active]
         length = int(min(_CHUNK, left.max()))
         drawn = int(random[active].sum())
-        buf = np.empty((length + 1, active.size, 4, 1))
-        buf[0, :, :, 0] = final[active]
+        # one row per run: its squared Bloch step at each collision of the
+        # chunk, then the trace distance
+        dist = distances[: active.size * length].reshape(active.size, length)
         if drawn < active.size:
-            block = powers[:, : 4 * length] @ final[active[drawn:], :, None]
-            buf[1:, drawn:, :, 0] = block.reshape(-1, length, 4).swapaxes(0, 1)
+            start = final[active[drawn:]]
+            block = (powers @ start[:, :, None]).reshape(-1, 3, longest)
+            # the steps between neighbouring columns in one pass over the
+            # block, then each row's first step against the start, which
+            # overwrites the step across the row boundary
+            flat, step = block.reshape(-1), steps[: len(block)]
+            np.subtract(flat[1:], flat[:-1], out=step.reshape(-1)[1:])
+            np.subtract(block[:, :, 0], start[:, 1:], out=step[:, :, 0])
+            step *= step
+            np.add(step[:, 0, :length], step[:, 1, :length], out=dist[drawn:])
+            dist[drawn:] += step[:, 2, :length]
+            block = block[:, :, :length]
         if drawn:
+            buf = np.empty((length + 1, drawn, 4, 1))
+            buf[0, :, :, 0] = final[active[:drawn]]
             maps = draws.chunk(left[:drawn], length)
-            rows = list(buf[:, :drawn])
+            rows = list(buf)
             for op, before, after in zip(maps, rows, rows[1:]):
                 np.matmul(op, before, out=after)
+            states = buf[..., 0]
+            step = states[1:, :, 1:] - states[:-1, :, 1:]
+            step *= step
+            # written transposed into the random runs' rows
+            drawn_dist = dist[:drawn].T
+            np.add(step[..., 0], step[..., 1], out=drawn_dist)
+            drawn_dist += step[..., 2]
 
-        states = buf[..., 0]
-        step = states[1:, :, 1:] - states[:-1, :, 1:]
-        step *= step
         # Both states have unit trace, so half the Bloch step is exactly
         # their trace distance.
-        dist = step[..., 0] + step[..., 1]
-        dist += step[..., 2]
-        below = 0.5 * np.sqrt(dist) < tol[active]
+        np.sqrt(dist, out=dist)
+        dist *= 0.5
+        below = dist < tol[active, None]
         if below.any():
             # A run's streak at collision t counts back to its last step at or
             # above tol; one carried over from earlier chunks sits before t = 0.
-            t = np.arange(length)[:, None]
-            last_miss = np.maximum.accumulate(np.where(below, -1 - streak[active], t), axis=0)
+            t = np.arange(length)
+            last_miss = np.maximum.accumulate(np.where(below, -1 - streak[active, None], t), axis=1)
             run = t - last_miss
-            hit = (run >= window[active]) & (t < left)
-            met = hit.any(axis=0)
-            taken = np.where(met, hit.argmax(axis=0) + 1, np.minimum(left, length))
-            streak[active] = run[-1]
+            hit = (run >= window[active, None]) & (t < left[:, None])
+            met = hit.any(axis=1)
+            taken = np.where(met, hit.argmax(axis=1) + 1, np.minimum(left, length))
+            streak[active] = run[:, -1]
         else:
             # every step is at or above tol: each streak ends at 0, unmet
             met = np.zeros(active.size, dtype=bool)
             taken = np.minimum(left, length)
             streak[active] = 0
 
-        final[active] = states[taken, np.arange(active.size)]
+        if drawn:
+            final[active[:drawn]] = states[taken[:drawn], np.arange(drawn)]
+        if drawn < active.size:
+            final[active[drawn:], 1:] = block[np.arange(active.size - drawn), :, taken[drawn:] - 1]
         n_used[active] += taken
         converged[active] = met
         if trail is not None:
-            trail.append(states[1 : taken[0] + 1, 0, 1:].copy())
+            trail.append(states[1 : taken[0] + 1, 0, 1:].copy() if drawn else block[0, :, : taken[0]].T)
         keep = ~met & (left > length)
         if drawn:
             draws.retire(met[:drawn], taken[:drawn], keep[:drawn])

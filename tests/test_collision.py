@@ -11,9 +11,11 @@ tests check those matrices against ``single_collision`` (unitary plus partial
 trace) on random inputs, and the z-axis fixed point against its closed form.
 The evolution loop advances runs a chunk of collisions at a time, so its
 stopping rule is pinned at chunk boundaries, and a batch of runs must give
-bitwise what each run gives alone.  A deterministic run's chunk comes from
-powers of its map, so it must agree with the per-collision product of drawn
-maps and with ``step``.
+bitwise what each run gives alone.  A deterministic run's chunk is one
+product of its start state with powers of its map, laid out per Bloch
+component, so it must agree with the per-collision product of drawn maps and
+with ``step``; the window rule is recounted from a recorded trajectory one
+step at a time, independently of how a chunk is laid out.
 """
 
 import dataclasses
@@ -719,6 +721,35 @@ def test_batch_equals_each_run_alone(specs, shuffler: random.Random):
             assert (None if rng is None else rng.random()) == ends[i]
 
 
+# A streak that starts some 25 collisions before the first chunk boundary and
+# closes after it, on a deterministic run and on a random run whose drawn map
+# never moves.
+STRADDLING = [ReservoirSpec(math.pi, 0.4)]
+STRADDLING_CFG = EngineConfig(tau=1.0, tol=1e-4, max_collisions=3 * _CHUNK, window=30)
+
+
+@PROPERTY
+@given(batch_runs())
+@example((STRADDLING, STRADDLING_CFG, None))
+@example(([dataclasses.replace(STRADDLING[0], noise=NoiseSpec(0.0, 0.0))], STRADDLING_CFG, 3))
+def test_window_rule_matches_a_recount_of_the_recorded_steps(run):
+    reservoirs, cfg, stream = run
+    rng = None if stream is None else np.random.default_rng(stream)
+    traj, result = evolve(None, reservoirs, cfg, rng=rng)
+    # the first collision that closes ``window`` consecutive steps under
+    # tol, or the budget when none does
+    expected, streak = (cfg.max_collisions, False), 0
+    bloch = traj.bloch.tolist()
+    for n in range(1, len(bloch)):
+        (x0, y0, z0), (x1, y1, z1) = bloch[n - 1], bloch[n]
+        dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
+        streak = streak + 1 if 0.5 * math.sqrt((dx * dx + dy * dy) + dz * dz) < cfg.tol else 0
+        if streak >= cfg.window:
+            expected = (n, True)
+            break
+    assert (result.n_used, result.converged) == expected
+
+
 NOISY = [ReservoirSpec(0.4, 0.3, noise=NoiseSpec(0.2, 0.1)), ReservoirSpec(2.0, 0.2)]
 # two weighted reservoirs whose canonical order is their list order, and two
 # whose canonical order is reversed, each with one noisy reservoir
@@ -747,7 +778,15 @@ SECOND_NOISY = [ReservoirSpec(2.5, 0.25, 0.3), ReservoirSpec(1.0, 0.35, 0.7, noi
       (SECOND_NOISY, EngineConfig(max_collisions=400, tol=1e-9), 6),
       (FIRST_NOISY, EngineConfig(max_collisions=400, tol=1e-2, mixing_mode="sequential"), 5),
       (SECOND_NOISY, EngineConfig(max_collisions=400, tol=3e-3, mixing_mode="sequential"), 5)], [2, 2, 3, 2, 2]),
-], ids=["budget_below_a_chunk", "staggered_retirement", "different_noisy_sets"])
+    # deterministic runs whose budgets end mid-chunk, one in the first chunk
+    # and two in a shorter last chunk, which slices the component-major
+    # block while the stack still holds a full chunk of powers; the longer
+    # run converges before that chunk
+    ([(settling(2.2), EngineConfig(max_collisions=12 * _CHUNK, tol=0.05), None),
+      (settling(3.0), EngineConfig(max_collisions=2 * _CHUNK + 37, tol=1e-9), None),
+      (settling(2.6), EngineConfig(max_collisions=_CHUNK - 1, tol=1e-9), None),
+      (settling(1.8), EngineConfig(max_collisions=2 * _CHUNK + 20, tol=1e-9), None)], [1, 2, 0, 2]),
+], ids=["budget_below_a_chunk", "staggered_retirement", "different_noisy_sets", "shorter_last_chunk"])
 def test_power_stack_edge_cases_equal_each_run_alone(runs, chunks):
     def fresh(run):
         reservoirs, cfg, stream = run
