@@ -22,12 +22,14 @@ collisions at a time).  A deterministic run applies the same map R every
 collision, so the loop forms a chunk's states R^1 b ... R^L b from the
 chunk's start state b with one product against powers of R cached for the
 call, laid out per Bloch component so that each run's x, y and z over the
-chunk come out as contiguous rows for the window test; a random run
-multiplies its drawn maps one collision at a time.  One builder forms the
-drawn maps of all random runs of a call together, a chunk at a time, per
-group of runs that share a mixing mode and a reservoir count; a convex group
-forms per chunk only the entries that noise moves.  Every collision's state
-is still formed and tested for convergence.
+chunk come out as contiguous rows for the window test.  While no random run
+is active the loop chains four such products per pass, each started from the
+last state of the chunk before, and tests and retires runs once per pass; a
+random run multiplies its drawn maps one collision at a time.  One builder
+forms the drawn maps of all random runs of a call together, a chunk at a
+time, per group of runs that share a mixing mode and a reservoir count; a
+convex group forms per chunk only the entries that noise moves.  Every
+collision's state is still formed and tested for convergence.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
@@ -43,7 +45,9 @@ generator where its last collision left it.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,20 +72,25 @@ MIXING_MODES = ("convex", "sequential", "stochastic")
 
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 
-# Collisions per chunk of the evolution loop.  The deterministic runs share
-# a stack of the Bloch rows of their maps' powers, K_det * _CHUNK * 12
-# doubles, about 0.5 MB at K = 42, built once per call.  Each chunk's product
-# with it, and the squared steps read from that product, take K_det * _CHUNK
-# * 3 doubles each (about 0.13 MB), and the step distances of all K runs
-# K * _CHUNK doubles.  The random runs multiply into their own buffer of
-# (_CHUNK + 1) * K_r * 4 doubles of states.  Their maps are built in buffers
-# allocated once per call and reused every chunk: _CHUNK * K_r * 16 doubles
-# of maps, two sums of _CHUNK * K_r doubles per moving entry (convex; four on
-# a fig7 run) or two more map buffers (sequential, stochastic), and _CHUNK *
-# K_r doubles of draws, uniforms, strengths and gather indices per slot,
-# about 1.4 MB for a noisy convex sweep at K_r = 42 with two reservoirs.
-# Chunks of 256 ran no faster and raised the peak memory of a noisy sweep.
+# Collisions per chunk of the evolution loop, and per pass of it while no
+# random run is active.  The deterministic runs share a stack of the Bloch
+# rows of their maps' powers, K_det * _CHUNK * 12 doubles, about 0.5 MB at
+# K = 42, built once per call.  A pass's products with it take K_det * _PASS
+# * 3 doubles (about 0.5 MB), one component's squared steps K_det * _PASS,
+# and the squared steps of all K runs max(K * _CHUNK, K_det * _PASS), about
+# 0.17 MB each at K = 42; all are allocated once per call.
+# The random runs multiply into their own buffer of (_CHUNK + 1) * K_r * 4
+# doubles of states.  Their maps are built in buffers allocated once per
+# call and reused every chunk: _CHUNK * K_r * 16 doubles of maps, two sums
+# of _CHUNK * K_r doubles per moving entry (convex; four on a fig7 run) or
+# two more map buffers (sequential, stochastic), and _CHUNK * K_r doubles of
+# draws, uniforms, strengths and gather indices per slot, about 1.4 MB for a
+# noisy convex sweep at K_r = 42 with two reservoirs.  A longer chunk would
+# form states from higher powers of R, which round differently, so a pass
+# chains chunks instead; a longer random chunk would raise a noisy sweep's
+# memory.
 _CHUNK = 128
+_PASS = 4 * _CHUNK
 
 
 class NonUnitaryPropagator(ValueError):
@@ -577,6 +586,28 @@ def _result(b: np.ndarray, n_used: int, converged: bool) -> SteadyStateResult:
     return SteadyStateResult(rho, p_e - p_g, p_e, p_g, n_used, converged)
 
 
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _threshold(tol: float) -> float:
+    """The least double d with 0.5 * sqrt(d) >= tol, so that a squared Bloch
+    step d has a trace distance 0.5 * sqrt(d) under tol exactly when d <
+    _threshold(tol), with no square root taken.  Doubles from 0 to inf order
+    as their bit patterns, and 0.5 * sqrt(d) is monotone in d, so bisection
+    over the patterns finds it in at most 63 steps; a tol above 0.5 *
+    sqrt(max double) gives inf."""
+    below, above = 0, 0x7FF0000000000000  # the patterns of 0.0 and inf
+    while above - below > 1:
+        middle = (below + above) // 2
+        if 0.5 * math.sqrt(_double(middle)) >= tol:
+            above = middle
+        else:
+            below = middle
+    return _double(above)
+
+
 def _powers(maps: np.ndarray, length: int) -> np.ndarray:
     """Bloch rows of R^1 ... R^length of each map R in the (K, 4, 4) stack
     ``maps``, laid out component-major, (K, 3 * length, 4): row
@@ -599,23 +630,27 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
     """The evolution loop: advance every run from ``state0`` until it meets
     its own tolerance window or uses its own budget.
 
-    Runs advance in lockstep, a chunk of collisions at a time; a run retires
-    at the chunk where it stops and its state is read at the collision it
+    Runs advance in lockstep, a pass of collisions at a time; a run retires
+    at the pass where it stops and its state is read at the collision it
     stopped on.  A deterministic run's states in a chunk that starts from b
     are R^1 b ... R^length b, one product with the powers of its map R,
     built once per call up to ``_CHUNK`` or the largest budget and laid out
     per Bloch component, so the product gives each run's x, y and z over the
-    chunk as three contiguous rows.  A random run multiplies its drawn maps
-    one collision at a time into its own state buffer; ``_DrawnMaps`` builds
-    every random run's maps for the chunk together, each run drawing from its
-    own stream, and rewinds a run that stops mid-chunk to its last
-    collision.  Either way every collision's state is formed, and the window
-    test reads each run's step distances as one row of a (runs, collisions)
-    array.  Returns each run's final Bloch vector, collision count and
-    whether it converged.  With ``trail`` (one run only) the Bloch vectors
-    after each collision are appended to it chunk by chunk.
+    chunk as three contiguous rows.  While no random run is active a pass is
+    ``_PASS`` collisions, four such products, each chunk started from the
+    last state of the one before, so the window test and the bookkeeping
+    run once per four chunks; otherwise a pass is one chunk.  A random run
+    multiplies its drawn maps one collision at a time into its own state
+    buffer; ``_DrawnMaps`` builds every random run's maps for the chunk
+    together, each run drawing from its own stream, and rewinds a run that
+    stops mid-chunk to its last collision.  Either way every collision's
+    state is formed, and the window test compares each run's squared steps,
+    one row of a (runs, collisions) array, with ``_threshold`` of its tol.
+    Returns each run's final Bloch vector, collision count and whether it
+    converged.  With ``trail`` (one run only) the Bloch vectors after each
+    collision are appended to it pass by pass.
     """
-    tol = np.array([e.cfg.tol for e in engines])
+    threshold = np.array([_threshold(e.cfg.tol) for e in engines])
     window = np.array([e.cfg.window for e in engines])
     budget = np.array([e.cfg.max_collisions for e in engines])
     random = np.array([e.random for e in engines])
@@ -631,28 +666,43 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
     draws = _DrawnMaps(engines, rngs, np.flatnonzero(random), longest)
     active = np.concatenate([draws.runs, np.flatnonzero(~random)])
     powers = _powers(np.array([engines[i].mean_op for i in active[draws.runs.size:]]).reshape(-1, 4, 4), longest)
-    steps = np.empty((len(powers), 3, longest))
-    distances = np.empty(len(engines) * longest)
+    # Buffers of the deterministic passes: each chunk's start state (1, b),
+    # its product with the powers, and one component's squared steps.
+    widest = int(min(_PASS, budget[~random].max(initial=0)))
+    chunks = -(-widest // longest)
+    starts = np.ones((len(powers), chunks, 4, 1))
+    blocks = np.empty(len(powers) * chunks * 3 * longest)
+    squares = np.empty(len(powers) * chunks * longest)
+    distances = np.empty(max(len(engines) * longest, len(powers) * widest))
     while active.size:
         left = budget[active] - n_used[active]
-        length = int(min(_CHUNK, left.max()))
         drawn = int(random[active].sum())
-        # one row per run: its squared Bloch step at each collision of the
-        # chunk, then the trace distance
+        length = int(min(_CHUNK if drawn else _PASS, left.max()))
+        # one row per run: its squared Bloch step at each collision of the pass
         dist = distances[: active.size * length].reshape(active.size, length)
         if drawn < active.size:
-            start = final[active[drawn:]]
-            block = (powers @ start[:, :, None]).reshape(-1, 3, longest)
-            # the steps between neighbouring columns in one pass over the
-            # block, then each row's first step against the start, which
-            # overwrites the step across the row boundary
-            flat, step = block.reshape(-1), steps[: len(block)]
-            np.subtract(flat[1:], flat[:-1], out=step.reshape(-1)[1:])
-            np.subtract(block[:, :, 0], start[:, 1:], out=step[:, :, 0])
-            step *= step
-            np.add(step[:, 0, :length], step[:, 1, :length], out=dist[drawn:])
-            dist[drawn:] += step[:, 2, :length]
-            block = block[:, :, :length]
+            k, n = active.size - drawn, -(-length // longest)
+            start = starts[:k, :n]
+            block = blocks[: k * n * 3 * longest].reshape(k, n, 3 * longest, 1)
+            start[:, 0, 1:, 0] = final[active[drawn:], 1:]
+            for c in range(n):
+                if c:
+                    start[:, c, 1:] = block[:, c - 1, longest - 1 :: longest]
+                np.matmul(powers, start[:, c], out=block[:, c])
+            block = block.reshape(k, n, 3, longest)
+            # each component's steps along the chunks, each chunk's first
+            # against its start, squared and summed as (x + y) + z
+            step = squares[: k * n * longest].reshape(k, n, longest)
+            square = step.reshape(k, n * longest)[:, :length]
+            for axis in range(3):
+                values = block[:, :, axis]
+                np.subtract(values[:, :, 1:], values[:, :, :-1], out=step[:, :, 1:])
+                np.subtract(values[:, :, 0], start[:, :, axis + 1, 0], out=step[:, :, 0])
+                if axis:
+                    square *= square
+                    dist[drawn:] += square
+                else:
+                    np.multiply(square, square, out=dist[drawn:])
         if drawn:
             buf = np.empty((length + 1, drawn, 4, 1))
             buf[0, :, :, 0] = final[active[:drawn]]
@@ -669,34 +719,36 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
             drawn_dist += step[..., 2]
 
         # Both states have unit trace, so half the Bloch step is exactly
-        # their trace distance.
-        np.sqrt(dist, out=dist)
-        dist *= 0.5
-        below = dist < tol[active, None]
-        if below.any():
+        # their trace distance; a squared step d is under tol exactly when
+        # d < _threshold(tol).
+        below = dist < threshold[active, None]
+        # a run with no step under tol ends the pass unmet, its streak at 0
+        met = np.zeros(active.size, dtype=bool)
+        taken = np.minimum(left, length)
+        ends = np.zeros(active.size, dtype=np.int64)
+        under = np.flatnonzero(below.any(axis=1))
+        if under.size:
             # A run's streak at collision t counts back to its last step at or
-            # above tol; one carried over from earlier chunks sits before t = 0.
-            t = np.arange(length)
-            last_miss = np.maximum.accumulate(np.where(below, -1 - streak[active, None], t), axis=1)
+            # above tol; one carried over from earlier passes sits before t = 0.
+            t, ids = np.arange(length), active[under]
+            last_miss = np.maximum.accumulate(np.where(below[under], -1 - streak[ids, None], t), axis=1)
             run = t - last_miss
-            hit = (run >= window[active, None]) & (t < left[:, None])
-            met = hit.any(axis=1)
-            taken = np.where(met, hit.argmax(axis=1) + 1, np.minimum(left, length))
-            streak[active] = run[:, -1]
-        else:
-            # every step is at or above tol: each streak ends at 0, unmet
-            met = np.zeros(active.size, dtype=bool)
-            taken = np.minimum(left, length)
-            streak[active] = 0
+            hit = (run >= window[ids, None]) & (t < left[under, None])
+            met[under] = hit.any(axis=1)
+            taken[under] = np.where(met[under], hit.argmax(axis=1) + 1, taken[under])
+            ends[under] = run[:, -1]
+        streak[active] = ends
 
         if drawn:
             final[active[:drawn]] = states[taken[:drawn], np.arange(drawn)]
         if drawn < active.size:
-            final[active[drawn:], 1:] = block[np.arange(active.size - drawn), :, taken[drawn:] - 1]
+            last = taken[drawn:] - 1
+            final[active[drawn:], 1:] = block[np.arange(k), last // longest, :, last % longest]
         n_used[active] += taken
         converged[active] = met
         if trail is not None:
-            trail.append(states[1 : taken[0] + 1, 0, 1:].copy() if drawn else block[0, :, : taken[0]].T)
+            trail.append((states[1 : taken[0] + 1, 0, 1:] if drawn
+                          else block[0].transpose(0, 2, 1).reshape(-1, 3)[: taken[0]]).copy())
         keep = ~met & (left > length)
         if drawn:
             draws.retire(met[:drawn], taken[:drawn], keep[:drawn])

@@ -9,13 +9,16 @@ a handful of configurations and again, more broadly, in the acceptance tests.
 Both routes read the same closed-form transfer matrices, so the property
 tests check those matrices against ``single_collision`` (unitary plus partial
 trace) on random inputs, and the z-axis fixed point against its closed form.
-The evolution loop advances runs a chunk of collisions at a time, so its
-stopping rule is pinned at chunk boundaries, and a batch of runs must give
-bitwise what each run gives alone.  A deterministic run's chunk is one
-product of its start state with powers of its map, laid out per Bloch
-component, so it must agree with the per-collision product of drawn maps and
-with ``step``; the window rule is recounted from a recorded trajectory one
-step at a time, independently of how a chunk is laid out.
+The evolution loop advances runs a chunk of collisions at a time, and
+deterministic runs four chunks per pass, so its stopping rule is pinned at
+chunk and pass boundaries, and a batch of runs must give bitwise what each
+run gives alone.  A deterministic run's chunk is one product of its start
+state with powers of its map, laid out per Bloch component, so it must agree
+with the per-collision product of drawn maps and with ``step``, and bitwise
+with a plain loop of one such product per chunk; the window rule is
+recounted from a recorded trajectory one step at a time, independently of
+how a chunk is laid out, and its squared-step threshold is checked against
+the trace distance it stands for.
 """
 
 import dataclasses
@@ -31,6 +34,7 @@ from hypothesis import strategies as st
 
 from qsc.collision import (
     _CHUNK,
+    _PASS,
     DEFAULT_SEED,
     MIXING_MODES,
     EngineConfig,
@@ -41,6 +45,7 @@ from qsc.collision import (
     WeightsNotNormalized,
     _DrawnMaps,
     _Engine,
+    _threshold,
     affine_representation,
     collision_unitary,
     evolve,
@@ -574,6 +579,90 @@ def test_budget_not_a_multiple_of_the_chunk_length():
     assert [r.n_used for r in evolve_batch([(spec, cfg, None), (spec, short, None)])] == [budget, 37]
 
 
+def _chunked_reference(reservoirs, cfg):
+    """One deterministic run as a plain loop, a chunk of _CHUNK collisions at
+    a time: the Bloch rows of R^1 ... R^_CHUNK, each power formed as R @
+    R^(n-1) and stacked per component, one product of that stack with each
+    chunk's start (1, b), where b is the last state of the chunk before, and
+    the window rule counted one step at a time.  Returns the states from +x
+    on, the collision count and whether the window closed."""
+    r = _Engine(reservoirs, cfg).mean_op
+    rows, power = [], r
+    for _ in range(_CHUNK):
+        rows.append(power[1:])
+        power = r @ power
+    stack = np.stack(rows, axis=1).reshape(3 * _CHUNK, 4)
+    states, streak = [bloch_vector(pure_qubit(math.pi / 2.0))], 0
+    while True:
+        for state in (stack @ np.concatenate(([1.0], states[-1]))).reshape(3, _CHUNK).T:
+            dx, dy, dz = (state - states[-1]).tolist()
+            states.append(state)
+            streak = streak + 1 if 0.5 * math.sqrt((dx * dx + dy * dy) + dz * dz) < cfg.tol else 0
+            if streak >= cfg.window or len(states) - 1 == cfg.max_collisions:
+                return np.array(states), len(states) - 1, streak >= cfg.window
+
+
+PASSES = [ReservoirSpec(0.0, 0.3), ReservoirSpec(2.2, 0.2)]
+
+
+def _assert_evolve_equals_the_chunked_reference(cfg, expected):
+    states, n_used, converged = _chunked_reference(PASSES, cfg)
+    assert (n_used, converged) == expected
+    traj, result = evolve(None, PASSES, cfg)
+    assert np.array_equal(traj.bloch, states)
+    assert (result.n_used, result.converged) == (n_used, converged)
+    assert np.array_equal(result.rho_ss, bloch_to_density(states[-1]))
+
+
+@pytest.mark.parametrize("tol, first, closes", [
+    # a streak from collision 40 on that closes in each chunk of the first
+    # two passes, at a chunk boundary inside a pass and at the end of a pass
+    *[(0.1, 40, n) for n in (100, 200, 300, 450, 600, 700, 850, 1000, 3 * _CHUNK, _PASS)],
+    # streaks that start late in the first pass and in the second
+    (1e-7, 482, _PASS + 8), (1e-8, 555, 2 * _PASS - 1),
+])
+def test_passes_equal_one_product_per_chunk_bitwise(tol, first, closes):
+    # ``first`` is the collision whose step is the first under tol
+    cfg = EngineConfig(h=0.7, tau=1.0, tol=tol, window=closes - first + 1, max_collisions=12 * _CHUNK)
+    _assert_evolve_equals_the_chunked_reference(cfg, (closes, True))
+
+
+@pytest.mark.parametrize("budget", [_PASS + 37, 3 * _CHUNK - 1])
+def test_budget_ending_mid_pass_equals_one_product_per_chunk_bitwise(budget):
+    # a window of the whole budget never closes: the first steps are large
+    cfg = EngineConfig(h=0.7, tau=1.0, tol=1e-9, window=budget, max_collisions=budget)
+    _assert_evolve_equals_the_chunked_reference(cfg, (budget, False))
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+# subnormal squares, and tols whose 2 * tol squared overflows
+@example(1e-160)
+@example(1e-155)
+@example(5e-324)
+@example(6.8e153)
+@example(1.7e308)
+def test_threshold_is_the_trace_distance_test(tol):
+    threshold = _threshold(tol)
+    for d in (0.0, threshold, math.nextafter(threshold, 0.0), math.nextafter(threshold, math.inf),
+              math.inf, math.nan):
+        assert (d < threshold) == (0.5 * math.sqrt(d) < tol)
+
+
+def test_threshold_bisection_takes_at_most_64_steps(monkeypatch):
+    roots = []
+    sqrt = math.sqrt
+
+    def counted(d):
+        roots.append(d)
+        return sqrt(d)
+
+    monkeypatch.setattr(math, "sqrt", counted)
+    for tol in (5e-324, 1e-160, 1e-9, 0.5, 6.8e153, 1.7e308):
+        roots.clear()
+        _threshold.__wrapped__(tol)
+        assert 0 < len(roots) <= 64
+
+
 def test_budget_equal_to_window():
     spec = up_down_pair(0.1, 0.05)
     cfg = EngineConfig(max_collisions=12, window=12, tol=1e-9)
@@ -675,8 +764,9 @@ def maybe_weighted(draw, reservoirs):
 def batch_runs(draw):
     """(reservoirs, cfg, stream seed or None) of one run: 1-3 reservoirs,
     optionally weighted, any mixing mode, noise, tolerances, windows and
-    budgets up to a few chunks.  A batch of them mixes reservoir counts and
-    modes, so its random runs fall into several groups of shared maps."""
+    budgets up to nine chunks, which cross loop passes.  A batch of them
+    mixes reservoir counts and modes, so its random runs fall into several
+    groups of shared maps."""
     reservoirs = draw(st.lists(st.builds(ReservoirSpec, THETA, st.floats(0.05, 0.5), phi=PHI, noise=NOISE),
                                min_size=1, max_size=3))
     reservoirs = maybe_weighted(draw, reservoirs)
@@ -684,7 +774,7 @@ def batch_runs(draw):
     cfg = EngineConfig(
         h=draw(st.floats(-2.0, 2.0)),
         tau=draw(st.floats(0.2, 3.0)),
-        max_collisions=draw(st.integers(window, 3 * _CHUNK)),
+        max_collisions=draw(st.integers(window, 9 * _CHUNK)),
         tol=draw(st.sampled_from([1e-2, 1e-4, 1e-7])),
         window=window,
         mixing_mode=draw(st.sampled_from(MIXING_MODES)),
@@ -786,7 +876,17 @@ SECOND_NOISY = [ReservoirSpec(2.5, 0.25, 0.3), ReservoirSpec(1.0, 0.35, 0.7, noi
       (settling(3.0), EngineConfig(max_collisions=2 * _CHUNK + 37, tol=1e-9), None),
       (settling(2.6), EngineConfig(max_collisions=_CHUNK - 1, tol=1e-9), None),
       (settling(1.8), EngineConfig(max_collisions=2 * _CHUNK + 20, tol=1e-9), None)], [1, 2, 0, 2]),
-], ids=["budget_below_a_chunk", "staggered_retirement", "different_noisy_sets", "shorter_last_chunk"])
+    # a noisy run retires at its budget in the third chunk; the deterministic
+    # runs then advance a pass of four chunks at a time, where they converge
+    # in several chunks of two passes and one stops at its budget mid-pass
+    ([(NOISY, EngineConfig(max_collisions=300, tol=1e-9), 5),
+      (settling(math.pi), EngineConfig(max_collisions=12 * _CHUNK, tol=1e-2), None),
+      (settling(2.2), EngineConfig(max_collisions=12 * _CHUNK, tol=1e-5), None),
+      (settling(1.8), EngineConfig(max_collisions=_PASS + 37, tol=1e-9), None),
+      (settling(2.6), EngineConfig(max_collisions=12 * _CHUNK, tol=1e-3), None),
+      (settling(3.0), EngineConfig(max_collisions=12 * _CHUNK, tol=1e-4), None)], [2, 3, 10, 4, 5, 7]),
+], ids=["budget_below_a_chunk", "staggered_retirement", "different_noisy_sets", "shorter_last_chunk",
+        "passes_after_noisy_runs"])
 def test_power_stack_edge_cases_equal_each_run_alone(runs, chunks):
     def fresh(run):
         reservoirs, cfg, stream = run

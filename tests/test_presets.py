@@ -124,6 +124,22 @@ def test_fig5f_small_margin_seed_is_separable(tmp_path):
     assert payload["margin"] > 0.0
 
 
+# fig3a's collision counts from delta_j = -0.05 to 0, mirrored up to 0.05.
+# The counts at delta_j = 0 and |delta_j| = 0.05 are the ones the transverse
+# rate |sum q_i cos(j_i tau)| of the z-axis closed form predicts.
+FIG3A_N_USED = [30929, 34175, 37717, 41513, 45480, 49482, 53320, 56743, 59470, 61236, 61848]
+
+
+def test_fig3a_collision_counts(tmp_path):
+    # Every run crosses many loop passes before its window closes.
+    outcome = run_preset("fig3a", RunOptions(out_dir=tmp_path))
+    assert outcome.all_converged
+    (path,) = outcome.files
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[3:]]
+    assert [int(row[3]) for row in rows] == FIG3A_N_USED + FIG3A_N_USED[-2::-1]
+    assert {row[4] for row in rows} == {"true"}
+
+
 def test_same_seed_reproduces_bytes(tmp_path):
     a = run_preset("fig3b", fast_opts(tmp_path / "a"))
     b = run_preset("fig3b", fast_opts(tmp_path / "b"))
