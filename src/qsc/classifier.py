@@ -4,8 +4,8 @@ A configuration of reservoir angles (or couplings) is fed to the engine, the
 steady magnetization is read out and the sign decides the class; ties go to
 class 1.  One labeling function, ``label_runs``, serves every sweep (the
 preset sweeps here and the config sweeps of ``qsc.presets``): it evaluates
-the whole point set in one batched evolution (every point advances in
-lockstep in this process) and labels each steady state with ``classify``.
+the whole point set in one batched evolution (the points of one kind advance
+together in this process) and labels each steady state with ``classify``.
 An exact linear program (Phase I of the simplex method) decides whether the
 labeled set is linearly separable in feature space.
 """

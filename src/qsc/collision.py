@@ -13,23 +13,23 @@ Each reservoir's map is its Pauli transfer matrix, the real 4x4 matrix
 acting on (1, x, y, z).  The free part h/2 (Z x 1 + 1 x Z) commutes with the
 exchange term, so the matrix has a closed form in cos(j tau), sin(j tau),
 h tau and the ancilla's Bloch vector a, affine in a (``transfer_matrix``).
-``step``, the evolution loop and the fixed-point oracle all run on that one
-form; ``single_collision`` (unitary plus partial trace) is kept as the
-independent reference the closed form is tested against.  One evolution
-loop serves both ``evolve`` (one run, optionally recorded) and
-``evolve_batch`` (many independent runs advanced in lockstep, a chunk of
-collisions at a time).  A deterministic run applies the same map R every
-collision, so the loop forms a chunk's states R^1 b ... R^L b from the
+``step``, the evolution loops and the fixed-point oracle all run on that
+one form; ``single_collision`` (unitary plus partial trace) is kept as the
+independent reference the closed form is tested against.  ``evolve`` (one
+run, optionally recorded) and ``evolve_batch`` (many independent runs) share
+one entry point, which advances each kind of run in its own loop, a chunk of
+collisions at a time.  A deterministic run applies the same map R every
+collision, so its loop forms a chunk's states R^1 b ... R^L b from the
 chunk's start state b with one product against powers of R cached for the
 call, laid out per Bloch component so that each run's x, y and z over the
-chunk come out as contiguous rows for the window test.  While no random run
-is active the loop chains four such products per pass, each started from the
-last state of the chunk before, and tests and retires runs once per pass; a
-random run multiplies its drawn maps one collision at a time.  One builder
-forms the drawn maps of all random runs of a call together, a chunk at a
-time, per group of runs that share a mixing mode and a reservoir count; a
-convex group forms per chunk only the entries that noise moves.  Every
-collision's state is still formed and tested for convergence.
+chunk come out as contiguous rows for the window test.  That loop chains
+four such products per pass, each started from the last state of the chunk
+before, and tests and retires runs once per pass.  A random run multiplies
+its drawn maps one collision at a time.  Its loop serves one group of runs
+that share a mixing mode and a reservoir count, and forms their drawn maps
+together, a chunk at a time; a convex group forms per chunk only the
+entries that noise moves.  Both loops form every collision's state and test
+it with one window rule.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
@@ -72,23 +72,22 @@ MIXING_MODES = ("convex", "sequential", "stochastic")
 
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 
-# Collisions per chunk of the evolution loop, and per pass of it while no
-# random run is active.  The deterministic runs share a stack of the Bloch
-# rows of their maps' powers, K_det * _CHUNK * 12 doubles, about 0.5 MB at
-# K = 42, built once per call.  A pass's products with it take K_det * _PASS
-# * 3 doubles (about 0.5 MB), one component's squared steps K_det * _PASS,
-# and the squared steps of all K runs max(K * _CHUNK, K_det * _PASS), about
-# 0.17 MB each at K = 42; all are allocated once per call.
-# The random runs multiply into their own buffer of (_CHUNK + 1) * K_r * 4
-# doubles of states.  Their maps are built in buffers allocated once per
-# call and reused every chunk: _CHUNK * K_r * 16 doubles of maps, two sums
-# of _CHUNK * K_r doubles per moving entry (convex; four on a fig7 run) or
-# two more map buffers (sequential, stochastic), and _CHUNK * K_r doubles of
-# draws, uniforms, strengths and gather indices per slot, about 1.4 MB for a
-# noisy convex sweep at K_r = 42 with two reservoirs.  A longer chunk would
-# form states from higher powers of R, which round differently, so a pass
-# chains chunks instead; a longer random chunk would raise a noisy sweep's
-# memory.
+# Collisions per chunk of the evolution loops, and per pass of the
+# deterministic loop.  The K deterministic runs of a call share a stack of
+# the Bloch rows of their maps' powers, K * _CHUNK * 12 doubles, about 0.5 MB
+# at K = 42, built once per call.  A pass's products with it take K * _PASS
+# * 3 doubles (about 0.5 MB), and one component's squared steps and all
+# three's K * _PASS each, about 0.17 MB at K = 42; all are allocated once per
+# call.  A group of K random runs multiplies into its own buffer of
+# (_CHUNK + 1) * K * 4 doubles of states, with _CHUNK * K squared steps.
+# Its maps are built in buffers allocated once per call and reused every
+# chunk: _CHUNK * K * 16 doubles of maps, two sums of _CHUNK * K doubles per
+# moving entry (convex; four on a fig7 run) or two more map buffers
+# (sequential, stochastic), and _CHUNK * K doubles of draws, uniforms,
+# strengths and gather indices per slot, about 1.4 MB for a noisy convex
+# sweep at K = 42 with two reservoirs.  A longer chunk would form states
+# from higher powers of R, which round differently, so a pass chains chunks
+# instead; a longer random chunk would raise a noisy sweep's memory.
 _CHUNK = 128
 _PASS = 4 * _CHUNK
 
@@ -333,7 +332,8 @@ class _MapGroup:
     feeds, with the channel choice in slot K, and a slot no draw feeds reads
     0, whose eta is 0, so it reads epsilon = 0.  The maps are then a fixed
     number of in-place operations per slot, on buffers allocated once per
-    call.
+    call, and land in one reused buffer of maps, one column per run; the
+    columns keep their order as runs retire.
 
     A convex mixture differs from one collision to the next only in its
     ``moving`` entries, where some noise map is nonzero.  Every other entry
@@ -407,9 +407,11 @@ class _MapGroup:
             else:
                 self.mask = np.empty(length * g, dtype=bool)
         self._lay_out()
+        self.maps = np.empty(length * g * 16)
+        self.layout = None
 
     def _lay_out(self) -> None:
-        # per-slot stacks with the runs last, as build's (slot, length, runs)
+        # per-slot stacks with the runs last, as chunk's (slot, length, runs)
         # arrays read them
         self.eps0_rows = self.eps0.T[:, None, :].copy()
         self.eta_rows = self.eta.T[:, None, :].copy()
@@ -420,17 +422,14 @@ class _MapGroup:
             self.base_rows, self.noise_rows = take(self.base), take(self.noise)
             self.weight_rows = self.weights.T.copy()
 
-    @property
-    def size(self) -> int:
-        return len(self.rngs)
-
-    def build(self, left: np.ndarray, out: np.ndarray, fresh: bool) -> None:
+    def chunk(self, left: np.ndarray, length: int) -> np.ndarray:
         """Draw each run's next min(length, left) rows from its own stream and
-        write the maps of the next ``length`` collisions into ``out``, shape
-        (length, size, 4, 4).  Past a run's budget nothing is drawn, and its
-        maps there are built from earlier uniforms and never read.  ``fresh``
-        says that ``out`` does not hold this group's fixed entries yet."""
-        length, g, k = len(out), self.size, self.base.shape[1]
+        return the maps of the next ``length`` collisions, shape (length,
+        runs, 4, 4); ``left`` is each run's remaining budget.  Past a run's
+        budget nothing is drawn, and its maps there are built from earlier
+        uniforms and never read."""
+        g, k = len(self.rngs), self.base.shape[1]
+        out = self.maps[: length * g * 16].reshape(length, g, 4, 4)
         rows = np.minimum(left, length)
         for rng, block, n in zip(self.rngs, self.blocks, rows.tolist()):
             rng.random(out=block[:n])
@@ -459,12 +458,15 @@ class _MapGroup:
                 term *= self.weight_rows[s]
                 if s < k - 1:
                     acc += term if s else 0.0
-            if fresh:
+            # the same shape keeps every run's column where the last chunk had
+            # it, so the fixed entries written there are still in place
+            if out.shape != self.layout:
                 out[...] = self.fixed
+                self.layout = out.shape
             # the last slot's term joins the sum as it is written into out
             for c, (i, j) in enumerate(self.cells):
                 np.add(acc[c], spare[c] if k > 1 else 0.0, out=out[:, :, i, j])
-            return
+            return out
 
         def op(s: int, into: np.ndarray) -> np.ndarray:
             # base + epsilon * noise of slot s
@@ -490,6 +492,7 @@ class _MapGroup:
             for s in range(1, k):
                 np.less_equal(self.weights[:, s - 1], u[k], out=mask)
                 np.copyto(out, op(s, slot), where=mask[..., None, None])
+        return out
 
     def retire(self, met: np.ndarray, taken: np.ndarray, keep: np.ndarray) -> None:
         """Rewind a run that ``met`` its window to the start of the call and
@@ -518,50 +521,6 @@ class _MapGroup:
         self.initial = [s for s, kept in zip(self.initial, keep) if kept]
         self.blocks = [b for b, kept in zip(self.blocks, keep) if kept]
         self._lay_out()
-
-
-class _DrawnMaps:
-    """The one builder of drawn maps: the maps of every random run of a call,
-    a chunk at a time, in groups of one mixing mode and reservoir count.
-    ``runs`` lists the random runs grouped, which is the column order of
-    every chunk's maps; the columns keep that order as runs retire."""
-
-    def __init__(self, engines: list[_Engine], rngs: list, runs, length: int):
-        members: dict = {}
-        for i in runs:
-            members.setdefault((engines[i].cfg.mixing_mode, len(engines[i].reservoirs)), []).append(int(i))
-        self.groups = [_MapGroup([engines[i] for i in m], [rngs[i] for i in m], length)
-                       for m in members.values()]
-        self.runs = np.array([i for m in members.values() for i in m], dtype=np.int64)
-        self.maps = np.empty(length * self.runs.size * 16)
-        self.layout = None
-
-    def _spans(self):
-        # each group's columns, in order, fixed before the caller sees them
-        start = 0
-        for group in self.groups:
-            stop = start + group.size
-            yield group, slice(start, stop)
-            start = stop
-
-    def chunk(self, left: np.ndarray, length: int) -> np.ndarray:
-        """Maps of the next ``length`` collisions of the runs still drawing,
-        shape (length, runs, 4, 4); ``left`` is each run's remaining budget."""
-        maps = self.maps[: length * len(left) * 16].reshape(length, len(left), 4, 4)
-        # the same shape puts every group's columns where the last chunk had
-        # them, so the fixed entries written there are still in place
-        fresh = maps.shape != self.layout
-        self.layout = maps.shape
-        for group, cols in self._spans():
-            group.build(left[cols], maps[:, cols], fresh)
-        return maps
-
-    def retire(self, met: np.ndarray, taken: np.ndarray, keep: np.ndarray) -> None:
-        """Rewind each run that met its window to its last collision, then
-        drop the runs whose entry of ``keep`` is False."""
-        for group, cols in self._spans():
-            group.retire(met[cols], taken[cols], keep[cols])
-        self.groups = [group for group in self.groups if group.size]
 
 
 def _initial(rho: np.ndarray) -> np.ndarray:
@@ -616,150 +575,186 @@ def _powers(maps: np.ndarray, length: int) -> np.ndarray:
     then the z of the states R^1 b ... R^length b of a chunk, each a
     contiguous row."""
     powers = np.empty((len(maps), 3, length, 4))
-    if len(maps):
-        # R^n = R @ R^(n-1) on whole 4x4 maps; only the Bloch rows are kept
-        power = maps.copy()
-        powers[:, :, 0] = maps[:, 1:]
-        for n in range(1, length):
-            np.matmul(maps, power, out=power)
-            powers[:, :, n] = power[:, 1:]
+    # R^n = R @ R^(n-1) on whole 4x4 maps; only the Bloch rows are kept
+    power = maps.copy()
+    powers[:, :, 0] = maps[:, 1:]
+    for n in range(1, length):
+        np.matmul(maps, power, out=power)
+        powers[:, :, n] = power[:, 1:]
     return powers.reshape(len(maps), 3 * length, 4)
 
 
-def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | None = None):
-    """The evolution loop: advance every run from ``state0`` until it meets
-    its own tolerance window or uses its own budget.
+def _window(dist: np.ndarray, threshold: np.ndarray, window: np.ndarray, streak: np.ndarray, left: np.ndarray,
+            active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window rule over one pass of the runs ``active``: row r of
+    ``dist`` holds the squared Bloch steps of run active[r] at each collision
+    of the pass, and ``left`` its budget left.  ``threshold``, ``window`` and
+    ``streak``, the steps under tol it carries from earlier passes, are
+    indexed by run.  Returns whether each row closes its window within its
+    budget, the collisions it takes in the pass, and its streak at the end
+    of the pass."""
+    # Both states have unit trace, so half the Bloch step is exactly their
+    # trace distance; a squared step d is under tol exactly when d <
+    # _threshold(tol).
+    length = dist.shape[1]
+    below = dist < threshold[active, None]
+    # a run with no step under tol ends the pass unmet, its streak at 0
+    met = np.zeros(len(dist), dtype=bool)
+    taken = np.minimum(left, length)
+    ends = np.zeros(len(dist), dtype=np.int64)
+    under = np.flatnonzero(below.any(axis=1))
+    if under.size:
+        # A run's streak at collision t counts back to its last step at or
+        # above tol; one carried over from earlier passes sits before t = 0.
+        t, ids = np.arange(length), active[under]
+        last_miss = np.maximum.accumulate(np.where(below[under], -1 - streak[ids, None], t), axis=1)
+        run = t - last_miss
+        hit = (run >= window[ids, None]) & (t < left[under, None])
+        met[under] = hit.any(axis=1)
+        taken[under] = np.where(met[under], hit.argmax(axis=1) + 1, taken[under])
+        ends[under] = run[:, -1]
+    return met, taken, ends
 
-    Runs advance in lockstep, a pass of collisions at a time; a run retires
-    at the pass where it stops and its state is read at the collision it
-    stopped on.  A deterministic run's states in a chunk that starts from b
-    are R^1 b ... R^length b, one product with the powers of its map R,
-    built once per call up to ``_CHUNK`` or the largest budget and laid out
-    per Bloch component, so the product gives each run's x, y and z over the
-    chunk as three contiguous rows.  While no random run is active a pass is
-    ``_PASS`` collisions, four such products, each chunk started from the
-    last state of the one before, so the window test and the bookkeeping
-    run once per four chunks; otherwise a pass is one chunk.  A random run
-    multiplies its drawn maps one collision at a time into its own state
-    buffer; ``_DrawnMaps`` builds every random run's maps for the chunk
-    together, each run drawing from its own stream, and rewinds a run that
-    stops mid-chunk to its last collision.  Either way every collision's
-    state is formed, and the window test compares each run's squared steps,
-    one row of a (runs, collisions) array, with ``_threshold`` of its tol.
-    Returns each run's final Bloch vector, collision count and whether it
-    converged.  With ``trail`` (one run only) the Bloch vectors after each
-    collision are appended to it pass by pass.
-    """
+
+def _start(state0: np.ndarray, engines: list[_Engine]):
+    """Each run's squared-step threshold, window and budget, then its state,
+    collision count, streak of steps under tol and verdict before it starts."""
+    g = len(engines)
     threshold = np.array([_threshold(e.cfg.tol) for e in engines])
     window = np.array([e.cfg.window for e in engines])
     budget = np.array([e.cfg.max_collisions for e in engines])
-    random = np.array([e.random for e in engines])
-    final = np.tile(state0, (len(engines), 1))
-    n_used = np.zeros(len(engines), dtype=np.int64)
-    streak = np.zeros(len(engines), dtype=np.int64)  # consecutive steps under tol
-    converged = np.zeros(len(engines), dtype=bool)
-    # Random runs come first in ``active``, grouped as ``draws`` builds their
-    # maps, and keep their order as runs retire, so the first ``drawn`` rows
-    # of ``dist`` are random and the rest are the deterministic runs whose
-    # powers are the rows of ``powers``, in order.
+    return (threshold, window, budget, np.tile(state0, (g, 1)), np.zeros(g, dtype=np.int64),
+            np.zeros(g, dtype=np.int64), np.zeros(g, dtype=bool))
+
+
+def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = None):
+    """The deterministic loop: advance every run from ``state0`` until it
+    meets its own tolerance window or uses its own budget.  A run's states
+    in a chunk that starts from b are R^1 b ... R^length b, one product with
+    the ``_powers`` of its map R, built once per call up to ``_CHUNK`` or
+    the largest budget.  A pass chains four such products, ``_PASS``
+    collisions, each chunk started from the last state of the one before,
+    so the window test and the bookkeeping run once per four chunks; a run
+    retires at the pass where it stops, its state read at the collision it
+    stopped on.  Returns each run's final Bloch vector, collision count and
+    whether it converged.  With ``trail`` (one run only) the Bloch vectors
+    after each collision are appended to it pass by pass."""
+    threshold, window, budget, final, n_used, streak, converged = _start(state0, engines)
     longest = int(min(_CHUNK, budget.max()))
-    draws = _DrawnMaps(engines, rngs, np.flatnonzero(random), longest)
-    active = np.concatenate([draws.runs, np.flatnonzero(~random)])
-    powers = _powers(np.array([engines[i].mean_op for i in active[draws.runs.size:]]).reshape(-1, 4, 4), longest)
-    # Buffers of the deterministic passes: each chunk's start state (1, b),
-    # its product with the powers, and one component's squared steps.
-    widest = int(min(_PASS, budget[~random].max(initial=0)))
+    powers = _powers(np.array([e.mean_op for e in engines]), longest)
+    # Buffers of the passes: each chunk's start state (1, b), its product
+    # with the powers, one component's squared steps, and all three's.
+    widest = int(min(_PASS, budget.max()))
     chunks = -(-widest // longest)
-    starts = np.ones((len(powers), chunks, 4, 1))
-    blocks = np.empty(len(powers) * chunks * 3 * longest)
-    squares = np.empty(len(powers) * chunks * longest)
-    distances = np.empty(max(len(engines) * longest, len(powers) * widest))
+    starts = np.ones((len(engines), chunks, 4, 1))
+    blocks = np.empty(len(engines) * chunks * 3 * longest)
+    squares = np.empty(len(engines) * chunks * longest)
+    distances = np.empty(len(engines) * widest)
+    active = np.arange(len(engines))  # the runs whose powers are the rows of ``powers``, in order
     while active.size:
         left = budget[active] - n_used[active]
-        drawn = int(random[active].sum())
-        length = int(min(_CHUNK if drawn else _PASS, left.max()))
-        # one row per run: its squared Bloch step at each collision of the pass
-        dist = distances[: active.size * length].reshape(active.size, length)
-        if drawn < active.size:
-            k, n = active.size - drawn, -(-length // longest)
-            start = starts[:k, :n]
-            block = blocks[: k * n * 3 * longest].reshape(k, n, 3 * longest, 1)
-            start[:, 0, 1:, 0] = final[active[drawn:], 1:]
-            for c in range(n):
-                if c:
-                    start[:, c, 1:] = block[:, c - 1, longest - 1 :: longest]
-                np.matmul(powers, start[:, c], out=block[:, c])
-            block = block.reshape(k, n, 3, longest)
-            # each component's steps along the chunks, each chunk's first
-            # against its start, squared and summed as (x + y) + z
-            step = squares[: k * n * longest].reshape(k, n, longest)
-            square = step.reshape(k, n * longest)[:, :length]
-            for axis in range(3):
-                values = block[:, :, axis]
-                np.subtract(values[:, :, 1:], values[:, :, :-1], out=step[:, :, 1:])
-                np.subtract(values[:, :, 0], start[:, :, axis + 1, 0], out=step[:, :, 0])
-                if axis:
-                    square *= square
-                    dist[drawn:] += square
-                else:
-                    np.multiply(square, square, out=dist[drawn:])
-        if drawn:
-            buf = np.empty((length + 1, drawn, 4, 1))
-            buf[0, :, :, 0] = final[active[:drawn]]
-            maps = draws.chunk(left[:drawn], length)
-            rows = list(buf)
-            for op, before, after in zip(maps, rows, rows[1:]):
-                np.matmul(op, before, out=after)
-            states = buf[..., 0]
-            step = states[1:, :, 1:] - states[:-1, :, 1:]
-            step *= step
-            # written transposed into the random runs' rows
-            drawn_dist = dist[:drawn].T
-            np.add(step[..., 0], step[..., 1], out=drawn_dist)
-            drawn_dist += step[..., 2]
-
-        # Both states have unit trace, so half the Bloch step is exactly
-        # their trace distance; a squared step d is under tol exactly when
-        # d < _threshold(tol).
-        below = dist < threshold[active, None]
-        # a run with no step under tol ends the pass unmet, its streak at 0
-        met = np.zeros(active.size, dtype=bool)
-        taken = np.minimum(left, length)
-        ends = np.zeros(active.size, dtype=np.int64)
-        under = np.flatnonzero(below.any(axis=1))
-        if under.size:
-            # A run's streak at collision t counts back to its last step at or
-            # above tol; one carried over from earlier passes sits before t = 0.
-            t, ids = np.arange(length), active[under]
-            last_miss = np.maximum.accumulate(np.where(below[under], -1 - streak[ids, None], t), axis=1)
-            run = t - last_miss
-            hit = (run >= window[ids, None]) & (t < left[under, None])
-            met[under] = hit.any(axis=1)
-            taken[under] = np.where(met[under], hit.argmax(axis=1) + 1, taken[under])
-            ends[under] = run[:, -1]
-        streak[active] = ends
-
-        if drawn:
-            final[active[:drawn]] = states[taken[:drawn], np.arange(drawn)]
-        if drawn < active.size:
-            last = taken[drawn:] - 1
-            final[active[drawn:], 1:] = block[np.arange(k), last // longest, :, last % longest]
+        length = int(min(_PASS, left.max()))
+        k, n = active.size, -(-length // longest)
+        start = starts[:k, :n]
+        block = blocks[: k * n * 3 * longest].reshape(k, n, 3 * longest, 1)
+        start[:, 0, 1:, 0] = final[active, 1:]
+        for c in range(n):
+            if c:
+                start[:, c, 1:] = block[:, c - 1, longest - 1 :: longest]
+            np.matmul(powers, start[:, c], out=block[:, c])
+        block = block.reshape(k, n, 3, longest)
+        # one row per run: its squared Bloch step at each collision of the
+        # pass, each component's steps along the chunks, each chunk's first
+        # against its start, squared and summed as (x + y) + z
+        dist = distances[: k * length].reshape(k, length)
+        step = squares[: k * n * longest].reshape(k, n, longest)
+        square = step.reshape(k, n * longest)[:, :length]
+        for axis in range(3):
+            values = block[:, :, axis]
+            np.subtract(values[:, :, 1:], values[:, :, :-1], out=step[:, :, 1:])
+            np.subtract(values[:, :, 0], start[:, :, axis + 1, 0], out=step[:, :, 0])
+            if axis:
+                square *= square
+                dist += square
+            else:
+                np.multiply(square, square, out=dist)
+        met, taken, streak[active] = _window(dist, threshold, window, streak, left, active)
+        last = taken - 1
+        final[active, 1:] = block[np.arange(k), last // longest, :, last % longest]
         n_used[active] += taken
         converged[active] = met
         if trail is not None:
-            trail.append((states[1 : taken[0] + 1, 0, 1:] if drawn
-                          else block[0].transpose(0, 2, 1).reshape(-1, 3)[: taken[0]]).copy())
+            trail.append(block[0].transpose(0, 2, 1).reshape(-1, 3)[: taken[0]].copy())
         keep = ~met & (left > length)
-        if drawn:
-            draws.retire(met[:drawn], taken[:drawn], keep[:drawn])
-        kept = np.flatnonzero(keep[drawn:])
-        if kept.size < len(powers):
+        kept = np.flatnonzero(keep)
+        if kept.size < k:
             # move the kept rows down in place, so no second stack is made
             for row, source in enumerate(kept):
                 powers[row] = powers[source]
             powers = powers[: kept.size]
         active = active[keep]
     return final[:, 1:], n_used, converged
+
+
+def _run_drawn(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | None = None):
+    """The random loop: advance one group of runs that share a mixing mode
+    and a reservoir count, as ``_run_fixed`` does, a chunk of ``_CHUNK``
+    collisions at a time.  One ``_MapGroup`` builds the group's maps for the
+    chunk together, each run drawing from its own stream, and each run
+    multiplies its maps one collision at a time into its own column of a
+    state buffer.  A run that stops mid-chunk is rewound to its last
+    collision."""
+    threshold, window, budget, final, n_used, streak, converged = _start(state0, engines)
+    longest = int(min(_CHUNK, budget.max()))
+    group = _MapGroup(engines, rngs, longest)
+    distances = np.empty(len(engines) * longest)
+    active = np.arange(len(engines))  # the runs in the columns of the group's maps, in order
+    while active.size:
+        left = budget[active] - n_used[active]
+        length = int(min(_CHUNK, left.max()))
+        buf = np.empty((length + 1, active.size, 4, 1))
+        buf[0, :, :, 0] = final[active]
+        rows = list(buf)
+        for op, before, after in zip(group.chunk(left, length), rows, rows[1:]):
+            np.matmul(op, before, out=after)
+        states = buf[..., 0]
+        step = states[1:, :, 1:] - states[:-1, :, 1:]
+        step *= step
+        # one row per run, written transposed: its squared Bloch step at each
+        # collision of the chunk, summed as (x + y) + z
+        dist = distances[: active.size * length].reshape(active.size, length)
+        np.add(step[..., 0], step[..., 1], out=dist.T)
+        np.add(dist.T, step[..., 2], out=dist.T)
+        met, taken, streak[active] = _window(dist, threshold, window, streak, left, active)
+        final[active] = states[taken, np.arange(active.size)]
+        n_used[active] += taken
+        converged[active] = met
+        if trail is not None:
+            trail.append(states[1 : taken[0] + 1, 0, 1:].copy())
+        keep = ~met & (left > length)
+        group.retire(met, taken, keep)
+        active = active[keep]
+    return final[:, 1:], n_used, converged
+
+
+def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | None = None):
+    """Advance every run from ``state0`` until it meets its own tolerance
+    window or uses its own budget: the deterministic runs in one
+    ``_run_fixed``, the random runs in one ``_run_drawn`` per group that
+    shares a mixing mode and a reservoir count.  Returns what the loops
+    return, each run's in input order; ``trail`` is for one run only."""
+    groups: dict = {}
+    for i, e in enumerate(engines):
+        groups.setdefault((e.cfg.mixing_mode, len(e.reservoirs)) if e.random else None, []).append(i)
+    final = np.empty((len(engines), 3))
+    n_used = np.empty(len(engines), dtype=np.int64)
+    converged = np.empty(len(engines), dtype=bool)
+    for key, runs in groups.items():
+        members = [engines[i] for i in runs]
+        final[runs], n_used[runs], converged[runs] = (
+            _run_fixed(state0, members, trail) if key is None
+            else _run_drawn(state0, members, [rngs[i] for i in runs], trail))
+    return final, n_used, converged
 
 
 def _bloch_fidelity(b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -782,7 +777,7 @@ def step(
     engine = _Engine(reservoirs, cfg)
     op = engine.mean_op
     if engine.random:
-        op = _DrawnMaps([engine], [_stream(engine, rng)], [0], 1).chunk(np.ones(1, dtype=np.int64), 1)[0, 0]
+        op = _MapGroup([engine], [_stream(engine, rng)], 1).chunk(np.ones(1, dtype=np.int64), 1)[0, 0]
     return bloch_to_density(op.dot(state)[1:])
 
 
@@ -825,9 +820,9 @@ def evolve_batch(
 
     Every run starts from the +x eigenstate and keeps its own tolerance,
     window, budget and random stream (None: seeded from its ``cfg.seed``).
-    The runs advance together through the loop ``evolve`` uses, so each
-    result is bitwise the one ``evolve(None, reservoirs, cfg, record=False,
-    rng=rng)`` returns.  Every run's maps are compiled before any run
+    The runs go through the loops ``evolve`` uses, one per kind of run, so
+    each result is bitwise the one ``evolve(None, reservoirs, cfg,
+    record=False, rng=rng)`` returns.  Every run's maps are compiled before any run
     starts, and deterministic runs that share a compiled map and a stopping
     rule, which evolve identically, are run once.
     """

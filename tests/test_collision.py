@@ -9,15 +9,16 @@ a handful of configurations and again, more broadly, in the acceptance tests.
 Both routes read the same closed-form transfer matrices, so the property
 tests check those matrices against ``single_collision`` (unitary plus partial
 trace) on random inputs, and the z-axis fixed point against its closed form.
-The evolution loop advances runs a chunk of collisions at a time, and
-deterministic runs four chunks per pass, so its stopping rule is pinned at
-chunk and pass boundaries, and a batch of runs must give bitwise what each
-run gives alone.  A deterministic run's chunk is one product of its start
-state with powers of its map, laid out per Bloch component, so it must agree
-with the per-collision product of drawn maps and with ``step``, and bitwise
-with a plain loop of one such product per chunk; the window rule is
-recounted from a recorded trajectory one step at a time, independently of
-how a chunk is laid out, and its squared-step threshold is checked against
+The evolution loops advance runs a chunk of collisions at a time, the
+deterministic loop four chunks per pass, so their stopping rule is pinned at
+chunk and pass boundaries, and a batch of runs, mixed or not, must give
+bitwise what each run gives alone.  A deterministic run's chunk is one
+product of its start state with powers of its map, laid out per Bloch
+component, so it must agree with the per-collision product of drawn maps and
+with ``step``, and bitwise with a plain loop of one such product per chunk.
+The window rule is recounted one step at a time from a recorded trajectory,
+independently of how a chunk is laid out, and on drawn passes of the one
+window helper both loops call; its squared-step threshold is checked against
 the trace distance it stands for.
 """
 
@@ -43,9 +44,10 @@ from qsc.collision import (
     ReservoirSpec,
     SingularSystem,
     WeightsNotNormalized,
-    _DrawnMaps,
     _Engine,
+    _MapGroup,
     _threshold,
+    _window,
     affine_representation,
     collision_unitary,
     evolve,
@@ -840,6 +842,48 @@ def test_window_rule_matches_a_recount_of_the_recorded_steps(run):
     assert (result.n_used, result.converged) == expected
 
 
+@st.composite
+def window_passes(draw):
+    """One pass of the window rule over 1-4 rows, held at scattered runs of
+    longer per-run arrays: squared steps just under, at and over each run's
+    threshold (or NaN), carried streaks from 0 to window - 1, and budgets
+    left shorter and longer than the pass."""
+    rows, length = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    active = np.array(draw(st.permutations(range(rows + 3)))[:rows])
+    threshold = np.array(draw(st.lists(st.floats(1e-300, 1e300), min_size=rows + 3, max_size=rows + 3)))
+    window = np.array(draw(st.lists(st.integers(1, 12), min_size=rows + 3, max_size=rows + 3)))
+    streak = np.array([draw(st.integers(0, w - 1)) for w in window])
+    steps = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.nan])  # multiples of the threshold, 0.5 meaning just under
+    dist = np.array([[draw(steps) for _ in range(length)] for _ in range(rows)])
+    dist = np.where(dist == 0.5, np.nextafter(threshold[active, None], 0.0), dist * threshold[active, None])
+    left = np.array(draw(st.lists(st.integers(1, 2 * length), min_size=rows, max_size=rows)))
+    return dist, threshold, window, streak, left, active
+
+
+@PROPERTY
+@given(window_passes())
+# a carried streak that closes at t = 0
+@example((np.zeros((1, 5)), np.ones(1), np.array([4]), np.array([3]), np.array([9]), np.array([0])))
+# a budget that ends one collision before the window would close
+@example((np.zeros((1, 8)), np.ones(1), np.array([5]), np.array([0]), np.array([4]), np.array([0])))
+def test_window_matches_a_per_collision_recount(case):
+    dist, threshold, window, streak, left, active = case
+    met, taken, ends = _window(dist, threshold, window, streak.copy(), left, active)
+    for r, run in enumerate(active):
+        # the first collision within the budget that closes the window, and
+        # the streak after the pass's last step
+        expected_met, expected_taken, count = False, min(int(left[r]), dist.shape[1]), int(streak[run])
+        for t, d in enumerate(dist[r].tolist()):
+            count = count + 1 if d < threshold[run] else 0
+            if not expected_met and t < left[r] and count >= window[run]:
+                expected_met, expected_taken = True, t + 1
+        assert (bool(met[r]), int(taken[r]), int(ends[r])) == (expected_met, expected_taken, count)
+
+
+def test_empty_batch_has_no_results():
+    assert evolve_batch([]) == []
+
+
 NOISY = [ReservoirSpec(0.4, 0.3, noise=NoiseSpec(0.2, 0.1)), ReservoirSpec(2.0, 0.2)]
 # two weighted reservoirs whose canonical order is their list order, and two
 # whose canonical order is reversed, each with one noisy reservoir
@@ -977,26 +1021,28 @@ def test_drawn_convex_maps_are_each_collisions_mixture_bitwise(compositions, see
     engines = [e for e in engines if e.random]
     assume(engines)
     streams = [np.random.default_rng(seed + i) for i in range(len(engines))]
-    draws = _DrawnMaps(engines, [np.random.default_rng(seed + i) for i in range(len(engines))],
-                       np.arange(len(engines)), 8)
-    columns = list(draws.runs)  # the runs grouped by reservoir count
-    left = np.full(len(columns), 20)
-    for chunk, length in enumerate((8, 8, 4)):
-        maps = draws.chunk(left, length)
-        for t in range(length):
-            for column, run in enumerate(columns):
-                e = engines[run]
-                ops = list(e.base_ops)
-                for i, u in zip(e.noisy, streams[run].random(len(e.noisy))):
-                    noise = e.reservoirs[i].noise
-                    ops[i] = e.base_ops[i] + ((u * 2.0 - 1.0) * noise.eta + noise.epsilon) * e.noise_ops[i]
-                assert maps[t, column].tobytes() == e._compose(ops).tobytes()
-        left -= length
-        # the first column retires after the first chunk
-        keep = np.ones(len(columns), dtype=bool)
-        keep[0] = chunk > 0 or len(columns) == 1
-        draws.retire(np.zeros(len(columns), dtype=bool), np.full(len(columns), length), keep)
-        columns, left = [c for c, kept in zip(columns, keep) if kept], left[keep]
+    # one group per reservoir count, as the random loop runs them
+    for count in sorted({len(e.reservoirs) for e in engines}):
+        columns = [run for run, e in enumerate(engines) if len(e.reservoirs) == count]
+        group = _MapGroup([engines[run] for run in columns],
+                          [np.random.default_rng(seed + run) for run in columns], 8)
+        left = np.full(len(columns), 20)
+        for chunk, length in enumerate((8, 8, 4)):
+            maps = group.chunk(left, length)
+            for t in range(length):
+                for column, run in enumerate(columns):
+                    e = engines[run]
+                    ops = list(e.base_ops)
+                    for i, u in zip(e.noisy, streams[run].random(len(e.noisy))):
+                        noise = e.reservoirs[i].noise
+                        ops[i] = e.base_ops[i] + ((u * 2.0 - 1.0) * noise.eta + noise.epsilon) * e.noise_ops[i]
+                    assert maps[t, column].tobytes() == e._compose(ops).tobytes()
+            left -= length
+            # the first column retires after the first chunk
+            keep = np.ones(len(columns), dtype=bool)
+            keep[0] = chunk > 0 or len(columns) == 1
+            group.retire(np.zeros(len(columns), dtype=bool), np.full(len(columns), length), keep)
+            columns, left = [c for c, kept in zip(columns, keep) if kept], left[keep]
 
 
 def test_choi_matrix_detects_a_non_positive_map():
