@@ -45,16 +45,17 @@ import sys
 from pathlib import Path
 
 from .collision import DEFAULT_SEED, NoiseSpec, ReservoirSpec
-from .physical import TimingBudget, TransmonParams, response_time, system_reservoir_couplings, validate_dispersive
+from .physical import TimingBudget, TransmonParams
 from .presets import (
+    TRANSMON_TIMING,
     PresetOutcome,
     RunOptions,
     UnknownPreset,
-    derived_transmon_params,
     list_presets,
     run_custom,
     run_custom_sweep,
     run_preset,
+    transmon_report,
 )
 
 _TOP_KEYS = {"name", "angle_unit", "reservoirs", "engine", "sweep", "output"}
@@ -288,33 +289,34 @@ def _parse_qubit(text: str) -> tuple[float, float]:
         raise InvalidConfig(f"--qubit expects OMEGA_GHZ:G_MHZ, got {text!r}") from None
 
 
+_VERDICT = {True: "ok", False: "FAIL"}
+
+
 def cmd_transmon(args) -> int:
     budget = TimingBudget(tau_int=args.tau_int, tau_r=args.tau_r, tau_pr=args.tau_pr,
                           t1=args.t1, n_collisions=args.n_collisions)
-    if args.omega_r is None and not args.qubit:
-        params = derived_transmon_params()
-    elif args.omega_r is None or not args.qubit:
+    params = None
+    if args.omega_r is not None and args.qubit:
+        params = TransmonParams(args.omega_r, tuple(_parse_qubit(q) for q in args.qubit))
+    elif args.omega_r is not None or args.qubit:
         raise InvalidConfig("transmon needs both --omega-r and at least one --qubit "
                             "(or neither, for the built-in parameter set)")
-    else:
-        params = TransmonParams(args.omega_r, tuple(_parse_qubit(q) for q in args.qubit))
 
-    print(f"omega_r = {params.omega_r:g} GHz")
-    report = validate_dispersive(params)
-    for (omega, g), (index, ratio, ok) in zip(params.qubits, report.qubit_ratios):
+    report = transmon_report(params, budget)
+    disp, timing = report["dispersive"], report["timing"]
+    print(f"omega_r = {report['omega_r_ghz']:g} GHz")
+    for index, (qubit, check) in enumerate(zip(report["qubits"], disp["qubit_ratios"])):
         role = "system" if index == 0 else f"reservoir {index}"
-        print(f"qubit {index} ({role}): omega = {omega:g} GHz, g = {g:.6g} MHz, "
-              f"|delta|/g = {ratio:.4g} ({'ok' if ok else 'FAIL'})")
-    for index, j in enumerate(system_reservoir_couplings(params), start=1):
-        print(f"J(system, reservoir {index}) = {j:.6g} MHz")
-    for pair, j, ratio, ok in report.pair_checks:
-        print(f"reservoir pair {pair}: J = {j:.6g} MHz, gap/|J| = {ratio:.4g} "
-              f"({'ok' if ok else 'FAIL'})")
-    print(f"dispersive regime: {'ok' if report.ok else 'FAIL'}")
-
-    total, ok = response_time(budget)
-    print(f"response time: {total:g} us over {budget.n_collisions} collisions of "
-          f"{budget.tau_int:g} ns (T1 = {budget.t1:g} us: {'ok' if ok else 'FAIL'})")
+        print(f"qubit {index} ({role}): omega = {qubit['omega_ghz']:g} GHz, g = {qubit['g_mhz']:.6g} MHz, "
+              f"|delta|/g = {check['ratio']:.4g} ({_VERDICT[check['ok']]})")
+    for index in range(1, len(report["qubits"])):
+        print(f"J(system, reservoir {index}) = {report[f'j1{index + 1}_mhz']:.6g} MHz")
+    for check in disp["pair_checks"]:
+        print(f"reservoir pair {tuple(check['pair'])}: J = {check['j_mhz']:.6g} MHz, "
+              f"gap/|J| = {check['ratio']:.4g} ({_VERDICT[check['ok']]})")
+    print(f"dispersive regime: {_VERDICT[disp['ok']]}")
+    print(f"response time: {timing['response_us']:g} us over {timing['n_collisions']} collisions of "
+          f"{timing['tau_int_ns']:g} ns (T1 = {timing['t1_us']:g} us: {_VERDICT[timing['t1_ok']]})")
     return 0
 
 
@@ -352,15 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     transmon.add_argument("--qubit", action="append", default=[],
                           metavar="OMEGA_GHZ:G_MHZ",
                           help="qubit frequency and coupling; first is the system qubit")
-    transmon.add_argument("--tau-int", type=float, default=5.0, dest="tau_int",
+    transmon.add_argument("--tau-int", type=float, default=TRANSMON_TIMING.tau_int, dest="tau_int",
                           help="interaction time in ns")
-    transmon.add_argument("--tau-r", type=float, default=20.0, dest="tau_r",
+    transmon.add_argument("--tau-r", type=float, default=TRANSMON_TIMING.tau_r, dest="tau_r",
                           help="reservoir relaxation time in us")
-    transmon.add_argument("--tau-pr", type=float, default=0.5, dest="tau_pr",
+    transmon.add_argument("--tau-pr", type=float, default=TRANSMON_TIMING.tau_pr, dest="tau_pr",
                           help="reset/preparation time in ns")
-    transmon.add_argument("--t1", type=float, default=20.0,
+    transmon.add_argument("--t1", type=float, default=TRANSMON_TIMING.t1,
                           help="system-qubit T1 in us")
-    transmon.add_argument("--n-collisions", type=int, default=2000, dest="n_collisions")
+    transmon.add_argument("--n-collisions", type=int, default=TRANSMON_TIMING.n_collisions, dest="n_collisions")
     transmon.set_defaults(func=cmd_transmon)
     return parser
 

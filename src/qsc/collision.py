@@ -38,16 +38,15 @@ row of uniforms on [0, 1), the stochastic channel choice first (stochastic
 mode only), then one noise draw per noisy reservoir in list order, in every
 mixing mode, so a stochastic collision also draws noise for the reservoirs
 it does not choose.  The loop reads a chunk of collisions' rows at once,
-each run from its own generator, and a run that stops mid-chunk is
-redrawn from where its generator stood when the call began, so it leaves the
+each run from its own generator, so one generator serves one random run.  A
+run that stops mid-chunk is rewound to where its generator stood when the
+call began and redraws one row per collision it took, so it leaves the
 generator where its last collision left it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,7 +323,9 @@ class _MapGroup:
     count K, and the buffers their drawn maps are built in.
 
     Each run's reservoirs are stacked once, in the order the mode composes
-    them: canonical for convex, list order otherwise.  A reservoir without
+    them: canonical for convex, list order otherwise, into the per-slot
+    stacks ``chunk`` reads, and a retired run's column is dropped from
+    those.  A reservoir without
     noise gets epsilon = eta = 0 and a zero noise map, so one formula serves
     every slot.  Each chunk every run reads its rows of uniforms from its own
     stream into its own block of ``drawn``, and one ``take`` lays them out
@@ -359,15 +360,12 @@ class _MapGroup:
             eta.append([s.eta for s in specs])
             weights.append(e.cum_weights if stochastic else e.weights[order])
             dests.append([k] * stochastic + [order.index(r) for r in e.noisy])
-        self.base, self.noise = np.array(base), np.array(noise)
-        self.eps0, self.eta, self.weights = np.array(eps0), np.array(eta), np.array(weights)
+        base, noise = np.array(base), np.array(noise)
+        eps0, eta, weights = np.array(eps0), np.array(eta), np.array(weights)
         self.rngs = rngs
-        # where each stream stood when the call began, and the rows it has
-        # drawn since (in the last chunk: ``last_rows``), for rewinding a run
+        # where each stream stood when the call began, for rewinding a run
         # that stops mid-chunk
         self.initial = [rng.bit_generator.state for rng in rngs]
-        self.drawn_rows = np.zeros(len(rngs), dtype=np.int64)
-        self.last_rows = np.zeros(len(rngs), dtype=np.int64)
         g = len(engines)
         # Run r draws its rows into blocks[r], a (length, cols) view of
         # ``drawn``; the last element of ``drawn`` stays 0 and feeds every
@@ -387,40 +385,37 @@ class _MapGroup:
         self.u = np.empty((k + stochastic) * length * g)
         self.eps = np.empty(k * length * g)
         if self.mode == "convex":
-            self.moving = np.flatnonzero((self.noise.reshape(g, k, 16) != 0.0).any(axis=(0, 1)))
+            self.moving = np.flatnonzero((noise.reshape(g, k, 16) != 0.0).any(axis=(0, 1)))
             self.cells = [divmod(int(entry), 4) for entry in self.moving]
             self.sum = np.empty(len(self.moving) * length * g)
             self.term = np.empty(len(self.moving) * length * g)
             # the same sum as every chunk's, at epsilon = epsilon_0
             fixed = np.zeros((g, 4, 4))
             for s in range(k):
-                term = self.eps0[:, s, None, None] * self.noise[:, s]
-                term += self.base[:, s]
-                term *= self.weights[:, s, None, None]
+                term = eps0[:, s, None, None] * noise[:, s]
+                term += base[:, s]
+                term *= weights[:, s, None, None]
                 fixed += term
             fixed[:, 0, :] = _TRACE_ROW
             self.fixed = fixed
         else:
+            self.base, self.noise, self.weights = base, noise, weights
             self.slot = np.empty(length * g * 16)
             if self.mode == "sequential":
                 self.spare = np.empty(length * g * 16)
             else:
                 self.mask = np.empty(length * g, dtype=bool)
-        self._lay_out()
-        self.maps = np.empty(length * g * 16)
-        self.layout = None
-
-    def _lay_out(self) -> None:
         # per-slot stacks with the runs last, as chunk's (slot, length, runs)
         # arrays read them
-        self.eps0_rows = self.eps0.T[:, None, :].copy()
-        self.eta_rows = self.eta.T[:, None, :].copy()
+        self.eps0_rows = eps0.T[:, None, :].copy()
+        self.eta_rows = eta.T[:, None, :].copy()
         if self.mode == "convex":
-            g, k = self.base.shape[:2]
             # (slot, moving entry, 1, runs)
             take = lambda stack: stack.reshape(g, k, 16)[:, :, self.moving].transpose(1, 2, 0)[:, :, None].copy()
-            self.base_rows, self.noise_rows = take(self.base), take(self.noise)
-            self.weight_rows = self.weights.T.copy()
+            self.base_rows, self.noise_rows = take(base), take(noise)
+            self.weight_rows = weights.T.copy()
+        self.maps = np.empty(length * g * 16)
+        self.layout = None
 
     def chunk(self, left: np.ndarray, length: int) -> np.ndarray:
         """Draw each run's next min(length, left) rows from its own stream and
@@ -428,13 +423,10 @@ class _MapGroup:
         runs, 4, 4); ``left`` is each run's remaining budget.  Past a run's
         budget nothing is drawn, and its maps there are built from earlier
         uniforms and never read."""
-        g, k = len(self.rngs), self.base.shape[1]
+        k, _, g = self.eps0_rows.shape
         out = self.maps[: length * g * 16].reshape(length, g, 4, 4)
-        rows = np.minimum(left, length)
-        for rng, block, n in zip(self.rngs, self.blocks, rows.tolist()):
+        for rng, block, n in zip(self.rngs, self.blocks, np.minimum(left, length).tolist()):
             rng.random(out=block[:n])
-        self.drawn_rows += rows
-        self.last_rows = rows
         gather = self.gather[:, :length]
         u = self.u[: gather.size].reshape(gather.shape)
         np.take(self.drawn, gather, out=u, mode="clip")
@@ -494,33 +486,33 @@ class _MapGroup:
                 np.copyto(out, op(s, slot), where=mask[..., None, None])
         return out
 
-    def retire(self, met: np.ndarray, taken: np.ndarray, keep: np.ndarray) -> None:
+    def retire(self, met: np.ndarray, n_used: np.ndarray, keep: np.ndarray) -> None:
         """Rewind a run that ``met`` its window to the start of the call and
-        redraw only the rows of the collisions it took, so its stream ends
-        where that many single collisions leave it, then drop the runs whose
-        entry of ``keep`` is False."""
+        redraw one row per collision it took since then, ``n_used``, so its
+        stream ends where that many single collisions leave it, then drop
+        the runs whose entry of ``keep`` is False."""
         # drawn is free scratch now: the next chunk draws every row it reads
         scratch = self.drawn[:-1]
         for r in np.flatnonzero(met):
             rng = self.rngs[r]
             rng.bit_generator.state = self.initial[r]
-            left = int(self.drawn_rows[r] - self.last_rows[r] + taken[r]) * self.blocks[r].shape[1]
+            left = int(n_used[r]) * self.blocks[r].shape[1]
             while left:
                 n = min(left, scratch.size)
                 rng.random(out=scratch[:n])
                 left -= n
         if keep.all():
             return
-        self.base, self.noise = self.base[keep], self.noise[keep]
-        self.eps0, self.eta, self.weights = self.eps0[keep], self.eta[keep], self.weights[keep]
+        self.eps0_rows, self.eta_rows = self.eps0_rows[..., keep], self.eta_rows[..., keep]
         if self.mode == "convex":
-            self.fixed = self.fixed[keep]
+            self.base_rows, self.noise_rows = self.base_rows[..., keep], self.noise_rows[..., keep]
+            self.weight_rows, self.fixed = self.weight_rows[:, keep], self.fixed[keep]
+        else:
+            self.base, self.noise, self.weights = self.base[keep], self.noise[keep], self.weights[keep]
         self.gather = self.gather[:, :, keep]
-        self.drawn_rows, self.last_rows = self.drawn_rows[keep], self.last_rows[keep]
         self.rngs = [r for r, kept in zip(self.rngs, keep) if kept]
         self.initial = [s for s, kept in zip(self.initial, keep) if kept]
         self.blocks = [b for b, kept in zip(self.blocks, keep) if kept]
-        self._lay_out()
 
 
 def _initial(rho: np.ndarray) -> np.ndarray:
@@ -545,26 +537,22 @@ def _result(b: np.ndarray, n_used: int, converged: bool) -> SteadyStateResult:
     return SteadyStateResult(rho, p_e - p_g, p_e, p_g, n_used, converged)
 
 
-def _double(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-@functools.lru_cache(maxsize=256)
 def _threshold(tol: float) -> float:
     """The least double d with 0.5 * sqrt(d) >= tol, so that a squared Bloch
     step d has a trace distance 0.5 * sqrt(d) under tol exactly when d <
-    _threshold(tol), with no square root taken.  Doubles from 0 to inf order
-    as their bit patterns, and 0.5 * sqrt(d) is monotone in d, so bisection
-    over the patterns finds it in at most 63 steps; a tol above 0.5 *
-    sqrt(max double) gives inf."""
-    below, above = 0, 0x7FF0000000000000  # the patterns of 0.0 and inf
-    while above - below > 1:
-        middle = (below + above) // 2
-        if 0.5 * math.sqrt(_double(middle)) >= tol:
-            above = middle
-        else:
-            below = middle
-    return _double(above)
+    _threshold(tol), with no square root taken.  (2 tol)^2 is that d up to
+    the rounding of the square and the root, and 0.5 * sqrt(d) is monotone
+    in d, so the least d is found by stepping from it to neighbouring
+    doubles: one step at most on every tol tried (each power of two and
+    10^5 random doubles), so two or three square roots.  A (2 tol)^2
+    that overflows starts from inf, and a tol above 0.5 * sqrt(max double)
+    gives inf."""
+    d = (2.0 * tol) * (2.0 * tol)
+    while 0.5 * math.sqrt(math.nextafter(d, 0.0)) >= tol:
+        d = math.nextafter(d, 0.0)
+    while 0.5 * math.sqrt(d) < tol:
+        d = math.nextafter(d, math.inf)
+    return d
 
 
 def _powers(maps: np.ndarray, length: int) -> np.ndarray:
@@ -732,7 +720,7 @@ def _run_drawn(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: li
         if trail is not None:
             trail.append(states[1 : taken[0] + 1, 0, 1:].copy())
         keep = ~met & (left > length)
-        group.retire(met, taken, keep)
+        group.retire(met, n_used[active], keep)
         active = active[keep]
     return final[:, 1:], n_used, converged
 
@@ -819,7 +807,8 @@ def evolve_batch(
     """Steady states of independent runs, one per (reservoirs, cfg, rng).
 
     Every run starts from the +x eigenstate and keeps its own tolerance,
-    window, budget and random stream (None: seeded from its ``cfg.seed``).
+    window, budget and random stream (None: seeded from its ``cfg.seed``);
+    a ``np.random.Generator`` given to two random runs raises ValueError.
     The runs go through the loops ``evolve`` uses, one per kind of run, so
     each result is bitwise the one ``evolve(None, reservoirs, cfg,
     record=False, rng=rng)`` returns.  Every run's maps are compiled before any run
@@ -828,6 +817,9 @@ def evolve_batch(
     """
     state0 = _initial(pure_qubit(math.pi / 2.0))
     engines = [_Engine(reservoirs, cfg) for reservoirs, cfg, _ in runs]
+    given = [id(rng) for e, (_, _, rng) in zip(engines, runs) if e.random and rng is not None]
+    if len(set(given)) < len(given):
+        raise ValueError("each random run needs its own np.random.Generator; one was given to several")
     slot: dict = {}
     distinct = []
     owner = []

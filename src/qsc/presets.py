@@ -58,6 +58,11 @@ PHYS_H_MHZ = 6200.0
 PHYS_TAU_US = 0.005
 PHYS_MAX_COLLISIONS = 2000
 
+# The transmon report's timing budget.  The entries besides tau_int are
+# representative bracketing values (relaxation well above the interaction
+# time, preparation well below), not quoted numbers.
+TRANSMON_TIMING = TimingBudget(tau_int=5.0, tau_r=20.0, tau_pr=0.5, t1=20.0, n_collisions=2000)
+
 CONVENTIONS = ("ordinary", "angular")
 
 _DEG = math.pi / 180.0
@@ -257,8 +262,8 @@ def _run_fig7(opts: RunOptions, epsilon: float) -> PresetOutcome:
     return _theta_dataset_run(opts, cfg, 2, factor * PHYS_J_MHZ, noise)
 
 
-def derived_transmon_params(j_target_mhz: float = PHYS_J_MHZ) -> TransmonParams:
-    """Reconstruct couplings from the quoted frequencies and target J.
+def derived_transmon_params() -> TransmonParams:
+    """Reconstruct couplings from the quoted frequencies and target J, PHYS_J_MHZ.
 
     Only the frequencies and the effective couplings are given, so g is fixed
     by inverting the dispersive formula: one common g for the system pair and
@@ -266,31 +271,28 @@ def derived_transmon_params(j_target_mhz: float = PHYS_J_MHZ) -> TransmonParams:
     """
     omega_r, w1, w2, w3 = 8.625, 6.2, 4.052, 7.518
     d1, d2, d3 = w1 - omega_r, w2 - omega_r, w3 - omega_r
-    g_sys = math.sqrt(j_target_mhz / abs(0.5 * (1.0 / d1 + 1.0 / d2) / 1000.0))
-    g3 = j_target_mhz / abs(0.5 * g_sys * (1.0 / d1 + 1.0 / d3) / 1000.0)
+    g_sys = math.sqrt(PHYS_J_MHZ / abs(0.5 * (1.0 / d1 + 1.0 / d2) / 1000.0))
+    g3 = PHYS_J_MHZ / abs(0.5 * g_sys * (1.0 / d1 + 1.0 / d3) / 1000.0)
     return TransmonParams(omega_r, ((w1, g_sys), (w2, g_sys), (w3, g3)))
 
 
-def transmon_report(convention: str = "angular") -> dict:
+def transmon_report(params: TransmonParams | None = None, budget: TimingBudget = TRANSMON_TIMING,
+                    convention: str = "angular") -> dict:
     """Everything the hardware mapping yields: couplings, regime checks, timing.
 
-    ``convention`` only labels the report: its numbers are quoted ordinary
-    frequencies and times, which the frequency convention does not change.
-    The timing entries besides tau_int are representative bracketing values
-    (relaxation well above the interaction time, preparation well below), not
-    quoted numbers.
+    ``params=None`` reports the built-in set.  ``j1{i}_mhz`` couples the
+    system to qubit i, counting from 1.  ``convention`` only labels the
+    report: its numbers are quoted ordinary frequencies and times, which the
+    frequency convention does not change.
     """
-    params = derived_transmon_params()
-    j12, j13 = system_reservoir_couplings(params)
+    params = params or derived_transmon_params()
     disp = validate_dispersive(params)
-    budget = TimingBudget(tau_int=5.0, tau_r=20.0, tau_pr=0.5, t1=20.0, n_collisions=2000)
     total_us, t1_ok = response_time(budget)
     return {
         "frequency_convention": convention,
         "omega_r_ghz": params.omega_r,
         "qubits": [{"omega_ghz": w, "g_mhz": g} for w, g in params.qubits],
-        "j12_mhz": j12,
-        "j13_mhz": j13,
+        **{f"j1{i}_mhz": j for i, j in enumerate(system_reservoir_couplings(params), start=2)},
         "dispersive": {
             "qubit_ratios": [
                 {"qubit": i, "ratio": r, "ok": ok} for i, r, ok in disp.qubit_ratios
@@ -315,7 +317,7 @@ def transmon_report(convention: str = "angular") -> dict:
 
 def _run_transmon(opts: RunOptions) -> PresetOutcome:
     path = Path(opts.out_dir) / "transmon.json"
-    writers.write_json(path, transmon_report(opts.convention))
+    writers.write_json(path, transmon_report(convention=opts.convention))
     return PresetOutcome([path], True)
 
 

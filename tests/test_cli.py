@@ -411,32 +411,122 @@ def test_unwritable_output_exits_three(tmp_path):
     assert code == 3
 
 
+# The built-in set's report, printed and written (angular convention); the
+# dispersive regime reads FAIL, honest about the marginal ratios.
+TRANSMON_STDOUT = """\
+omega_r = 8.625 GHz
+qubit 0 (system): omega = 6.2 GHz, g = 393.676 MHz, |delta|/g = 6.16 (FAIL)
+qubit 1 (reservoir 1): omega = 4.052 GHz, g = 393.676 MHz, |delta|/g = 11.62 (ok)
+qubit 2 (reservoir 2): omega = 7.518 GHz, g = 188.816 MHz, |delta|/g = 5.863 (FAIL)
+J(system, reservoir 1) = -48.9 MHz
+J(system, reservoir 2) = -48.9 MHz
+reservoir pair (1, 2): J = -41.7011 MHz, gap/|J| = 83.12 (ok)
+dispersive regime: FAIL
+response time: 10 us over 2000 collisions of 5 ns (T1 = 20 us: ok)
+"""
+TRANSMON_JSON = """\
+{
+  "frequency_convention": "angular",
+  "omega_r_ghz": 8.625,
+  "qubits": [
+    {
+      "omega_ghz": 6.2,
+      "g_mhz": 393.67599197
+    },
+    {
+      "omega_ghz": 4.052,
+      "g_mhz": 393.67599197
+    },
+    {
+      "omega_ghz": 7.518,
+      "g_mhz": 188.815913134
+    }
+  ],
+  "j12_mhz": -48.9,
+  "j13_mhz": -48.9,
+  "dispersive": {
+    "qubit_ratios": [
+      {
+        "qubit": 0,
+        "ratio": 6.15988795219,
+        "ok": false
+      },
+      {
+        "qubit": 1,
+        "ratio": 11.6161515898,
+        "ok": true
+      },
+      {
+        "qubit": 2,
+        "ratio": 5.86285330313,
+        "ok": false
+      }
+    ],
+    "pair_checks": [
+      {
+        "pair": [
+          1,
+          2
+        ],
+        "j_mhz": -41.7010549141,
+        "ratio": 83.1154033666,
+        "ok": true
+      }
+    ],
+    "ok": false
+  },
+  "timing": {
+    "tau_int_ns": 5.0,
+    "tau_r_us": 20.0,
+    "tau_pr_ns": 0.5,
+    "t1_us": 20.0,
+    "n_collisions": 2000,
+    "response_us": 10.0,
+    "t1_ok": true
+  }
+}
+"""
+
+
 def test_transmon_default_report(capsys):
     assert run_cli("transmon") == 0
-    out = capsys.readouterr().out
-    assert "omega_r = 8.625 GHz" in out
-    assert "J(system, reservoir 1) = -48.9 MHz" in out
-    assert "dispersive regime: FAIL" in out  # honest about the marginal ratios
-    assert "response time: 10 us over 2000 collisions" in out
+    assert capsys.readouterr().out == TRANSMON_STDOUT
 
 
 def test_transmon_preset_records_the_convention(tmp_path):
+    # the report quotes ordinary frequencies and times, whichever convention
+    # runs, so only its label differs
     for convention in ("angular", "ordinary"):
         assert run_cli("run", "--preset", "transmon", "--convention", convention,
                        "--out", tmp_path / convention) == 0
-    angular, ordinary = (json.loads((tmp_path / c / "transmon.json").read_text(encoding="utf-8"))
-                         for c in ("angular", "ordinary"))
-    assert (angular["frequency_convention"], ordinary["frequency_convention"]) == ("angular", "ordinary")
-    # the report quotes ordinary frequencies and times, whichever convention runs
-    del angular["frequency_convention"], ordinary["frequency_convention"]
-    assert ordinary == angular
+        expected = TRANSMON_JSON.replace('"angular"', f'"{convention}"')
+        assert (tmp_path / convention / "transmon.json").read_text(encoding="utf-8") == expected
 
 
 def test_transmon_custom_qubits(capsys):
     assert run_cli("transmon", "--omega-r", 10.0, "--qubit", "12.425:100") == 0
-    out = capsys.readouterr().out
-    assert "|delta|/g = 24.25 (ok)" in out
-    assert "dispersive regime: ok" in out
+    assert capsys.readouterr().out == (
+        "omega_r = 10 GHz\n"
+        "qubit 0 (system): omega = 12.425 GHz, g = 100 MHz, |delta|/g = 24.25 (ok)\n"
+        "dispersive regime: ok\n"
+        "response time: 10 us over 2000 collisions of 5 ns (T1 = 20 us: ok)\n"
+    )
+
+
+def test_transmon_custom_reservoirs_and_timing(capsys):
+    assert run_cli("transmon", "--omega-r", 8.6, "--qubit", "6.2:90", "--qubit", "4.0:80",
+                   "--qubit", "7.7:60", "--tau-int", 3, "--n-collisions", 7000) == 0
+    assert capsys.readouterr().out == (
+        "omega_r = 8.6 GHz\n"
+        "qubit 0 (system): omega = 6.2 GHz, g = 90 MHz, |delta|/g = 26.67 (ok)\n"
+        "qubit 1 (reservoir 1): omega = 4 GHz, g = 80 MHz, |delta|/g = 57.5 (ok)\n"
+        "qubit 2 (reservoir 2): omega = 7.7 GHz, g = 60 MHz, |delta|/g = 15 (ok)\n"
+        "J(system, reservoir 1) = -2.28261 MHz\n"
+        "J(system, reservoir 2) = -4.125 MHz\n"
+        "reservoir pair (1, 2): J = -3.18841 MHz, gap/|J| = 1160 (ok)\n"
+        "dispersive regime: ok\n"
+        "response time: 21 us over 7000 collisions of 3 ns (T1 = 20 us: FAIL)\n"
+    )
 
 
 def test_transmon_requires_complete_override(capsys):

@@ -650,7 +650,7 @@ def test_threshold_is_the_trace_distance_test(tol):
         assert (d < threshold) == (0.5 * math.sqrt(d) < tol)
 
 
-def test_threshold_bisection_takes_at_most_64_steps(monkeypatch):
+def test_threshold_takes_at_most_three_square_roots(monkeypatch):
     roots = []
     sqrt = math.sqrt
 
@@ -661,8 +661,18 @@ def test_threshold_bisection_takes_at_most_64_steps(monkeypatch):
     monkeypatch.setattr(math, "sqrt", counted)
     for tol in (5e-324, 1e-160, 1e-9, 0.5, 6.8e153, 1.7e308):
         roots.clear()
-        _threshold.__wrapped__(tol)
-        assert 0 < len(roots) <= 64
+        _threshold(tol)
+        assert 0 < len(roots) <= 3
+
+
+def test_threshold_at_every_power_of_two():
+    # subnormal tols, tols whose square is subnormal, and tols whose 2 * tol
+    # squared overflows
+    for e in range(-1074, 1024):
+        tol = math.ldexp(1.0, e)
+        threshold = _threshold(tol)
+        for d in (threshold, math.nextafter(threshold, 0.0), math.nextafter(threshold, math.inf)):
+            assert (d < threshold) == (0.5 * math.sqrt(d) < tol), (tol, d)
 
 
 def test_budget_equal_to_window():
@@ -884,6 +894,25 @@ def test_empty_batch_has_no_results():
     assert evolve_batch([]) == []
 
 
+def test_batch_rejects_one_generator_for_two_random_runs():
+    shared = np.random.default_rng(5)
+    cfg = EngineConfig(max_collisions=300)
+    with pytest.raises(ValueError, match="its own"):
+        evolve_batch([(NOISY, cfg, shared), (NOISY[::-1], cfg, shared)])
+
+
+def test_deterministic_run_may_share_a_generator_with_a_random_run():
+    # a deterministic run draws nothing, so the random run's stream is its own
+    cfg = EngineConfig(max_collisions=300)
+    runs = [(up_down_pair(), cfg), (NOISY, cfg)]
+    shared = np.random.default_rng(5)
+    batched = evolve_batch([(reservoirs, cfg, shared) for reservoirs, cfg in runs])
+    for (reservoirs, cfg), got in zip(runs, batched):
+        alone = evolve(None, reservoirs, cfg, record=False, rng=np.random.default_rng(5))[1]
+        assert np.array_equal(got.rho_ss, alone.rho_ss)
+        assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
+
+
 NOISY = [ReservoirSpec(0.4, 0.3, noise=NoiseSpec(0.2, 0.1)), ReservoirSpec(2.0, 0.2)]
 # two weighted reservoirs whose canonical order is their list order, and two
 # whose canonical order is reversed, each with one noisy reservoir
@@ -1041,7 +1070,7 @@ def test_drawn_convex_maps_are_each_collisions_mixture_bitwise(compositions, see
             # the first column retires after the first chunk
             keep = np.ones(len(columns), dtype=bool)
             keep[0] = chunk > 0 or len(columns) == 1
-            group.retire(np.zeros(len(columns), dtype=bool), np.full(len(columns), length), keep)
+            group.retire(np.zeros(len(columns), dtype=bool), 20 - left, keep)
             columns, left = [c for c, kept in zip(columns, keep) if kept], left[keep]
 
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qsc.physical import TransmonParams, system_reservoir_couplings
 from qsc.presets import (
     PRESETS,
     RunOptions,
@@ -182,6 +183,14 @@ def test_transmon_report_matches_derived_params():
     params = derived_transmon_params()
     assert report["qubits"][0]["omega_ghz"] == params.qubits[0][0]
     assert len(report["qubits"]) == 3
+
+
+def test_transmon_report_keys_every_reservoir_coupling():
+    params = TransmonParams(8.6, ((6.2, 90.0), (4.0, 80.0), (7.7, 60.0), (5.1, 70.0)))
+    report = transmon_report(params)
+    couplings = [key for key in report if key.startswith("j1")]
+    assert couplings == ["j12_mhz", "j13_mhz", "j14_mhz"]
+    assert [report[key] for key in couplings] == system_reservoir_couplings(params)
 
 
 def test_physical_scale_preset_convention_flag(tmp_path):
