@@ -169,14 +169,21 @@ def _parse_engine(block: dict, seed: int | None) -> dict:
     return kwargs
 
 
+def _list_index(part: str) -> int:
+    # int() would also take "-1", " 0", "+1" and "0_1"
+    if not (part.isascii() and part.isdigit()):
+        raise ValueError(part)
+    return int(part)
+
+
 def _apply_sweep_value(raw: dict, path: str, value) -> None:
     parts = path.split(".")
     node = raw
     try:
         for part in parts[:-1]:
-            node = node[int(part)] if isinstance(node, list) else node[part]
+            node = node[_list_index(part)] if isinstance(node, list) else node[part]
         if isinstance(node, list):
-            node[int(parts[-1])] = value
+            node[_list_index(parts[-1])] = value
         elif isinstance(node, dict):
             node[parts[-1]] = value
         else:

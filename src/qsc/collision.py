@@ -24,12 +24,15 @@ chunk's start state b with one product against powers of R cached for the
 call, laid out per Bloch component so that each run's x, y and z over the
 chunk come out as contiguous rows for the window test.  That loop chains
 four such products per pass, each started from the last state of the chunk
-before, and tests and retires runs once per pass.  A random run multiplies
+before, and tests and retires runs once per pass.  Steps never grow under
+a map that keeps the Bloch ball, so a run whose last step of a pass is well
+above tol skips the window test for that pass, with the result the test
+would give.  A random run multiplies
 its drawn maps one collision at a time.  Its loop serves one group of runs
 that share a mixing mode and a reservoir count, and forms their drawn maps
 together, a chunk at a time; a convex group forms per chunk only the
-entries that noise moves.  Both loops form every collision's state and test
-it with one window rule.
+entries that noise moves.  Both loops form every collision's state and
+close runs with one window rule.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
@@ -89,6 +92,12 @@ _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 # instead; a longer random chunk would raise a noisy sweep's memory.
 _CHUNK = 128
 _PASS = 4 * _CHUNK
+
+# Slacks of the bound that lets a deterministic pass skip its window test
+# (``_run_fixed`` derives them): the distance of a computed step from the
+# exact one, and the relative growth and rounding of a step over a pass.
+_STEP_SLACK = 3e-11
+_GROWTH_SLACK = 1e-8
 
 
 class NonUnitaryPropagator(ValueError):
@@ -626,7 +635,55 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = 
     retires at the pass where it stops, its state read at the collision it
     stopped on.  Returns each run's final Bloch vector, collision count and
     whether it converged.  With ``trail`` (one run only) the Bloch vectors
-    after each collision are appended to it pass by pass."""
+    after each collision are appended to it pass by pass.
+
+    Most passes cannot close a window: every step of the pass is far above
+    tol.  A run whose last step of the pass proves that skips the squared
+    steps and the window test for the pass, and gets what ``_window``
+    returns for a row with no step under tol: not met, min(left, L)
+    collisions taken and streak 0, L being the pass's length.  Every state
+    is still formed by the same products, so every result keeps its bits.
+
+    The bound.  A run's map b -> M b + c keeps the unit Bloch ball, so |M|
+    <= 1 in the 2-norm (for a unit b, M b is half the difference of the
+    images of b and -b), and the exact iterates from the pass's start have
+    steps D_(n+1) = M D_n that never grow: the last step of the pass is
+    its least.  The stored map keeps the ball only up to rounding and the
+    1e-12 by which convex weights may miss one, so a step may grow by a
+    factor 1 + 1e-12 a collision, under 1 + 6e-10 over a pass.  If every
+    computed step lies within s of the exact one, every computed step of
+    the pass is at least
+
+        l = |last computed step| (1 - q) - 2 s,
+
+    and when l > 0 its computed square (x^2 + y^2) + z^2 is at least l^2:
+    q = ``_GROWTH_SLACK`` = 1e-8 covers that growth, the three roundings
+    of the square (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.5) and those of l and l^2.  So a run with l > 0 and l^2 >= threshold
+    has no step under tol in the pass.
+
+    The slack s = ``_STEP_SLACK``.  Let u = 2^-53 and g = 4u / (1 - 4u),
+    the bound on the relative error of a sum of four products.  |c| <= 1
+    and the states' |b| <= 1 as well, and an error in a state passes
+    through M^n without growing.  Against the exact iterates from the
+    pass's start, a computed step errs by at most the sum of:
+
+    * the powers: R^n = R R^(n-1) up to n = 128, 127 products, with row 0
+      exactly (1, 0, 0, 0).  Product k adds F_k, |F_k| <= g |R| |R^(k-1)|
+      entrywise.  On (1, b), |R^(k-1)| (1, |b|) has a Bloch part w with
+      |w| <= |c| + |M|_F |b| <= 1 + sqrt(3), and |R| (1, w) one of norm
+      at most 1 + sqrt(3) (1 + sqrt(3)) = 4 + sqrt(3).  Each product moves
+      a state by at most g (4 + sqrt(3)) < 2.6e-15, and all by 3.3e-13;
+    * the gemv: g (1 + sqrt(3)) < 1.3e-15 per state;
+    * the chained chunk starts: a chunk starts from the computed last state
+      of the one before and carries its error on, so over four chunks a
+      state lies within 4 (3.3e-13 + 1.3e-15) < 1.4e-12 of the exact one;
+    * the subtraction: a step is the difference of two such states,
+      rounded once, u |step| <= 2.3e-16, so it errs by under 2.7e-12.
+
+    s = 3e-11 is more than ten times that bound.  A last step within 2s of
+    zero never clears, so neither tau = 0 (M = I, no step) nor a NaN step
+    ever does, nor a pass close to the run's fixed point."""
     threshold, window, budget, final, n_used, streak, converged = _start(state0, engines)
     longest = int(min(_CHUNK, budget.max()))
     powers = _powers(np.array([e.mean_op for e in engines]), longest)
@@ -651,22 +708,37 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = 
                 start[:, c, 1:] = block[:, c - 1, longest - 1 :: longest]
             np.matmul(powers, start[:, c], out=block[:, c])
         block = block.reshape(k, n, 3, longest)
-        # one row per run: its squared Bloch step at each collision of the
-        # pass, each component's steps along the chunks, each chunk's first
-        # against its start, squared and summed as (x + y) + z
-        dist = distances[: k * length].reshape(k, length)
-        step = squares[: k * n * longest].reshape(k, n, longest)
-        square = step.reshape(k, n * longest)[:, :length]
-        for axis in range(3):
-            values = block[:, :, axis]
-            np.subtract(values[:, :, 1:], values[:, :, :-1], out=step[:, :, 1:])
-            np.subtract(values[:, :, 0], start[:, :, axis + 1, 0], out=step[:, :, 0])
-            if axis:
-                square *= square
-                dist += square
-            else:
-                np.multiply(square, square, out=dist)
-        met, taken, streak[active] = _window(dist, threshold, window, streak, left, active)
+        # the least step of the pass each run's last step proves
+        t = length - 1
+        before = block[:, (t - 1) // longest, :, (t - 1) % longest] if t else start[:, 0, 1:, 0]
+        last_step = block[:, t // longest, :, t % longest] - before
+        least = np.sqrt(np.einsum("ij,ij->i", last_step, last_step)) * (1.0 - _GROWTH_SLACK) - 2.0 * _STEP_SLACK
+        cleared = (least > 0.0) & (least * least >= threshold[active])
+        met = np.zeros(k, dtype=bool)
+        taken = np.minimum(left, length)
+        ends = np.zeros(k, dtype=np.int64)
+        rows = np.flatnonzero(~cleared)
+        if rows.size:
+            # one row per open run: its squared Bloch step at each collision
+            # of the pass, each component's steps along the chunks, each
+            # chunk's first against its start, squared and summed as
+            # (x + y) + z.  Each component of the open rows, usually a few,
+            # is copied out; a buffer for all rows raised peak memory more.
+            m = rows.size
+            dist = distances[: m * length].reshape(m, length)
+            step = squares[: m * n * longest].reshape(m, n, longest)
+            square = step.reshape(m, n * longest)[:, :length]
+            for axis in range(3):
+                values = block[rows, :, axis]
+                np.subtract(values[:, :, 1:], values[:, :, :-1], out=step[:, :, 1:])
+                np.subtract(values[:, :, 0], start[rows, :, axis + 1, 0], out=step[:, :, 0])
+                if axis:
+                    square *= square
+                    dist += square
+                else:
+                    np.multiply(square, square, out=dist)
+            met[rows], taken[rows], ends[rows] = _window(dist, threshold, window, streak, left[rows], active[rows])
+        streak[active] = ends
         last = taken - 1
         final[active, 1:] = block[np.arange(k), last // longest, :, last % longest]
         n_used[active] += taken

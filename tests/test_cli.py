@@ -205,6 +205,19 @@ def test_sweep_path_must_resolve(tmp_path, capsys):
     assert "sweep path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index", ["-1", " 0", "+1", "0_1", "\u0661"])
+def test_sweep_path_list_index_is_ascii_digits(tmp_path, capsys, index):
+    # each of these is an index int() reads as a reservoir that exists
+    config = write_config(tmp_path, {
+        **BASE_CONFIG,
+        "reservoirs": [{"theta": 0.0, "coupling": 0.1}, {"theta": 3.0, "coupling": 0.1}],
+        "sweep": {"path": f"reservoirs.{index}.coupling", "values": [0.1]},
+    })
+    assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 1
+    assert "sweep path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_cannot_invent_engine_keys(tmp_path, capsys):
     config = write_config(tmp_path, {
         **BASE_CONFIG,

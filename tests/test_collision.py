@@ -19,13 +19,18 @@ with ``step``, and bitwise with a plain loop of one such product per chunk.
 The window rule is recounted one step at a time from a recorded trajectory,
 independently of how a chunk is laid out, and on drawn passes of the one
 window helper both loops call; its squared-step threshold is checked against
-the trace distance it stands for.
+the trace distance it stands for.  The deterministic loop skips the window
+test on a pass whose steps a bound proves all above tol, so the loop must
+give the same bits with the bound disabled, and on every pass the bound
+clears every computed step must be above the threshold.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -33,6 +38,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qsc.collision
 from qsc.collision import (
     _CHUNK,
     _PASS,
@@ -888,6 +894,124 @@ def test_window_matches_a_per_collision_recount(case):
             if not expected_met and t < left[r] and count >= window[run]:
                 expected_met, expected_taken = True, t + 1
         assert (bool(met[r]), int(taken[r]), int(ends[r])) == (expected_met, expected_taken, count)
+
+
+@st.composite
+def fixed_runs(draw):
+    """(reservoirs, cfg) of one deterministic run: 1-3 tilted reservoirs,
+    optionally weighted, convex or sequential, tols on both sides of 1e-11,
+    windows up to longer than a pass and budgets up to five passes, most
+    ending mid-pass."""
+    reservoirs = draw(st.lists(st.builds(ReservoirSpec, THETA, st.floats(0.02, 0.5), phi=PHI),
+                               min_size=1, max_size=3))
+    window = draw(st.integers(1, _PASS + 40))
+    cfg = EngineConfig(
+        h=draw(st.floats(-2.0, 2.0)),
+        tau=draw(st.floats(0.2, 3.0)),
+        max_collisions=draw(st.integers(window, 5 * _PASS)),
+        tol=draw(st.sampled_from([1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-5, 1e-2])),
+        window=window,
+        mixing_mode=draw(st.sampled_from(["convex", "sequential"])),
+    )
+    return maybe_weighted(draw, reservoirs), cfg
+
+
+def _outcomes(runs):
+    """Every bit of what the runs give: the batched results, and each run
+    alone, recorded."""
+    batched = [(r.rho_ss.tobytes(), r.n_used, r.converged) for r in evolve_batch([(*run, None) for run in runs])]
+    recorded = []
+    for reservoirs, cfg in runs:
+        traj, r = evolve(None, reservoirs, cfg)
+        recorded.append((traj.bloch.tobytes(), r.rho_ss.tobytes(), r.n_used, r.converged))
+    return batched, recorded
+
+
+# Three runs in one pass loop.  The first two share a map and clear their
+# first pass; in the second pass the first starts a streak at collision 555
+# and carries it out into its third pass, and the second closes its window.
+# The third clears every pass, its budget ending mid-pass, while the others
+# are tested.
+CLEARED_AND_OPEN = [
+    (PASSES, EngineConfig(h=0.7, tau=1.0, tol=1e-8, window=600, max_collisions=12 * _CHUNK)),
+    (PASSES, EngineConfig(h=0.7, tau=1.0, tol=1e-12, window=30, max_collisions=12 * _CHUNK)),
+    ([ReservoirSpec(0.0, 0.05, phi=1.0), ReservoirSpec(2.0, 0.05)],
+     EngineConfig(h=0.7, tau=1.0, tol=1e-9, window=10, max_collisions=4 * _PASS + 100)),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(fixed_runs(), min_size=1, max_size=4))
+@example(CLEARED_AND_OPEN)
+def test_step_bound_changes_no_bit(runs):
+    # An infinite slack clears no pass, so every pass takes the window test.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsc.collision, "_STEP_SLACK", math.inf)
+        tested = _outcomes(runs)
+    assert _outcomes(runs) == tested
+
+
+def _open_passes(monkeypatch, engine, b0):
+    """Run one engine through the deterministic loop from Bloch vector
+    ``b0``, recorded, and return its states and the first collisions of
+    the passes the bound left to the window test."""
+    window, opened = qsc.collision._window, []
+
+    def spy(dist, threshold, window_, streak, left, active):
+        opened.append(engine.cfg.max_collisions - int(left[0]))
+        return window(dist, threshold, window_, streak, left, active)
+
+    monkeypatch.setattr(qsc.collision, "_window", spy)
+    trail = [b0[None]]
+    qsc.collision._run_fixed(np.concatenate(([1.0], b0)), [engine], trail)
+    return np.concatenate(trail), opened
+
+
+def _map(sigma_min, rng):
+    """The 4x4 form of an affine Bloch map b -> M b + c that keeps the unit
+    ball: M = Q1 diag(top, middle, ``sigma_min``) Q2 and |c| <= 1 - top,
+    so |M b + c| <= 1 for |b| <= 1."""
+    q1, q2 = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+    top = 1.0 if sigma_min == 1.0 else rng.uniform(sigma_min, 1.0)
+    middle = rng.uniform(sigma_min, top)
+    direction = rng.normal(size=3)
+    r = np.eye(4)
+    r[1:, 1:] = q1 @ np.diag([top, middle, sigma_min]) @ q2
+    r[1:, 0] = direction / np.linalg.norm(direction) * rng.uniform(0.0, 1.0 - top)
+    return r
+
+
+@PROPERTY
+@given(st.sampled_from([1.0, 1.0 - 1e-6, 1.0 - 1e-4, 0.999, 0.99, 0.9, 0.5, 0.0]),
+       st.sampled_from([1e-13, 1e-11, 1e-9, 1e-6, 1e-3]), st.integers(0, 2**32 - 1))
+def test_step_bound_is_sound(sigma_min, tol, seed):
+    # on every pass the bound clears, every computed squared step is at or
+    # above the threshold, so the window test could not have found one under
+    # tol
+    rng = np.random.default_rng(seed)
+    cfg = EngineConfig(tol=tol, window=6 * _PASS, max_collisions=6 * _PASS + 37)
+    engine = types.SimpleNamespace(mean_op=_map(sigma_min, rng), cfg=cfg)
+    b0 = rng.normal(size=3)
+    b0 *= rng.uniform(0.0, 1.0) / np.linalg.norm(b0)
+    threshold = _threshold(tol)
+    with pytest.MonkeyPatch.context() as patch:
+        states, opened = _open_passes(patch, engine, b0)
+    cleared = [p for p in range(0, cfg.max_collisions, _PASS) if p not in opened]
+    for p in cleared:
+        for (x0, y0, z0), (x1, y1, z1) in itertools.pairwise(states[p : p + _PASS + 1].tolist()):
+            dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
+            assert (dx * dx + dy * dy) + dz * dz >= threshold
+    if sigma_min == 1.0 and np.linalg.norm(states[1] - states[0]) > 2.0 * tol + 1e-9:
+        # a rotation keeps every step the length of the first
+        assert len(cleared) == 7
+
+
+def test_step_bound_clears_no_pass_without_steps(monkeypatch):
+    # tau = 0 leaves the state where it is: every step is 0, under any tol,
+    # and every pass takes the window test
+    cfg = EngineConfig(tau=0.0, tol=1e-13, window=3 * _PASS, max_collisions=3 * _PASS)
+    states, opened = _open_passes(monkeypatch, _Engine(PASSES, cfg), bloch_vector(pure_qubit(math.pi / 2.0)))
+    assert opened == [0, _PASS, 2 * _PASS] and not np.diff(states, axis=0).any()
 
 
 def test_empty_batch_has_no_results():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import qsc.writers
 from qsc.physical import TransmonParams, system_reservoir_couplings
 from qsc.presets import (
     PRESETS,
@@ -139,6 +140,28 @@ def test_fig3a_collision_counts(tmp_path):
     rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[3:]]
     assert [int(row[3]) for row in rows] == FIG3A_N_USED + FIG3A_N_USED[-2::-1]
     assert {row[4] for row in rows} == {"true"}
+
+
+# fig5f's collision counts per dataset point at the default seed; its
+# dataset file has no n_used column, so they are read from the points.
+FIG5F_N_USED = [
+    18000, 19918, 17769, 18950, 16833, 20025, 18608, 20048, 15465, 19789, 16519, 24754, 22133, 16529,
+    19144, 17695, 15481, 18825, 17676, 15639, 15840, 17054, 15529, 27505, 17567, 17300, 20848, 26246,
+    24704, 22215, 18611, 21009, 30336, 22041, 27569, 17344, 16794, 27268, 20121, 20032, 23278, 18279,
+]
+
+
+def test_fig5f_collision_counts(tmp_path, monkeypatch):
+    counts = []
+    write_dataset = qsc.writers.write_dataset
+
+    def spy(path, points, *args, **kwargs):
+        counts.extend(p.n_used for p in points)
+        return write_dataset(path, points, *args, **kwargs)
+
+    monkeypatch.setattr(qsc.writers, "write_dataset", spy)
+    assert run_preset("fig5f", RunOptions(out_dir=tmp_path)).all_converged
+    assert counts == FIG5F_N_USED
 
 
 def test_same_seed_reproduces_bytes(tmp_path):
