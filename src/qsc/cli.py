@@ -28,7 +28,8 @@ unique fixed point (tau = 0, all couplings 0) is rejected with exit 1.
 
 Numeric fields must be JSON numbers, not strings or booleans, and
 max_collisions, window and seed must be integral, and a seed from any
-source must be nonnegative.
+source must be nonnegative.  max_collisions, from the config, a sweep value
+or --max-collisions, must be at most 2**63 - 1, the largest int64.
 
 Seed precedence: --seed, then the QSC_SEED environment variable, then the
 config's engine.seed, then the built-in default.

@@ -32,7 +32,8 @@ its drawn maps one collision at a time.  Its loop serves one group of runs
 that share a mixing mode and a reservoir count, and forms their drawn maps
 together, a chunk at a time; a convex group forms per chunk only the
 entries that noise moves.  Both loops form every collision's state and
-close runs with one window rule.
+close runs with one window rule, which compares the trace distance of each
+collision's step with tol.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
@@ -78,10 +79,10 @@ _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 # deterministic loop.  The K deterministic runs of a call share a stack of
 # the Bloch rows of their maps' powers, K * _CHUNK * 12 doubles, about 0.5 MB
 # at K = 42, built once per call.  A pass's products with it take K * _PASS
-# * 3 doubles (about 0.5 MB), and one component's squared steps and all
-# three's K * _PASS each, about 0.17 MB at K = 42; all are allocated once per
-# call.  A group of K random runs multiplies into its own buffer of
-# (_CHUNK + 1) * K * 4 doubles of states, with _CHUNK * K squared steps.
+# * 3 doubles (about 0.5 MB), allocated once per call; each run a pass
+# window-tests, usually a few, takes about 8 * _PASS doubles of states and
+# steps.  A group of K random runs multiplies into its own buffer of
+# (_CHUNK + 1) * K * 4 doubles of states, and about 5 * _CHUNK * K of steps.
 # Its maps are built in buffers allocated once per call and reused every
 # chunk: _CHUNK * K * 16 doubles of maps, two sums of _CHUNK * K doubles per
 # moving entry (convex; four on a fig7 run) or two more map buffers
@@ -173,9 +174,10 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.h) or not math.isfinite(self.tau) or self.tau < 0.0:
             raise ValueError(f"h must be finite and tau >= 0, got h={self.h}, tau={self.tau}")
-        if not math.isfinite(self.tol) or self.tol <= 0.0 or self.window < 1 or self.max_collisions < self.window:
+        # the loops count collisions in int64
+        if not math.isfinite(self.tol) or self.tol <= 0.0 or not 1 <= self.window <= self.max_collisions <= 2**63 - 1:
             raise ValueError(
-                f"need finite tol > 0, window >= 1, max_collisions >= window; got tol={self.tol}, "
+                f"need finite tol > 0, window >= 1, window <= max_collisions <= 2**63 - 1; got tol={self.tol}, "
                 f"window={self.window}, max_collisions={self.max_collisions}"
             )
         if self.mixing_mode not in MIXING_MODES:
@@ -546,24 +548,6 @@ def _result(b: np.ndarray, n_used: int, converged: bool) -> SteadyStateResult:
     return SteadyStateResult(rho, p_e - p_g, p_e, p_g, n_used, converged)
 
 
-def _threshold(tol: float) -> float:
-    """The least double d with 0.5 * sqrt(d) >= tol, so that a squared Bloch
-    step d has a trace distance 0.5 * sqrt(d) under tol exactly when d <
-    _threshold(tol), with no square root taken.  (2 tol)^2 is that d up to
-    the rounding of the square and the root, and 0.5 * sqrt(d) is monotone
-    in d, so the least d is found by stepping from it to neighbouring
-    doubles: one step at most on every tol tried (each power of two and
-    10^5 random doubles), so two or three square roots.  A (2 tol)^2
-    that overflows starts from inf, and a tol above 0.5 * sqrt(max double)
-    gives inf."""
-    d = (2.0 * tol) * (2.0 * tol)
-    while 0.5 * math.sqrt(math.nextafter(d, 0.0)) >= tol:
-        d = math.nextafter(d, 0.0)
-    while 0.5 * math.sqrt(d) < tol:
-        d = math.nextafter(d, math.inf)
-    return d
-
-
 def _powers(maps: np.ndarray, length: int) -> np.ndarray:
     """Bloch rows of R^1 ... R^length of each map R in the (K, 4, 4) stack
     ``maps``, laid out component-major, (K, 3 * length, 4): row
@@ -581,20 +565,19 @@ def _powers(maps: np.ndarray, length: int) -> np.ndarray:
     return powers.reshape(len(maps), 3 * length, 4)
 
 
-def _window(dist: np.ndarray, threshold: np.ndarray, window: np.ndarray, streak: np.ndarray, left: np.ndarray,
+def _window(dist: np.ndarray, tol: np.ndarray, window: np.ndarray, streak: np.ndarray, left: np.ndarray,
             active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The window rule over one pass of the runs ``active``: row r of
     ``dist`` holds the squared Bloch steps of run active[r] at each collision
-    of the pass, and ``left`` its budget left.  ``threshold``, ``window`` and
+    of the pass, and ``left`` its budget left.  ``tol``, ``window`` and
     ``streak``, the steps under tol it carries from earlier passes, are
     indexed by run.  Returns whether each row closes its window within its
     budget, the collisions it takes in the pass, and its streak at the end
     of the pass."""
-    # Both states have unit trace, so half the Bloch step is exactly their
-    # trace distance; a squared step d is under tol exactly when d <
-    # _threshold(tol).
+    # Both states have unit trace, so half the Bloch step, 0.5 * sqrt(d), is
+    # exactly their trace distance; a NaN step is never under tol.
     length = dist.shape[1]
-    below = dist < threshold[active, None]
+    below = 0.5 * np.sqrt(dist) < tol[active, None]
     # a run with no step under tol ends the pass unmet, its streak at 0
     met = np.zeros(len(dist), dtype=bool)
     taken = np.minimum(left, length)
@@ -614,13 +597,13 @@ def _window(dist: np.ndarray, threshold: np.ndarray, window: np.ndarray, streak:
 
 
 def _start(state0: np.ndarray, engines: list[_Engine]):
-    """Each run's squared-step threshold, window and budget, then its state,
-    collision count, streak of steps under tol and verdict before it starts."""
+    """Each run's tol, window and budget, then its state, collision count,
+    streak of steps under tol and verdict before it starts."""
     g = len(engines)
-    threshold = np.array([_threshold(e.cfg.tol) for e in engines])
+    tol = np.array([e.cfg.tol for e in engines])
     window = np.array([e.cfg.window for e in engines])
     budget = np.array([e.cfg.max_collisions for e in engines])
-    return (threshold, window, budget, np.tile(state0, (g, 1)), np.zeros(g, dtype=np.int64),
+    return (tol, window, budget, np.tile(state0, (g, 1)), np.zeros(g, dtype=np.int64),
             np.zeros(g, dtype=np.int64), np.zeros(g, dtype=bool))
 
 
@@ -656,11 +639,13 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = 
 
         l = |last computed step| (1 - q) - 2 s,
 
-    and when l > 0 its computed square (x^2 + y^2) + z^2 is at least l^2:
-    q = ``_GROWTH_SLACK`` = 1e-8 covers that growth, the three roundings
-    of the square (Higham, Accuracy and Stability of Numerical Algorithms,
-    3.5) and those of l and l^2.  So a run with l > 0 and l^2 >= threshold
-    has no step under tol in the pass.
+    and when l > 0 its computed square d = (x^2 + y^2) + z^2 is at least
+    the computed l^2, fl(l^2): q = ``_GROWTH_SLACK`` = 1e-8 covers that
+    growth, the three roundings of the square (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.5) and those of l and l^2.  A
+    correctly rounded square root is monotone, so d >= fl(l^2) gives
+    0.5 sqrt(d) >= 0.5 sqrt(fl(l^2)), and a run with l > 0 and
+    0.5 sqrt(fl(l^2)) >= tol has no step under tol in the pass.
 
     The slack s = ``_STEP_SLACK``.  Let u = 2^-53 and g = 4u / (1 - 4u),
     the bound on the relative error of a sum of four products.  |c| <= 1
@@ -684,17 +669,13 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = 
     s = 3e-11 is more than ten times that bound.  A last step within 2s of
     zero never clears, so neither tau = 0 (M = I, no step) nor a NaN step
     ever does, nor a pass close to the run's fixed point."""
-    threshold, window, budget, final, n_used, streak, converged = _start(state0, engines)
+    tol, window, budget, final, n_used, streak, converged = _start(state0, engines)
     longest = int(min(_CHUNK, budget.max()))
     powers = _powers(np.array([e.mean_op for e in engines]), longest)
-    # Buffers of the passes: each chunk's start state (1, b), its product
-    # with the powers, one component's squared steps, and all three's.
-    widest = int(min(_PASS, budget.max()))
-    chunks = -(-widest // longest)
+    # each chunk's start state (1, b) and its product with the powers
+    chunks = -(-int(min(_PASS, budget.max())) // longest)
     starts = np.ones((len(engines), chunks, 4, 1))
     blocks = np.empty(len(engines) * chunks * 3 * longest)
-    squares = np.empty(len(engines) * chunks * longest)
-    distances = np.empty(len(engines) * widest)
     active = np.arange(len(engines))  # the runs whose powers are the rows of ``powers``, in order
     while active.size:
         left = budget[active] - n_used[active]
@@ -713,31 +694,22 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = 
         before = block[:, (t - 1) // longest, :, (t - 1) % longest] if t else start[:, 0, 1:, 0]
         last_step = block[:, t // longest, :, t % longest] - before
         least = np.sqrt(np.einsum("ij,ij->i", last_step, last_step)) * (1.0 - _GROWTH_SLACK) - 2.0 * _STEP_SLACK
-        cleared = (least > 0.0) & (least * least >= threshold[active])
+        cleared = (least > 0.0) & (0.5 * np.sqrt(least * least) >= tol[active])
         met = np.zeros(k, dtype=bool)
         taken = np.minimum(left, length)
         ends = np.zeros(k, dtype=np.int64)
         rows = np.flatnonzero(~cleared)
         if rows.size:
-            # one row per open run: its squared Bloch step at each collision
-            # of the pass, each component's steps along the chunks, each
-            # chunk's first against its start, squared and summed as
-            # (x + y) + z.  Each component of the open rows, usually a few,
-            # is copied out; a buffer for all rows raised peak memory more.
+            # each open run's squared Bloch step at each collision, summed as
+            # (x + y) + z; a chunk's start copies the last state of the chunk
+            # before, so the pass's states run on from its first start
             m = rows.size
-            dist = distances[: m * length].reshape(m, length)
-            step = squares[: m * n * longest].reshape(m, n, longest)
-            square = step.reshape(m, n * longest)[:, :length]
-            for axis in range(3):
-                values = block[rows, :, axis]
-                np.subtract(values[:, :, 1:], values[:, :, :-1], out=step[:, :, 1:])
-                np.subtract(values[:, :, 0], start[rows, :, axis + 1, 0], out=step[:, :, 0])
-                if axis:
-                    square *= square
-                    dist += square
-                else:
-                    np.multiply(square, square, out=dist)
-            met[rows], taken[rows], ends[rows] = _window(dist, threshold, window, streak, left[rows], active[rows])
+            states = np.concatenate((start[rows, 0, 1:], block[rows].transpose(0, 2, 1, 3).reshape(m, 3, -1)),
+                                    axis=2)
+            step = np.diff(states[:, :, : length + 1], axis=2)
+            step *= step
+            dist = (step[:, 0] + step[:, 1]) + step[:, 2]
+            met[rows], taken[rows], ends[rows] = _window(dist, tol, window, streak, left[rows], active[rows])
         streak[active] = ends
         last = taken - 1
         final[active, 1:] = block[np.arange(k), last // longest, :, last % longest]
@@ -764,10 +736,9 @@ def _run_drawn(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: li
     multiplies its maps one collision at a time into its own column of a
     state buffer.  A run that stops mid-chunk is rewound to its last
     collision."""
-    threshold, window, budget, final, n_used, streak, converged = _start(state0, engines)
+    tol, window, budget, final, n_used, streak, converged = _start(state0, engines)
     longest = int(min(_CHUNK, budget.max()))
     group = _MapGroup(engines, rngs, longest)
-    distances = np.empty(len(engines) * longest)
     active = np.arange(len(engines))  # the runs in the columns of the group's maps, in order
     while active.size:
         left = budget[active] - n_used[active]
@@ -780,12 +751,10 @@ def _run_drawn(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: li
         states = buf[..., 0]
         step = states[1:, :, 1:] - states[:-1, :, 1:]
         step *= step
-        # one row per run, written transposed: its squared Bloch step at each
-        # collision of the chunk, summed as (x + y) + z
-        dist = distances[: active.size * length].reshape(active.size, length)
-        np.add(step[..., 0], step[..., 1], out=dist.T)
-        np.add(dist.T, step[..., 2], out=dist.T)
-        met, taken, streak[active] = _window(dist, threshold, window, streak, left, active)
+        # one row per run: its squared Bloch step at each collision of the
+        # chunk, summed as (x + y) + z
+        dist = ((step[..., 0] + step[..., 1]) + step[..., 2]).T
+        met, taken, streak[active] = _window(dist, tol, window, streak, left, active)
         final[active] = states[taken, np.arange(active.size)]
         n_used[active] += taken
         converged[active] = met
@@ -855,7 +824,8 @@ def evolve(
     cfg.window consecutive collisions; running out of collisions is reported
     through ``converged=False``, never raised.  ``rho0=None`` starts from
     the +x eigenstate.  With ``record=False`` the returned trajectory is
-    empty (sweeps use this; it changes nothing about the result).
+    empty; it changes nothing about the result.  Sweeps go through
+    ``evolve_batch``.
     """
     if rho0 is None:
         rho0 = pure_qubit(math.pi / 2.0)

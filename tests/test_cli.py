@@ -569,6 +569,30 @@ def test_non_finite_tol_exits_one(tmp_path, capsys, tol):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def test_budget_limit_is_the_largest_int64():
+    # the loops count collisions in int64
+    assert EngineConfig(max_collisions=2**63 - 1, window=2**63 - 1).max_collisions == 2**63 - 1
+    with pytest.raises(ValueError, match="max_collisions"):
+        EngineConfig(max_collisions=2**63)
+
+
+@pytest.mark.parametrize("source", [
+    ("--preset", "fig3a", "--max-collisions", 2**63),
+    ("--preset", "fig7d", "--max-collisions", 2**63),
+    {**BASE_CONFIG, "engine": {**BASE_CONFIG["engine"], "max_collisions": 1e300}},
+    {**BASE_CONFIG, "sweep": {"path": "engine.max_collisions", "values": [400, 2**63]}},
+], ids=["flag", "flag_noisy", "config", "sweep"])
+def test_budget_beyond_int64_exits_one_before_writing(tmp_path, capsys, source):
+    if isinstance(source, dict):
+        source = ("--config", write_config(tmp_path, source))
+    assert run_cli("run", *source, "--out", tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "max_collisions <= 2**63 - 1" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("reservoir, engine", [
     ({"theta": True}, {}),
     ({"coupling": "0.1"}, {}),

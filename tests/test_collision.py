@@ -18,11 +18,11 @@ component, so it must agree with the per-collision product of drawn maps and
 with ``step``, and bitwise with a plain loop of one such product per chunk.
 The window rule is recounted one step at a time from a recorded trajectory,
 independently of how a chunk is laid out, and on drawn passes of the one
-window helper both loops call; its squared-step threshold is checked against
-the trace distance it stands for.  The deterministic loop skips the window
+window helper both loops call, at tols from the least positive double to
+ones whose (2 tol)^2 overflows.  The deterministic loop skips the window
 test on a pass whose steps a bound proves all above tol, so the loop must
 give the same bits with the bound disabled, and on every pass the bound
-clears every computed step must be above the threshold.
+clears every computed step's trace distance must reach tol.
 """
 
 import dataclasses
@@ -52,7 +52,6 @@ from qsc.collision import (
     WeightsNotNormalized,
     _Engine,
     _MapGroup,
-    _threshold,
     _window,
     affine_representation,
     collision_unitary,
@@ -642,45 +641,6 @@ def test_budget_ending_mid_pass_equals_one_product_per_chunk_bitwise(budget):
     _assert_evolve_equals_the_chunked_reference(cfg, (budget, False))
 
 
-@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-# subnormal squares, and tols whose 2 * tol squared overflows
-@example(1e-160)
-@example(1e-155)
-@example(5e-324)
-@example(6.8e153)
-@example(1.7e308)
-def test_threshold_is_the_trace_distance_test(tol):
-    threshold = _threshold(tol)
-    for d in (0.0, threshold, math.nextafter(threshold, 0.0), math.nextafter(threshold, math.inf),
-              math.inf, math.nan):
-        assert (d < threshold) == (0.5 * math.sqrt(d) < tol)
-
-
-def test_threshold_takes_at_most_three_square_roots(monkeypatch):
-    roots = []
-    sqrt = math.sqrt
-
-    def counted(d):
-        roots.append(d)
-        return sqrt(d)
-
-    monkeypatch.setattr(math, "sqrt", counted)
-    for tol in (5e-324, 1e-160, 1e-9, 0.5, 6.8e153, 1.7e308):
-        roots.clear()
-        _threshold(tol)
-        assert 0 < len(roots) <= 3
-
-
-def test_threshold_at_every_power_of_two():
-    # subnormal tols, tols whose square is subnormal, and tols whose 2 * tol
-    # squared overflows
-    for e in range(-1074, 1024):
-        tol = math.ldexp(1.0, e)
-        threshold = _threshold(tol)
-        for d in (threshold, math.nextafter(threshold, 0.0), math.nextafter(threshold, math.inf)):
-            assert (d < threshold) == (0.5 * math.sqrt(d) < tol), (tol, d)
-
-
 def test_budget_equal_to_window():
     spec = up_down_pair(0.1, 0.05)
     cfg = EngineConfig(max_collisions=12, window=12, tol=1e-9)
@@ -836,10 +796,28 @@ STRADDLING = [ReservoirSpec(math.pi, 0.4)]
 STRADDLING_CFG = EngineConfig(tau=1.0, tol=1e-4, max_collisions=3 * _CHUNK, window=30)
 
 
+def extreme_tol_run(tol, random):
+    """A deterministic run, or a stochastic one with a noisy reservoir, of a
+    budget past one pass, at ``tol``."""
+    noise = NoiseSpec(0.2, 0.1) if random else None
+    reservoirs = [ReservoirSpec(2.0, 0.3, phi=1.0), ReservoirSpec(0.5, 0.2, noise=noise)]
+    cfg = EngineConfig(tau=1.0, tol=tol, window=7, max_collisions=_PASS + 40,
+                       mixing_mode="stochastic" if random else "convex")
+    return reservoirs, cfg, 5 if random else None
+
+
 @PROPERTY
 @given(batch_runs())
 @example((STRADDLING, STRADDLING_CFG, None))
 @example(([dataclasses.replace(STRADDLING[0], noise=NoiseSpec(0.0, 0.0))], STRADDLING_CFG, 3))
+# the least positive tol, under which only a zero step is, and tols whose
+# (2 tol)^2 overflows, under which every step is
+@example(extreme_tol_run(5e-324, False))
+@example(extreme_tol_run(5e-324, True))
+@example(extreme_tol_run(6.8e153, False))
+@example(extreme_tol_run(6.8e153, True))
+@example(extreme_tol_run(1.7e308, False))
+@example(extreme_tol_run(1.7e308, True))
 def test_window_rule_matches_a_recount_of_the_recorded_steps(run):
     reservoirs, cfg, stream = run
     rng = None if stream is None else np.random.default_rng(stream)
@@ -856,24 +834,33 @@ def test_window_rule_matches_a_recount_of_the_recorded_steps(run):
             expected = (n, True)
             break
     assert (result.n_used, result.converged) == expected
+    if cfg.tol > 1.0:
+        # no step between two states is longer than the Bloch ball is wide
+        assert expected == (cfg.window, True)
 
 
 @st.composite
 def window_passes(draw):
     """One pass of the window rule over 1-4 rows, held at scattered runs of
-    longer per-run arrays: squared steps just under, at and over each run's
-    threshold (or NaN), carried streaks from 0 to window - 1, and budgets
-    left shorter and longer than the pass."""
+    longer per-run arrays: per-run tols, squared steps at 0, at (2 tol)^2
+    and its two neighbouring doubles, at 4 (2 tol)^2 and NaN, carried
+    streaks from 0 to window - 1, and budgets left shorter and longer than
+    the pass."""
     rows, length = draw(st.integers(1, 4)), draw(st.integers(1, 40))
     active = np.array(draw(st.permutations(range(rows + 3)))[:rows])
-    threshold = np.array(draw(st.lists(st.floats(1e-300, 1e300), min_size=rows + 3, max_size=rows + 3)))
+    tol = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                        min_size=rows + 3, max_size=rows + 3))
     window = np.array(draw(st.lists(st.integers(1, 12), min_size=rows + 3, max_size=rows + 3)))
     streak = np.array([draw(st.integers(0, w - 1)) for w in window])
-    steps = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.nan])  # multiples of the threshold, 0.5 meaning just under
-    dist = np.array([[draw(steps) for _ in range(length)] for _ in range(rows)])
-    dist = np.where(dist == 0.5, np.nextafter(threshold[active, None], 0.0), dist * threshold[active, None])
+
+    def steps(tol):
+        edge = (2.0 * tol) * (2.0 * tol)
+        return st.sampled_from([0.0, edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), 4.0 * edge,
+                                math.nan])
+
+    dist = np.array([[draw(steps(tol[run])) for _ in range(length)] for run in active.tolist()])
     left = np.array(draw(st.lists(st.integers(1, 2 * length), min_size=rows, max_size=rows)))
-    return dist, threshold, window, streak, left, active
+    return dist, np.array(tol), window, streak, left, active
 
 
 @PROPERTY
@@ -883,14 +870,14 @@ def window_passes(draw):
 # a budget that ends one collision before the window would close
 @example((np.zeros((1, 8)), np.ones(1), np.array([5]), np.array([0]), np.array([4]), np.array([0])))
 def test_window_matches_a_per_collision_recount(case):
-    dist, threshold, window, streak, left, active = case
-    met, taken, ends = _window(dist, threshold, window, streak.copy(), left, active)
+    dist, tol, window, streak, left, active = case
+    met, taken, ends = _window(dist, tol, window, streak.copy(), left, active)
     for r, run in enumerate(active):
         # the first collision within the budget that closes the window, and
         # the streak after the pass's last step
         expected_met, expected_taken, count = False, min(int(left[r]), dist.shape[1]), int(streak[run])
         for t, d in enumerate(dist[r].tolist()):
-            count = count + 1 if d < threshold[run] else 0
+            count = count + 1 if 0.5 * math.sqrt(d) < tol[run] else 0
             if not expected_met and t < left[r] and count >= window[run]:
                 expected_met, expected_taken = True, t + 1
         assert (bool(met[r]), int(taken[r]), int(ends[r])) == (expected_met, expected_taken, count)
@@ -957,9 +944,9 @@ def _open_passes(monkeypatch, engine, b0):
     the passes the bound left to the window test."""
     window, opened = qsc.collision._window, []
 
-    def spy(dist, threshold, window_, streak, left, active):
+    def spy(dist, tol, window_, streak, left, active):
         opened.append(engine.cfg.max_collisions - int(left[0]))
-        return window(dist, threshold, window_, streak, left, active)
+        return window(dist, tol, window_, streak, left, active)
 
     monkeypatch.setattr(qsc.collision, "_window", spy)
     trail = [b0[None]]
@@ -985,22 +972,21 @@ def _map(sigma_min, rng):
 @given(st.sampled_from([1.0, 1.0 - 1e-6, 1.0 - 1e-4, 0.999, 0.99, 0.9, 0.5, 0.0]),
        st.sampled_from([1e-13, 1e-11, 1e-9, 1e-6, 1e-3]), st.integers(0, 2**32 - 1))
 def test_step_bound_is_sound(sigma_min, tol, seed):
-    # on every pass the bound clears, every computed squared step is at or
-    # above the threshold, so the window test could not have found one under
+    # on every pass the bound clears, every computed step's trace distance
+    # is at or above tol, so the window test could not have found one under
     # tol
     rng = np.random.default_rng(seed)
     cfg = EngineConfig(tol=tol, window=6 * _PASS, max_collisions=6 * _PASS + 37)
     engine = types.SimpleNamespace(mean_op=_map(sigma_min, rng), cfg=cfg)
     b0 = rng.normal(size=3)
     b0 *= rng.uniform(0.0, 1.0) / np.linalg.norm(b0)
-    threshold = _threshold(tol)
     with pytest.MonkeyPatch.context() as patch:
         states, opened = _open_passes(patch, engine, b0)
     cleared = [p for p in range(0, cfg.max_collisions, _PASS) if p not in opened]
     for p in cleared:
         for (x0, y0, z0), (x1, y1, z1) in itertools.pairwise(states[p : p + _PASS + 1].tolist()):
             dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
-            assert (dx * dx + dy * dy) + dz * dz >= threshold
+            assert 0.5 * math.sqrt((dx * dx + dy * dy) + dz * dz) >= tol
     if sigma_min == 1.0 and np.linalg.norm(states[1] - states[0]) > 2.0 * tol + 1e-9:
         # a rotation keeps every step the length of the first
         assert len(cleared) == 7
