@@ -262,9 +262,12 @@ def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
     raw = {} if args.config is None else _read_config(args.config)
     opts = _options(args, raw, seed)
-    name = raw.get("name", "custom")
+    name = raw.get("name", "custom") if args.preset is None else args.preset
+    if name == "transmon" and (opts.tol is not None or opts.max_collisions is not None):
+        # the report runs no collision, so these flags could only be ignored
+        raise InvalidConfig("the transmon preset runs no collision; --tol and --max-collisions do not apply")
     if args.preset is not None:
-        outcome = run_preset(args.preset, opts)
+        outcome = run_preset(name, opts)
     elif name == "custom":
         outcome = _run_custom(raw, args.angle_unit, seed, opts)
     else:

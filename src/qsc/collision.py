@@ -21,19 +21,16 @@ one entry point, which advances each kind of run in its own loop, a chunk of
 collisions at a time.  A deterministic run applies the same map R every
 collision, so its loop forms a chunk's states R^1 b ... R^L b from the
 chunk's start state b with one product against powers of R cached for the
-call, laid out per Bloch component so that each run's x, y and z over the
-chunk come out as contiguous rows for the window test.  That loop chains
-four such products per pass, each started from the last state of the chunk
-before, and tests and retires runs once per pass.  Steps never grow under
-a map that keeps the Bloch ball, so a run whose last step of a pass is well
-above tol skips the window test for that pass, with the result the test
-would give.  A random run multiplies
-its drawn maps one collision at a time.  Its loop serves one group of runs
-that share a mixing mode and a reservoir count, and forms their drawn maps
-together, a chunk at a time; a convex group forms per chunk only the
-entries that noise moves.  Both loops form every collision's state and
-close runs with one window rule, which compares the trace distance of each
-collision's step with tol.
+call.  That loop chains four such products per pass, each started from the
+last state of the chunk before, and tests and retires runs once per pass.
+Steps never grow under a map that keeps the Bloch ball, so a run whose last
+step of a pass is well above tol skips the window test for that pass, with
+the result the test would give.  A random run multiplies its drawn maps one
+collision at a time.  Its loop serves one group of runs that share a mixing
+mode and a reservoir count, and forms their drawn maps together, a chunk at
+a time; a convex group forms per chunk only the entries that noise moves.
+Both loops form every collision's state and close runs with one window
+rule, which compares the trace distance of each collision's step with tol.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator seeded from ``EngineConfig.seed``, so runs are reproducible across
@@ -550,18 +547,18 @@ def _result(b: np.ndarray, n_used: int, converged: bool) -> SteadyStateResult:
 
 def _powers(maps: np.ndarray, length: int) -> np.ndarray:
     """Bloch rows of R^1 ... R^length of each map R in the (K, 4, 4) stack
-    ``maps``, laid out component-major, (K, 3 * length, 4): row
-    c * length + n - 1 is row c + 1 of R^n, and the trace row is left out.
-    One product of a run's block with a state (1, b) gives the x, then the y,
-    then the z of the states R^1 b ... R^length b of a chunk, each a
-    contiguous row."""
-    powers = np.empty((len(maps), 3, length, 4))
+    ``maps``, in order, (K, 3 * length, 4): row 3 (n - 1) + c is row c + 1
+    of R^n, and the trace row is left out.  One product of a run's block
+    with a state (1, b) gives the states R^1 b ... R^length b of a chunk in
+    order, each one x, y, z triple, so the last three rows are its last
+    state."""
+    powers = np.empty((len(maps), length, 3, 4))
     # R^n = R @ R^(n-1) on whole 4x4 maps; only the Bloch rows are kept
     power = maps.copy()
-    powers[:, :, 0] = maps[:, 1:]
+    powers[:, 0] = maps[:, 1:]
     for n in range(1, length):
         np.matmul(maps, power, out=power)
-        powers[:, :, n] = power[:, 1:]
+        powers[:, n] = power[:, 1:]
     return powers.reshape(len(maps), 3 * length, 4)
 
 
@@ -610,15 +607,17 @@ def _start(state0: np.ndarray, engines: list[_Engine]):
 def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = None):
     """The deterministic loop: advance every run from ``state0`` until it
     meets its own tolerance window or uses its own budget.  A run's states
-    in a chunk that starts from b are R^1 b ... R^length b, one product with
-    the ``_powers`` of its map R, built once per call up to ``_CHUNK`` or
-    the largest budget.  A pass chains four such products, ``_PASS``
-    collisions, each chunk started from the last state of the one before,
-    so the window test and the bookkeeping run once per four chunks; a run
-    retires at the pass where it stops, its state read at the collision it
-    stopped on.  Returns each run's final Bloch vector, collision count and
-    whether it converged.  With ``trail`` (one run only) the Bloch vectors
-    after each collision are appended to it pass by pass.
+    in a chunk that starts from b are R^1 b ... R^length b, in order, one
+    product with the ``_powers`` of its map R, built once per call up to
+    ``_CHUNK`` or the largest budget.  A pass chains four such products,
+    ``_PASS`` collisions, each chunk started from the last state of the one
+    before, the last three rows of its product, so a pass's states follow
+    one another and state t is one index.  The window test and the
+    bookkeeping run once per four chunks; a run retires at the pass where
+    it stops, its state read at the collision it stopped on.  Returns each
+    run's final Bloch vector, collision count and whether it converged.
+    With ``trail`` (one run only) the Bloch vectors after each collision
+    are appended to it pass by pass.
 
     Most passes cannot close a window: every step of the pass is far above
     tol.  A run whose last step of the pass proves that skips the squared
@@ -672,27 +671,24 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = 
     tol, window, budget, final, n_used, streak, converged = _start(state0, engines)
     longest = int(min(_CHUNK, budget.max()))
     powers = _powers(np.array([e.mean_op for e in engines]), longest)
-    # each chunk's start state (1, b) and its product with the powers
-    chunks = -(-int(min(_PASS, budget.max())) // longest)
-    starts = np.ones((len(engines), chunks, 4, 1))
-    blocks = np.empty(len(engines) * chunks * 3 * longest)
+    # the pass's products with the powers, one chunk of states at a time
+    blocks = np.empty(len(engines) * 3 * _PASS)
     active = np.arange(len(engines))  # the runs whose powers are the rows of ``powers``, in order
     while active.size:
         left = budget[active] - n_used[active]
         length = int(min(_PASS, left.max()))
-        k, n = active.size, -(-length // longest)
-        start = starts[:k, :n]
-        block = blocks[: k * n * 3 * longest].reshape(k, n, 3 * longest, 1)
-        start[:, 0, 1:, 0] = final[active, 1:]
-        for c in range(n):
-            if c:
-                start[:, c, 1:] = block[:, c - 1, longest - 1 :: longest]
-            np.matmul(powers, start[:, c], out=block[:, c])
-        block = block.reshape(k, n, 3, longest)
+        k = active.size
+        block = blocks[: k * 3 * _PASS].reshape(k, 3 * _PASS, 1)
+        # each chunk's start state (1, b), the last state of the chunk before
+        start = final[active, :, None]
+        for first in range(0, 3 * length, 3 * longest):
+            chunk = block[:, first : first + 3 * longest]
+            np.matmul(powers, start, out=chunk)
+            start[:, 1:] = chunk[:, -3:]
+        # state t of the pass, after its collision t + 1, is states[:, t]
+        states = block.reshape(k, _PASS, 3)
         # the least step of the pass each run's last step proves
-        t = length - 1
-        before = block[:, (t - 1) // longest, :, (t - 1) % longest] if t else start[:, 0, 1:, 0]
-        last_step = block[:, t // longest, :, t % longest] - before
+        last_step = states[:, length - 1] - (states[:, length - 2] if length > 1 else final[active, 1:])
         least = np.sqrt(np.einsum("ij,ij->i", last_step, last_step)) * (1.0 - _GROWTH_SLACK) - 2.0 * _STEP_SLACK
         cleared = (least > 0.0) & (0.5 * np.sqrt(least * least) >= tol[active])
         met = np.zeros(k, dtype=bool)
@@ -700,23 +696,18 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = 
         ends = np.zeros(k, dtype=np.int64)
         rows = np.flatnonzero(~cleared)
         if rows.size:
-            # each open run's squared Bloch step at each collision, summed as
-            # (x + y) + z; a chunk's start copies the last state of the chunk
-            # before, so the pass's states run on from its first start
-            m = rows.size
-            states = np.concatenate((start[rows, 0, 1:], block[rows].transpose(0, 2, 1, 3).reshape(m, 3, -1)),
-                                    axis=2)
-            step = np.diff(states[:, :, : length + 1], axis=2)
+            # each open run's squared Bloch step at each collision, from the
+            # pass's start on, summed as (x + y) + z
+            step = np.diff(np.concatenate((final[active[rows], None, 1:], states[rows, :length]), axis=1), axis=1)
             step *= step
-            dist = (step[:, 0] + step[:, 1]) + step[:, 2]
+            dist = (step[..., 0] + step[..., 1]) + step[..., 2]
             met[rows], taken[rows], ends[rows] = _window(dist, tol, window, streak, left[rows], active[rows])
         streak[active] = ends
-        last = taken - 1
-        final[active, 1:] = block[np.arange(k), last // longest, :, last % longest]
+        final[active, 1:] = states[np.arange(k), taken - 1]
         n_used[active] += taken
         converged[active] = met
         if trail is not None:
-            trail.append(block[0].transpose(0, 2, 1).reshape(-1, 3)[: taken[0]].copy())
+            trail.append(states[0, : taken[0]].copy())
         keep = ~met & (left > length)
         kept = np.flatnonzero(keep)
         if kept.size < k:
@@ -898,6 +889,19 @@ def steady_state_oracle(reservoirs: list[ReservoirSpec], cfg: EngineConfig) -> S
     point of the mean map, which the run-averaged state approaches.
     Degenerate maps (tau = 0, zero couplings) leave (I - M) singular and
     raise SingularSystem.
+
+    Under convex and stochastic mixing the sign of the steady sigma_z is the
+    sign of sum_i q_i sin^2(J_i tau) cos(theta_i), whatever h and the tilts
+    phi_i, a linear threshold in the ancillas' Bloch z.  A sketch: the z
+    row of ``transfer_matrix`` is c^2 z + s^2 a_z + s c (a_x y - a_y x).
+    At the mean map's fixed point the transverse part is linear in z, so
+    z* D = sum_i q_i s_i^2 a_iz, where D depends on the ancillas'
+    transverse components and on no a_iz.  D = sum_i q_i s_i^2 > 0 when
+    every transverse component is 0.  Where some |a_perp,i| < 1, a choice
+    of the a_iz makes the right side nonzero, and the map keeps the Bloch
+    ball, so it has a fixed point and D != 0 there.  D is continuous, so
+    D > 0 everywhere.  A property test pins the rule; sequential mixing
+    does not follow it.
     """
     m, c = affine_representation(reservoirs, cfg)
     a = np.eye(3) - m

@@ -562,6 +562,26 @@ def test_transmon_rejects_non_finite_timing(capsys, flag, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("source, flags", [
+    (("--preset", "transmon"), ("--tol", "nan")),
+    (("--preset", "transmon"), ("--tol", 1e-6)),
+    (("--preset", "transmon"), ("--max-collisions", 0)),
+    (("--preset", "transmon"), ("--max-collisions", 5000)),
+    (("--preset", "transmon"), ("--max-collisions", 2**63)),
+    ({"name": "transmon"}, ("--tol", 1e-6)),
+], ids=["tol_nan", "tol", "budget_zero", "budget", "budget_beyond_int64", "config"])
+def test_transmon_preset_rejects_collision_overrides(tmp_path, capsys, source, flags):
+    # the report runs no collision, so these flags could only be ignored
+    if isinstance(source, dict):
+        source = ("--config", write_config(tmp_path, source))
+    assert run_cli("run", *source, *flags, "--out", tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "transmon" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tol_exits_one(tmp_path, capsys, tol):
     assert run_cli("run", "--preset", "fig1e", "--out", tmp_path, "--tol", tol) == 1

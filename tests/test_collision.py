@@ -8,14 +8,17 @@ point of keeping two routes to the steady state, so it is exercised here on
 a handful of configurations and again, more broadly, in the acceptance tests.
 Both routes read the same closed-form transfer matrices, so the property
 tests check those matrices against ``single_collision`` (unitary plus partial
-trace) on random inputs, and the z-axis fixed point against its closed form.
+trace) on random inputs and check that they are affine in the ancilla's Bloch
+vector, the z-axis fixed point against its closed form, and the sign of a
+convex run's fixed point against its linear rule in the ancillas' Bloch z.
 The evolution loops advance runs a chunk of collisions at a time, the
 deterministic loop four chunks per pass, so their stopping rule is pinned at
 chunk and pass boundaries, and a batch of runs, mixed or not, must give
 bitwise what each run gives alone.  A deterministic run's chunk is one
-product of its start state with powers of its map, laid out per Bloch
-component, so it must agree with the per-collision product of drawn maps and
-with ``step``, and bitwise with a plain loop of one such product per chunk.
+product of its start state with powers of its map, its states in order, so
+it must agree with the per-collision product of drawn maps and with
+``step``, and bitwise with a plain loop of one such product per chunk whose
+powers are stacked per Bloch component, an independent layout.
 The window rule is recounted one step at a time from a recorded trajectory,
 independently of how a chunk is laid out, and on drawn passes of the one
 window helper both loops call, at tols from the least positive double to
@@ -542,6 +545,41 @@ def test_z_axis_fixed_point_matches_its_closed_form(items, h, tau):
     assert abs(got - expected) < 1e-10
 
 
+@st.composite
+def weighted(draw, elements):
+    """1-4 draws of ``elements`` and normalized weights for them."""
+    items = draw(st.lists(elements, min_size=1, max_size=4))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(items), max_size=len(items)))
+    return items, [w / sum(raw) for w in raw]
+
+
+@PROPERTY
+@given(weighted(_ball(1.0)), st.floats(-5.0, 5.0), st.floats(0.0, 2.0), st.floats(0.0, 10.0))
+def test_transfer_matrix_is_affine_in_the_ancilla(ancillas, h, j, tau):
+    # _Engine's noise maps, R_base + eps (R(a = 0) - R_base), rest on this
+    vectors, weights = ancillas
+    mixed = sum(w * transfer_matrix(h, j, tau, a) for w, a in zip(weights, vectors))
+    direct = transfer_matrix(h, j, tau, sum(w * a for w, a in zip(weights, vectors)))
+    assert np.max(np.abs(mixed - direct)) <= 1e-15
+
+
+@PROPERTY
+@given(weighted(st.tuples(THETA, PHI, st.floats(0.0, 2.0))), st.floats(-5.0, 5.0), st.floats(0.05, 3.0),
+       st.sampled_from(["convex", "stochastic"]))
+def test_convex_label_is_the_sign_of_the_weighted_ancilla_z(reservoirs, h, tau, mode):
+    # The rule steady_state_oracle's docstring sketches: sign(sigma_z) =
+    # sign(sum q_i sin^2(J_i tau) cos theta_i), whatever h and the tilts phi_i
+    items, weights = reservoirs
+    specs = [ReservoirSpec(theta, j, weight=w, phi=phi) for (theta, phi, j), w in zip(items, weights)]
+    try:
+        z = steady_state_oracle(specs, EngineConfig(h=h, tau=tau, mixing_mode=mode)).sigma_z_ss
+    except SingularSystem:
+        assume(False)
+    rule = sum(w * math.sin(j * tau) ** 2 * math.cos(theta) for (theta, _, j), w in zip(items, weights))
+    assume(min(abs(z), abs(rule)) >= 1e-9)
+    assert (z > 0) == (rule > 0)
+
+
 # The evolution loop: stopping at and across chunk boundaries, buffers sized
 # to the run, random streams left where single collisions leave them, and
 # batches equal to their runs taken one at a time.
@@ -589,7 +627,8 @@ def test_budget_not_a_multiple_of_the_chunk_length():
 def _chunked_reference(reservoirs, cfg):
     """One deterministic run as a plain loop, a chunk of _CHUNK collisions at
     a time: the Bloch rows of R^1 ... R^_CHUNK, each power formed as R @
-    R^(n-1) and stacked per component, one product of that stack with each
+    R^(n-1) and stacked per component, a layout independent of the
+    engine's state-major stack, one product of that stack with each
     chunk's start (1, b), where b is the last state of the chunk before, and
     the window rule counted one step at a time.  Returns the states from +x
     on, the collision count and whether the window closed."""
@@ -1052,9 +1091,9 @@ SECOND_NOISY = [ReservoirSpec(2.5, 0.25, 0.3), ReservoirSpec(1.0, 0.35, 0.7, noi
       (FIRST_NOISY, EngineConfig(max_collisions=400, tol=1e-2, mixing_mode="sequential"), 5),
       (SECOND_NOISY, EngineConfig(max_collisions=400, tol=3e-3, mixing_mode="sequential"), 5)], [2, 2, 3, 2, 2]),
     # deterministic runs whose budgets end mid-chunk, one in the first chunk
-    # and two in a shorter last chunk, which slices the component-major
-    # block while the stack still holds a full chunk of powers; the longer
-    # run converges before that chunk
+    # and two in a shorter last chunk, whose states are read from a block
+    # while the stack still holds a full chunk of powers; the longer run
+    # converges before that chunk
     ([(settling(2.2), EngineConfig(max_collisions=12 * _CHUNK, tol=0.05), None),
       (settling(3.0), EngineConfig(max_collisions=2 * _CHUNK + 37, tol=1e-9), None),
       (settling(2.6), EngineConfig(max_collisions=_CHUNK - 1, tol=1e-9), None),
