@@ -566,6 +566,9 @@ def test_transfer_matrix_is_affine_in_the_ancilla(ancillas, h, j, tau):
 @PROPERTY
 @given(weighted(st.tuples(THETA, PHI, st.floats(0.0, 2.0))), st.floats(-5.0, 5.0), st.floats(0.05, 3.0),
        st.sampled_from(["convex", "stochastic"]))
+# one weak coupling to a pure ancilla: the solve lands ~1e-10 outside the ball
+@example(([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0625), (0.0, 0.0, 0.0)],
+          [0.6138864902286127, 0.0936032750960939, 0.2925102346752934]), 0.0, 0.0625, "convex")
 def test_convex_label_is_the_sign_of_the_weighted_ancilla_z(reservoirs, h, tau, mode):
     # The rule steady_state_oracle's docstring sketches: sign(sigma_z) =
     # sign(sum q_i sin^2(J_i tau) cos theta_i), whatever h and the tilts phi_i
