@@ -48,6 +48,7 @@ from pathlib import Path
 from .collision import DEFAULT_SEED, NoiseSpec, ReservoirSpec
 from .physical import TimingBudget, TransmonParams
 from .presets import (
+    PRESETS,
     TRANSMON_TIMING,
     PresetOutcome,
     RunOptions,
@@ -217,7 +218,7 @@ def _options(args, raw: dict, seed: int | None) -> RunOptions:
                       seed=DEFAULT_SEED if seed is None else seed,
                       fmt=args.format or output.get("format", "csv"),
                       max_collisions=args.max_collisions, tol=args.tol,
-                      convention=args.convention)
+                      convention=args.convention or "angular")
 
 
 def _run_custom(raw: dict, angle_unit: str | None, seed: int | None, opts: RunOptions) -> PresetOutcome:
@@ -263,16 +264,21 @@ def cmd_run(args) -> int:
     raw = {} if args.config is None else _read_config(args.config)
     opts = _options(args, raw, seed)
     name = raw.get("name", "custom") if args.preset is None else args.preset
+    if not isinstance(name, str):
+        raise InvalidConfig(f"name must be a string, got {name!r}")
+    # A flag the chosen run would ignore is rejected rather than dropped.
     if name == "transmon" and (opts.tol is not None or opts.max_collisions is not None):
-        # the report runs no collision, so these flags could only be ignored
         raise InvalidConfig("the transmon preset runs no collision; --tol and --max-collisions do not apply")
+    if name == "transmon" and args.format is not None:
+        raise InvalidConfig("the transmon preset always writes transmon.json; --format does not apply")
+    if args.convention is not None and not (name in PRESETS and PRESETS[name].reads_convention):
+        raise InvalidConfig(f"--convention applies only to the physical-scale presets "
+                            f"fig7a-d and transmon, not to {name!r}")
     if args.preset is not None:
         outcome = run_preset(name, opts)
     elif name == "custom":
         outcome = _run_custom(raw, args.angle_unit, seed, opts)
     else:
-        if not isinstance(name, str):
-            raise InvalidConfig(f"name must be a string, got {name!r}")
         for key in ("reservoirs", "engine", "sweep"):
             if key in raw:
                 raise InvalidConfig(f"preset config {name!r} must not define {key!r}")
@@ -350,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol", type=float, default=None, help="convergence tolerance override")
     run.add_argument("--angle-unit", choices=("rad", "deg"), default=None,
                      help="unit of angles in the config file (output is always radians)")
-    run.add_argument("--convention", choices=("ordinary", "angular"), default="angular",
-                     help="frequency convention for physical-scale presets: angular "
-                          "(default) gives quoted frequencies the standard 2*pi phase, "
-                          "ordinary reads them literally")
+    run.add_argument("--convention", choices=("ordinary", "angular"), default=None,
+                     help="frequency convention of the physical-scale presets fig7a-d and "
+                          "transmon, rejected elsewhere: angular (default) gives quoted "
+                          "frequencies the standard 2*pi phase, ordinary reads them literally")
     run.set_defaults(func=cmd_run)
 
     lst = sub.add_parser("list", help="list the built-in presets")

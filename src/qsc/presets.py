@@ -325,6 +325,7 @@ def _run_transmon(opts: RunOptions) -> PresetOutcome:
 class Preset:
     run: Callable[[RunOptions], PresetOutcome]
     description: str
+    reads_convention: bool = False  # whether the run reads RunOptions.convention
 
 
 def _fig7_preset(epsilon: float, note: str = "") -> Preset:
@@ -333,7 +334,7 @@ def _fig7_preset(epsilon: float, note: str = "") -> Preset:
 
     text = (f"physical-scale noisy classification, preparation error "
             f"epsilon={epsilon:g} (eta=epsilon/4){note}")
-    return Preset(runner, text)
+    return Preset(runner, text, reads_convention=True)
 
 
 PRESETS: dict[str, Preset] = {
@@ -367,7 +368,8 @@ PRESETS: dict[str, Preset] = {
     "fig7c": _fig7_preset(0.4, "; verdict recorded, not asserted"),
     "fig7d": _fig7_preset(0.6),
     "transmon": Preset(_run_transmon,
-                       "hardware parameter report: derived couplings, regime checks, timing"),
+                       "hardware parameter report: derived couplings, regime checks, timing",
+                       reads_convention=True),
 }
 
 

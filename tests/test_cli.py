@@ -667,3 +667,37 @@ def test_config_accepts_integral_floats_for_counts(tmp_path):
     assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 0
     first = (tmp_path / "out" / "trajectory.csv").read_text(encoding="utf-8").splitlines()[0]
     assert first == "# seed=77"
+
+
+@pytest.mark.parametrize("source, flags", [
+    (("--preset", "fig3a"), ("--convention", "ordinary")),
+    (("--preset", "fig2a"), ("--convention", "angular")),
+    (("--preset", "fig5f"), ("--convention", "ordinary")),
+    ({"name": "fig1e"}, ("--convention", "ordinary")),
+    (BASE_CONFIG, ("--convention", "ordinary")),
+    ({**BASE_CONFIG, "sweep": {"path": "reservoirs.0.coupling", "values": [0.1, 0.2]}},
+     ("--convention", "angular")),
+    (("--preset", "transmon"), ("--format", "csv")),
+    (("--preset", "transmon"), ("--format", "json")),
+    ({"name": "transmon"}, ("--format", "csv")),
+], ids=["fig3a", "fig2a", "fig5f", "preset_config", "reservoir_config", "config_sweep",
+        "transmon_csv", "transmon_json", "transmon_config"])
+def test_flags_the_run_would_ignore_exit_one_before_writing(tmp_path, capsys, source, flags):
+    if isinstance(source, dict):
+        source = ("--config", write_config(tmp_path, source))
+    assert run_cli("run", *source, *flags, "--out", tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flags[0] in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", [("--preset", "transmon"), {"name": "transmon"}],
+                         ids=["preset", "config"])
+def test_transmon_reads_the_convention_flag(tmp_path, source):
+    if isinstance(source, dict):
+        source = ("--config", write_config(tmp_path, source))
+    assert run_cli("run", *source, "--convention", "ordinary", "--out", tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "transmon.json").read_text(encoding="utf-8"))
+    assert report["frequency_convention"] == "ordinary"

@@ -8,6 +8,7 @@ formats, at row counts on either side of a chunk boundary.
 import json
 import math
 import numbers
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from qsc.writers import (
     CHUNK_ROWS,
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
-    _column_texts,
+    _E_GUESS,
+    _E_OFFSET,
+    _cell_bytes,
     _round_floats,
     format_cell,
     write_dataset,
@@ -231,6 +234,12 @@ def reference_write_table(path, columns, rows, seed, fmt):
     path.write_text(text, encoding="utf-8", newline="")
 
 
+def cell_texts(column, fmt):
+    """The cells of ``_cell_bytes`` as strings, their NUL padding deleted."""
+    return [row.tobytes().translate(None, b"\0").decode("utf-8")
+            for row in _cell_bytes(np.asarray(column), fmt)]
+
+
 # The float policy: normal draws over the whole exponent range, signed zeros
 # and the smallest subnormals, the decade where %.12g and repr pick different
 # notations, integral floats, and the non-finite values.
@@ -248,8 +257,8 @@ FLOATS = st.one_of(
 @given(st.lists(FLOATS, min_size=1, max_size=20))
 def test_float_policy_matches_the_reference(xs):
     column = np.array(xs, dtype=float)
-    assert _column_texts(column, "csv") == [reference_format_cell(x) for x in xs]
-    assert _column_texts(column, "json") == [json.dumps(reference_json_cell(x)) for x in xs]
+    assert cell_texts(column, "csv") == [reference_format_cell(x) for x in xs]
+    assert cell_texts(column, "json") == [json.dumps(reference_json_cell(x)) for x in xs]
     for x in xs:
         assert format_cell(x) == reference_format_cell(x)
         assert json.dumps(_round_floats(x)) == json.dumps(reference_json_cell(x))
@@ -258,19 +267,111 @@ def test_float_policy_matches_the_reference(xs):
 def test_float_policy_on_a_wide_random_column():
     rng = np.random.default_rng(5)
     xs = rng.normal(size=20_000) * 10.0 ** rng.integers(-320, 301, size=20_000)
-    assert _column_texts(xs, "csv") == [reference_format_cell(x) for x in xs]
-    assert _column_texts(xs, "json") == [json.dumps(reference_json_cell(x)) for x in xs]
+    assert cell_texts(xs, "csv") == [reference_format_cell(x) for x in xs]
+    assert cell_texts(xs, "json") == [json.dumps(reference_json_cell(x)) for x in xs]
 
 
 def test_non_finite_cells_keep_their_spellings():
     column = np.array([math.nan, math.inf, -math.inf])
-    assert _column_texts(column, "csv") == ["nan", "inf", "-inf"]
-    assert _column_texts(column, "json") == ["NaN", "Infinity", "-Infinity"]
+    assert cell_texts(column, "csv") == ["nan", "inf", "-inf"]
+    assert cell_texts(column, "json") == ["NaN", "Infinity", "-Infinity"]
 
 
-# Byte equality with the reference, at row counts around one chunk.
+# The edges of the exactness rule: near-ties of the 12th digit, the decade
+# edges where floor(log10) and the carry meet, the notation switches, three-
+# digit exponents and the cells the rule leaves to "%.12g".
 
-ROW_COUNTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
+def _ulps(x, n):
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+MANTISSAS = st.one_of(st.integers(10**11, 10**12 - 1),
+                      st.sampled_from([10**11, 10**11 + 1, 10**12 - 2, 10**12 - 1]))
+NEAR_TIES = st.builds(lambda m, k, n: _ulps(float(f"{m}5e{k - 1}"), n),
+                      MANTISSAS, st.integers(-320, 296), st.integers(-3, 3))
+DECADE_EDGES = st.builds(lambda k, n: _ulps(float(f"1e{k}"), n),
+                         st.integers(-300, 15), st.integers(-3, 3))
+NOTATION_SWITCHES = st.builds(lambda m, k, n: _ulps(m * 10.0 ** k, n),
+                              st.floats(1.0, 10.0), st.sampled_from([-6, -5, -4, 10, 11, 12, 13]),
+                              st.integers(-3, 3))
+WIDE_EXPONENTS = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+                           st.one_of(st.integers(-323, -100), st.integers(100, 307)))
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                  2.225073858507201e-308, 1.7976931348623157e308,
+                                  math.nan, -math.nan, math.inf, -math.inf])
+EDGE_FLOATS = st.one_of(NEAR_TIES, DECADE_EDGES, NOTATION_SWITCHES, WIDE_EXPONENTS,
+                        SPECIAL_FLOATS, st.integers(-2**53, 2**53).map(float))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(EDGE_FLOATS.flatmap(lambda x: st.sampled_from([x, -x])), min_size=1, max_size=20))
+def test_float_cells_at_the_edges_of_the_exactness_rule(xs):
+    column = np.array(xs, dtype=float)
+    assert cell_texts(column, "csv") == [reference_format_cell(x) for x in xs]
+    assert cell_texts(column, "json") == [json.dumps(reference_json_cell(x)) for x in xs]
+
+
+def test_float_cells_carry_across_every_decade():
+    # x rounds up to 10**k at 12 digits: the mantissa carries, and at 1e-4
+    # and 1e12 the notation switches with it
+    xs = [_ulps(float(f"999999999999{five}e{k - 12}"), n)
+          for k in range(-300, 300) for five in ("5", "49999") for n in (-1, 0, 1)]
+    assert cell_texts(xs, "csv") == [reference_format_cell(x) for x in xs]
+    assert cell_texts(xs, "json") == [json.dumps(reference_json_cell(x)) for x in xs]
+
+
+def test_exponent_guess_is_e_or_one_below_on_every_binade():
+    # the rule's E is the guess or the guess + 1, so one comparison settles it
+    for field in range(1, 2047):
+        guess = int(_E_GUESS[field]) - _E_OFFSET
+        low, high = Fraction(2) ** (field - 1023), Fraction(2) ** (field - 1022)
+        assert Fraction(10) ** guess <= low and high <= Fraction(10) ** (guess + 2)
+
+
+INT64 = st.one_of(st.integers(-2**63, 2**63 - 1),
+                  st.sampled_from([0, 1, -1, 9999, 10_000, -10_000, 2**63 - 1, -2**63]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(INT64, min_size=1, max_size=20))
+def test_int_cells_match_the_reference(ns):
+    for dtype in (np.int64, np.int32):
+        if dtype is np.int32 and not all(-2**31 <= n < 2**31 for n in ns):
+            continue
+        column = np.array(ns, dtype=dtype)
+        assert cell_texts(column, "csv") == [reference_format_cell(n) for n in ns]
+        assert cell_texts(column, "json") == [json.dumps(reference_json_cell(n)) for n in ns]
+
+
+def test_unsigned_cells_reach_the_largest_uint64():
+    ns = [0, 7, 10**19, 2**64 - 1]
+    assert cell_texts(np.array(ns, dtype=np.uint64), "csv") == list(map(str, ns))
+
+
+def test_bool_and_string_cells():
+    assert cell_texts(np.array([True, False]), "csv") == ["true", "false"]
+    assert cell_texts(np.array([True, False]), "json") == ["true", "false"]
+    texts = ["", "a,b", 'q"é', "tab\t"]
+    assert cell_texts(np.array(texts), "csv") == texts
+    assert cell_texts(np.array(texts), "json") == list(map(json.dumps, texts))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", ["a\0b", "ab\0", "\0"])
+def test_string_cells_holding_nul_are_rejected_before_opening(tmp_path, fmt, name):
+    # NUL pads the fixed-width cells, so it would vanish from the text
+    with pytest.raises(ValueError, match="NUL"):
+        write_table(tmp_path / f"x.{fmt}", ("name", "x"), [[name, "b"], [1.0, 2.0]],
+                    seed=0, fmt=fmt)
+    assert not (tmp_path / f"x.{fmt}").exists()
+
+
+# Byte equality with the reference, at row counts around one chunk and at
+# 1023-1025 rows, a part of one chunk.
+
+ROW_COUNTS = (0, 1, 1023, 1024, 1025, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
 SPECIALS = (-0.0, 1e-17, -1.0, 1e13, 5e-324, 2.0000000000001)
 
 
