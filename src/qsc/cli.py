@@ -18,8 +18,14 @@ Custom config schema (JSON object; unknown keys are errors everywhere):
     engine      {h?, tau?, max_collisions?, tol?, window?, mixing_mode?, seed?}
     sweep       optional {path, values}; path under engine. or reservoirs.,
                 like "engine.h" or "reservoirs.0.coupling", values are numbers
-                applied as given
+                in the config's units; swept angles are written in radians
     output      optional {path?, format?}
+
+Besides --out and output.path, presets fig1e-fig5f read seed, format,
+max_collisions and tol; fig7a-d read those and convention; transmon reads
+only convention; a custom config reads the first four and angle_unit,
+reservoirs, engine and sweep.  Any other input given, by flag or config key,
+exits 1 before any value is checked; QSC_SEED and --jobs are exempt.
 
 Without a sweep a custom config writes one trajectory from +x whose
 fidelity column is measured against the fixed point of the collision map;
@@ -47,18 +53,8 @@ from pathlib import Path
 
 from .collision import DEFAULT_SEED, NoiseSpec, ReservoirSpec
 from .physical import TimingBudget, TransmonParams
-from .presets import (
-    PRESETS,
-    TRANSMON_TIMING,
-    PresetOutcome,
-    RunOptions,
-    UnknownPreset,
-    list_presets,
-    run_custom,
-    run_custom_sweep,
-    run_preset,
-    transmon_report,
-)
+from .presets import (CUSTOM_READS, TRANSMON_TIMING, PresetOutcome, RunOptions, UnknownPreset, find_preset,
+                      list_presets, run_custom, run_custom_sweep, run_preset, transmon_report)
 
 _TOP_KEYS = {"name", "angle_unit", "reservoirs", "engine", "sweep", "output"}
 _RESERVOIR_KEYS = {"theta", "coupling", "weight", "phi", "noise"}
@@ -204,13 +200,13 @@ def _read_config(path: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config is not valid JSON: {exc}") from None
     _check_keys(raw, _TOP_KEYS, "config")
+    _check_keys(raw.get("output", {}), _OUTPUT_KEYS, "output")
     return raw
 
 
 def _options(args, raw: dict, seed: int | None) -> RunOptions:
     """The invocation's run options; flags beat the config's output block."""
     output = raw.get("output", {})
-    _check_keys(output, _OUTPUT_KEYS, "output")
     path = output.get("path", "out")
     if not isinstance(path, str):
         raise InvalidConfig(f"output.path must be a string, got {path!r}")
@@ -250,7 +246,8 @@ def _run_custom(raw: dict, angle_unit: str | None, seed: int | None, opts: RunOp
         raise InvalidConfig(f"sweep.path must be under reservoirs. or engine., got {path!r}")
     if not isinstance(values, list) or not values:
         raise InvalidConfig("sweep.values must be a non-empty list")
-    params = [_number(value, f"sweep.values.{i}") for i, value in enumerate(values)]
+    scale = factor if path.endswith((".theta", ".phi")) else 1.0
+    params = [_number(value, f"sweep.values.{i}") * scale for i, value in enumerate(values)]
     setups = []
     for value in values:
         varied = copy.deepcopy(raw)
@@ -259,30 +256,28 @@ def _run_custom(raw: dict, angle_unit: str | None, seed: int | None, opts: RunOp
     return run_custom_sweep(opts, path, params, setups)
 
 
+def _reject_unread(args, raw: dict, name: str, reads: frozenset) -> None:
+    """Exit 1 on the first input given, by flag or config key, that the run would ignore."""
+    flags = ("seed", "format", "max_collisions", "tol", "angle_unit", "convention")
+    given = [("--" + key.replace("_", "-"), key) for key in flags if getattr(args, key) is not None]
+    given += [(key, key) for key in raw if key not in ("name", "output")]
+    given += [("output.format", "format")] if "format" in raw.get("output", {}) else []
+    for where, key in given:
+        if key not in reads:
+            raise InvalidConfig(f"run {name!r} does not read {where}, so the invocation must not define it")
+
+
 def cmd_run(args) -> int:
-    seed = _resolve_seed(args.seed)
-    raw = {} if args.config is None else _read_config(args.config)
-    opts = _options(args, raw, seed)
-    name = raw.get("name", "custom") if args.preset is None else args.preset
+    # --preset X is the config {"name": X}, but never a custom config
+    raw = {"name": args.preset} if args.config is None else _read_config(args.config)
+    name = raw.get("name", "custom")
     if not isinstance(name, str):
         raise InvalidConfig(f"name must be a string, got {name!r}")
-    # A flag the chosen run would ignore is rejected rather than dropped.
-    if name == "transmon" and (opts.tol is not None or opts.max_collisions is not None):
-        raise InvalidConfig("the transmon preset runs no collision; --tol and --max-collisions do not apply")
-    if name == "transmon" and args.format is not None:
-        raise InvalidConfig("the transmon preset always writes transmon.json; --format does not apply")
-    if args.convention is not None and not (name in PRESETS and PRESETS[name].reads_convention):
-        raise InvalidConfig(f"--convention applies only to the physical-scale presets "
-                            f"fig7a-d and transmon, not to {name!r}")
-    if args.preset is not None:
-        outcome = run_preset(name, opts)
-    elif name == "custom":
-        outcome = _run_custom(raw, args.angle_unit, seed, opts)
-    else:
-        for key in ("reservoirs", "engine", "sweep"):
-            if key in raw:
-                raise InvalidConfig(f"preset config {name!r} must not define {key!r}")
-        outcome = run_preset(name, opts)
+    custom = name == "custom" and args.preset is None
+    _reject_unread(args, raw, name, CUSTOM_READS if custom else find_preset(name).reads)
+    seed = _resolve_seed(args.seed)
+    opts = _options(args, raw, seed)
+    outcome = _run_custom(raw, args.angle_unit, seed, opts) if custom else run_preset(name, opts)
     for path in outcome.files:
         print(path)
     if not outcome.all_converged:
@@ -357,9 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--angle-unit", choices=("rad", "deg"), default=None,
                      help="unit of angles in the config file (output is always radians)")
     run.add_argument("--convention", choices=("ordinary", "angular"), default=None,
-                     help="frequency convention of the physical-scale presets fig7a-d and "
-                          "transmon, rejected elsewhere: angular (default) gives quoted "
-                          "frequencies the standard 2*pi phase, ordinary reads them literally")
+                     help="frequency convention of fig7a-d and transmon: angular (default) gives "
+                          "quoted frequencies the standard 2*pi phase, ordinary reads them literally")
     run.set_defaults(func=cmd_run)
 
     lst = sub.add_parser("list", help="list the built-in presets")

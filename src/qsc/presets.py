@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -74,8 +75,9 @@ class UnknownPreset(KeyError):
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Knobs every preset and custom config accepts; None leaves the
-    preset's or the config's own value alone."""
+    """The knobs of one run.  A run reads only those its kind declares
+    (``Preset.reads``, ``CUSTOM_READS``) and ignores the rest; None leaves
+    the preset's or the config's own value alone."""
 
     out_dir: Path
     seed: int = DEFAULT_SEED
@@ -321,20 +323,21 @@ def _run_transmon(opts: RunOptions) -> PresetOutcome:
     return PresetOutcome([path], True)
 
 
+COLLISION_READS = frozenset({"seed", "format", "max_collisions", "tol"})
+CUSTOM_READS = COLLISION_READS | {"angle_unit", "reservoirs", "engine", "sweep"}
+
+
 @dataclass(frozen=True)
 class Preset:
     run: Callable[[RunOptions], PresetOutcome]
     description: str
-    reads_convention: bool = False  # whether the run reads RunOptions.convention
+    reads: frozenset = COLLISION_READS  # the inputs the run reads besides the output path
 
 
 def _fig7_preset(epsilon: float, note: str = "") -> Preset:
-    def runner(opts: RunOptions) -> PresetOutcome:
-        return _run_fig7(opts, epsilon)
-
     text = (f"physical-scale noisy classification, preparation error "
             f"epsilon={epsilon:g} (eta=epsilon/4){note}")
-    return Preset(runner, text, reads_convention=True)
+    return Preset(partial(_run_fig7, epsilon=epsilon), text, COLLISION_READS | {"convention"})
 
 
 PRESETS: dict[str, Preset] = {
@@ -369,7 +372,7 @@ PRESETS: dict[str, Preset] = {
     "fig7d": _fig7_preset(0.6),
     "transmon": Preset(_run_transmon,
                        "hardware parameter report: derived couplings, regime checks, timing",
-                       reads_convention=True),
+                       frozenset({"convention"})),
 }
 
 
@@ -377,12 +380,15 @@ def list_presets() -> list[tuple[str, str]]:
     return [(name, preset.description) for name, preset in PRESETS.items()]
 
 
-def run_preset(name: str, opts: RunOptions) -> PresetOutcome:
+def find_preset(name: str) -> Preset:
     try:
-        preset = PRESETS[name]
+        return PRESETS[name]
     except KeyError:
         raise UnknownPreset(f"unknown preset {name!r}; see the list subcommand") from None
-    return preset.run(opts)
+
+
+def run_preset(name: str, opts: RunOptions) -> PresetOutcome:
+    return find_preset(name).run(opts)
 
 
 def run_custom(opts: RunOptions, reservoirs: list[ReservoirSpec], engine: dict) -> PresetOutcome:

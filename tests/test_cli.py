@@ -18,6 +18,7 @@ import qsc.writers
 from qsc.classifier import sweep_thetas
 from qsc.cli import _parse_engine, _parse_reservoir, main
 from qsc.collision import MIXING_MODES, EngineConfig, NoiseSpec, ReservoirSpec, steady_state_oracle
+from qsc.presets import PRESETS
 from qsc.states import bloch_to_density, fidelity, magnetization, pure_qubit
 from qsc.writers import format_cell
 
@@ -265,9 +266,9 @@ def test_degree_input_converts_angles(tmp_path):
     code = run_cli("run", "--config", config, "--out", tmp_path / "out")
     assert code == 0
     lines = (tmp_path / "out" / "sweep.csv").read_text(encoding="utf-8").splitlines()
-    # sweep values stay in the unit they were supplied in
+    # swept angles are written in radians, like every output angle
     first, second = lines[3].split(","), lines[4].split(",")
-    assert first[1] == "90" and second[1] == "180"
+    assert first[1] == format_cell(math.radians(90.0)) and second[1] == format_cell(math.radians(180.0))
     assert abs(float(first[2])) < 1e-3 and first[5] == "class1"  # equator: sigma_z 0
     assert float(second[2]) < -0.99 and second[5] == "class2"  # pole: sigma_z -1
     # without the unit declaration the same angles are rejected as radians
@@ -276,6 +277,46 @@ def test_degree_input_converts_angles(tmp_path):
         "engine": {},
     }, name="bad.json")
     assert run_cli("run", "--config", bad, "--out", tmp_path / "out2") == 1
+
+
+def artifacts(out_dir):
+    return {path.relative_to(out_dir): path.read_bytes() for path in sorted(out_dir.rglob("*"))}
+
+
+DEGREE_CONFIG = {
+    "reservoirs": [{"theta": 60.0, "coupling": 0.1, "phi": 30.0}, {"theta": 150.0, "coupling": 0.05}],
+    "engine": {"max_collisions": 600, "tol": 1e-4},
+}
+
+
+def radians(config: dict) -> dict:
+    return {**config, "reservoirs": [
+        {**block, **{key: math.radians(block[key]) for key in ("theta", "phi") if key in block}}
+        for block in config["reservoirs"]
+    ]}
+
+
+@pytest.mark.parametrize("path", ["reservoirs.0.theta", "reservoirs.1.phi"])
+def test_degree_sweep_writes_the_radian_sweep(tmp_path, path):
+    sweep = {"path": path, "values": [30.0, 60.0]}
+    degrees = write_config(tmp_path, {**DEGREE_CONFIG, "angle_unit": "degrees", "sweep": sweep}, "deg.json")
+    as_radians = {**radians(DEGREE_CONFIG),
+                  "sweep": {"path": path, "values": [math.radians(30.0), math.radians(60.0)]}}
+    assert run_cli("run", "--config", degrees, "--out", tmp_path / "deg") in (0, 2)
+    assert run_cli("run", "--config", write_config(tmp_path, as_radians), "--out", tmp_path / "rad") in (0, 2)
+    assert artifacts(tmp_path / "deg") == artifacts(tmp_path / "rad")
+
+
+@pytest.mark.parametrize("sweep", [None, {"path": "reservoirs.0.theta", "values": [30.0, 60.0]}],
+                         ids=["trajectory", "sweep"])
+def test_angle_unit_flag_reads_like_the_config_key(tmp_path, sweep):
+    config = DEGREE_CONFIG if sweep is None else {**DEGREE_CONFIG, "sweep": sweep}
+    flag = write_config(tmp_path, config, "flag.json")
+    key = write_config(tmp_path, {**config, "angle_unit": "degrees"}, "key.json")
+    assert run_cli("run", "--config", flag, "--angle-unit", "deg", "--out", tmp_path / "flag") in (0, 2)
+    assert run_cli("run", "--config", key, "--out", tmp_path / "key") in (0, 2)
+    assert artifacts(tmp_path / "flag") == artifacts(tmp_path / "key")
+    assert artifacts(tmp_path / "flag")
 
 
 def test_config_sweep_labels_like_the_preset_sweep(tmp_path, monkeypatch):
@@ -569,7 +610,9 @@ def test_transmon_rejects_non_finite_timing(capsys, flag, value):
     (("--preset", "transmon"), ("--max-collisions", 5000)),
     (("--preset", "transmon"), ("--max-collisions", 2**63)),
     ({"name": "transmon"}, ("--tol", 1e-6)),
-], ids=["tol_nan", "tol", "budget_zero", "budget", "budget_beyond_int64", "config"])
+    (("--preset", "transmon"), ("--seed", 5)),
+    ({"name": "transmon", "output": {"format": "csv"}}, ()),
+], ids=["tol_nan", "tol", "budget_zero", "budget", "budget_beyond_int64", "config", "seed", "config_format"])
 def test_transmon_preset_rejects_collision_overrides(tmp_path, capsys, source, flags):
     # the report runs no collision, so these flags could only be ignored
     if isinstance(source, dict):
@@ -680,16 +723,20 @@ def test_config_accepts_integral_floats_for_counts(tmp_path):
     (("--preset", "transmon"), ("--format", "csv")),
     (("--preset", "transmon"), ("--format", "json")),
     ({"name": "transmon"}, ("--format", "csv")),
+    (("--preset", "fig3a"), ("--angle-unit", "deg")),
+    ({"name": "fig3a", "angle_unit": "degrees"}, ()),
 ], ids=["fig3a", "fig2a", "fig5f", "preset_config", "reservoir_config", "config_sweep",
-        "transmon_csv", "transmon_json", "transmon_config"])
+        "transmon_csv", "transmon_json", "transmon_config", "angle_unit_flag", "angle_unit_key"])
 def test_flags_the_run_would_ignore_exit_one_before_writing(tmp_path, capsys, source, flags):
+    # an input given by config key is named by that key
+    named = flags[0] if flags else next(key for key in source if key != "name")
     if isinstance(source, dict):
         source = ("--config", write_config(tmp_path, source))
     assert run_cli("run", *source, *flags, "--out", tmp_path / "out") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert flags[0] in captured.err
+    assert named in captured.err
     assert not (tmp_path / "out").exists()
 
 
@@ -701,3 +748,44 @@ def test_transmon_reads_the_convention_flag(tmp_path, source):
     assert run_cli("run", *source, "--convention", "ordinary", "--out", tmp_path / "out") == 0
     report = json.loads((tmp_path / "out" / "transmon.json").read_text(encoding="utf-8"))
     assert report["frequency_convention"] == "ordinary"
+
+
+# Each input a run can be given besides its output path, by flag or by config
+# key, at a value that differs from what the run does without it.
+INPUTS = {
+    "seed": [("--seed", 5)],
+    "format": [("--format", "json"), {"output": {"format": "json"}}],
+    "max_collisions": [("--max-collisions", 30)],
+    "tol": [("--tol", 1.0)],
+    "convention": [("--convention", "ordinary")],
+    "angle_unit": [("--angle-unit", "deg"), {"angle_unit": "degrees"}],
+    "reservoirs": [{"reservoirs": []}],
+    "engine": [{"engine": {}}],
+    "sweep": [{"sweep": {}}],
+}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_each_preset_reads_exactly_its_declared_inputs(tmp_path, name):
+    # a budget that binds every run keeps this fast, and --tol 1.0 stops them early
+    reads = PRESETS[name].reads
+    budget = ("--max-collisions", 20, "--tol", 1e-3) if "max_collisions" in reads else ()
+
+    def run(way, out):
+        if isinstance(way, dict):
+            source = ("--config", write_config(tmp_path, {"name": name, **way}, f"{out}.json"))
+        else:
+            source = ("--preset", name, *way)
+        return run_cli("run", *source[:2], *budget, *source[2:], "--out", tmp_path / out)
+
+    assert run((), "base") in (0, 2)
+    base = artifacts(tmp_path / "base")
+    for key, ways in INPUTS.items():
+        for index, way in enumerate(ways):
+            out = f"{key}_{index}"
+            if key in reads:
+                assert run(way, out) in (0, 2), out
+                assert artifacts(tmp_path / out) != base, out
+            else:
+                assert run(way, out) == 1, out
+                assert not (tmp_path / out).exists(), out
