@@ -25,7 +25,8 @@ Besides --out and output.path, presets fig1e-fig5f read seed, format,
 max_collisions and tol; fig7a-d read those and convention; transmon reads
 only convention; a custom config reads the first four and angle_unit,
 reservoirs, engine and sweep.  Any other input given, by flag or config key,
-exits 1 before any value is checked; QSC_SEED and --jobs are exempt.
+exits 1 before any value is checked; --jobs is exempt, and so is QSC_SEED,
+which only a run that reads seed resolves and checks.
 
 Without a sweep a custom config writes one trajectory from +x whose
 fidelity column is measured against the fixed point of the collision map;
@@ -274,8 +275,9 @@ def cmd_run(args) -> int:
     if not isinstance(name, str):
         raise InvalidConfig(f"name must be a string, got {name!r}")
     custom = name == "custom" and args.preset is None
-    _reject_unread(args, raw, name, CUSTOM_READS if custom else find_preset(name).reads)
-    seed = _resolve_seed(args.seed)
+    reads = CUSTOM_READS if custom else find_preset(name).reads
+    _reject_unread(args, raw, name, reads)
+    seed = _resolve_seed(args.seed) if "seed" in reads else None
     opts = _options(args, raw, seed)
     outcome = _run_custom(raw, args.angle_unit, seed, opts) if custom else run_preset(name, opts)
     for path in outcome.files:

@@ -29,6 +29,8 @@ the result the test would give.  A random run multiplies its drawn maps one
 collision at a time.  Its loop serves one group of runs that share a mixing
 mode and a reservoir count, and forms their drawn maps together, a chunk at
 a time; a convex group forms per chunk only the entries that noise moves.
+The chunk length comes from the group's size: a group of fewer runs takes
+longer chunks, in buffers no larger than a group of 42 runs takes.
 Both loops form every collision's state and close runs with one window
 rule, which compares the trace distance of each collision's step with tol.
 
@@ -78,18 +80,20 @@ _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 # at K = 42, built once per call.  A pass's products with it take K * _PASS
 # * 3 doubles (about 0.5 MB), allocated once per call; each run a pass
 # window-tests, usually a few, takes about 8 * _PASS doubles of states and
-# steps.  A group of K random runs multiplies into its own buffer of
-# (_CHUNK + 1) * K * 4 doubles of states, and about 5 * _CHUNK * K of steps.
-# Its maps are built in buffers allocated once per call and reused every
-# chunk: _CHUNK * K * 16 doubles of maps, two sums of _CHUNK * K doubles per
-# moving entry (convex; four on a fig7 run) or two more map buffers
-# (sequential, stochastic), and _CHUNK * K doubles of draws, uniforms,
-# strengths and gather indices per slot, about 1.4 MB for a noisy convex
-# sweep at K = 42 with two reservoirs.  A longer chunk would form states
-# from higher powers of R, which round differently, so a pass chains chunks
-# instead; a longer random chunk would raise a noisy sweep's memory.
+# steps.  A group of K random runs takes chunks of L = max(_CHUNK, _SLOTS //
+# K) collisions, so L * K is at most 42 runs' worth at _CHUNK.  It multiplies
+# into its own buffer of (L + 1) * K * 4 doubles of states, and about 5 * L *
+# K of steps.  Its maps are built in buffers allocated once per call and
+# reused every chunk: L * K * 16 doubles of maps, two sums of L * K doubles
+# per moving entry (convex; four on a fig7 run) or two more map buffers
+# (sequential, stochastic), and L * K doubles of draws, uniforms, strengths
+# and gather indices per slot, about 1.4 MB for a noisy convex sweep at K =
+# 42 with two reservoirs.  A longer chunk would form states from higher
+# powers of R, which round differently, so a pass chains chunks instead; a
+# longer random chunk would raise a noisy sweep's memory.
 _CHUNK = 128
 _PASS = 4 * _CHUNK
+_SLOTS = 42 * _CHUNK
 
 # Slacks of the bound that lets a deterministic pass skip its window test
 # (``_run_fixed`` derives them): the distance of a computed step from the
@@ -720,25 +724,37 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = 
 
 
 def _run_drawn(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | None = None):
-    """The random loop: advance one group of runs that share a mixing mode
-    and a reservoir count, as ``_run_fixed`` does, a chunk of ``_CHUNK``
-    collisions at a time.  One ``_MapGroup`` builds the group's maps for the
-    chunk together, each run drawing from its own stream, and each run
-    multiplies its maps one collision at a time into its own column of a
-    state buffer.  A run that stops mid-chunk is rewound to its last
+    """The random loop: advance one group of g runs that share a mixing
+    mode and a reservoir count, as ``_run_fixed`` does, a chunk of
+    max(``_CHUNK``, ``_SLOTS`` // g) collisions at a time, a length fixed
+    when the call starts.  A run's maps, draws, window and rewind do not
+    depend on where a chunk ends, so a small group takes fewer, longer
+    chunks with the same bits.  One ``_MapGroup`` builds the group's maps
+    for the chunk together, each run drawing from its own stream, and each
+    run multiplies its maps one collision at a time into its own column of
+    a state buffer.  A run that stops mid-chunk is rewound to its last
     collision."""
     tol, window, budget, final, n_used, streak, converged = _start(state0, engines)
-    longest = int(min(_CHUNK, budget.max()))
+    chunk = max(_CHUNK, _SLOTS // len(engines))
+    longest = int(min(chunk, budget.max()))
     group = _MapGroup(engines, rngs, longest)
     active = np.arange(len(engines))  # the runs in the columns of the group's maps, in order
     while active.size:
         left = budget[active] - n_used[active]
-        length = int(min(_CHUNK, left.max()))
+        length = int(min(chunk, left.max()))
         buf = np.empty((length + 1, active.size, 4, 1))
         buf[0, :, :, 0] = final[active]
-        rows = list(buf)
-        for op, before, after in zip(group.chunk(left, length), rows, rows[1:]):
-            np.matmul(op, before, out=after)
+        maps = group.chunk(left, length)
+        if active.size == 1:
+            # ndarray.dot on 2-D views calls the same dgemv as np.matmul on
+            # the stacks, with less overhead per call
+            flat = buf[:, 0, :, 0]
+            for op, before, after in zip(maps[:, 0], flat, flat[1:]):
+                op.dot(before, out=after)
+        else:
+            rows = list(buf)
+            for op, before, after in zip(maps, rows, rows[1:]):
+                np.matmul(op, before, out=after)
         states = buf[..., 0]
         step = states[1:, :, 1:] - states[:-1, :, 1:]
         step *= step

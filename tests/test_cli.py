@@ -428,6 +428,18 @@ def test_invalid_env_seed_exits_one(tmp_path, monkeypatch, capsys):
     assert "QSC_SEED" in capsys.readouterr().err
 
 
+def test_invalid_env_seed_is_ignored_by_a_run_that_reads_no_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("QSC_SEED", raising=False)
+    assert run_cli("run", "--preset", "transmon", "--out", tmp_path / "plain") == 0
+    monkeypatch.setenv("QSC_SEED", "abc")
+    assert run_cli("run", "--preset", "transmon", "--out", tmp_path / "env") == 0
+    assert (tmp_path / "env" / "transmon.json").read_bytes() == (tmp_path / "plain" / "transmon.json").read_bytes()
+    capsys.readouterr()
+    assert run_cli("run", "--preset", "fig3a", "--out", tmp_path / "fig3a") == 1
+    assert "QSC_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "fig3a").exists()
+
+
 @pytest.mark.parametrize("source", [
     ("--seed", -1, "fig3a"),
     ("--seed", -1, "fig4b"),

@@ -12,9 +12,10 @@ trace) on random inputs and check that they are affine in the ancilla's Bloch
 vector, the z-axis fixed point against its closed form, and the sign of a
 convex run's fixed point against its linear rule in the ancillas' Bloch z.
 The evolution loops advance runs a chunk of collisions at a time, the
-deterministic loop four chunks per pass, so their stopping rule is pinned at
-chunk and pass boundaries, and a batch of runs, mixed or not, must give
-bitwise what each run gives alone.  A deterministic run's chunk is one
+deterministic loop four chunks per pass and a random group chunks as long
+as its size allows, so their stopping rule is pinned at chunk and pass
+boundaries, and a batch of runs, mixed or not, must give bitwise what each
+run gives alone, a lone random run across its longer chunks too.  A deterministic run's chunk is one
 product of its start state with powers of its map, its states in order, so
 it must agree with the per-collision product of drawn maps and with
 ``step``, and bitwise with a plain loop of one such product per chunk whose
@@ -45,6 +46,7 @@ import qsc.collision
 from qsc.collision import (
     _CHUNK,
     _PASS,
+    _SLOTS,
     DEFAULT_SEED,
     MIXING_MODES,
     EngineConfig,
@@ -750,6 +752,44 @@ def test_converged_random_run_leaves_stream_after_its_last_collision(reservoirs,
     expected = np.random.default_rng(3)
     draws(expected, result.n_used)
     assert rng.random() == expected.random()
+
+
+# A random group of one run takes chunks of _SLOTS collisions, each collision
+# one np.dot on 2-D views; beside a second run of its mode and reservoir
+# count the same run takes chunks of _SLOTS // 2, each collision one
+# np.matmul over the stack.  Each run draws one uniform per collision.
+ONE_RUN_GROUPS = [
+    ([ReservoirSpec(0.4, 0.3, noise=NoiseSpec(0.2, 0.1)), ReservoirSpec(2.0, 0.2)], "convex"),
+    ([ReservoirSpec(0.4, 0.3, noise=NoiseSpec(0.2, 0.1)), ReservoirSpec(2.0, 0.2)], "sequential"),
+    ([ReservoirSpec(0.4, 0.3), ReservoirSpec(2.0, 0.2, phi=1.0)], "stochastic"),
+]
+
+
+@pytest.mark.parametrize("reservoirs, mode", ONE_RUN_GROUPS)
+@pytest.mark.parametrize("tol, window, expected", [
+    # the whole budget, across two one-run chunk boundaries
+    (1e-9, 10, (12_000, False)),
+    # every step is under a tol of 1, so the window closes just past the
+    # first one-run chunk boundary, mid-chunk, and the run is rewound
+    (1.0, _SLOTS + 9, (_SLOTS + 9, True)),
+])
+def test_one_run_group_equals_the_run_beside_another_bitwise(reservoirs, mode, tol, window, expected):
+    cfg = EngineConfig(tau=0.7, tol=tol, window=window, max_collisions=12_000, mixing_mode=mode)
+    assert cfg.max_collisions > 2 * _SLOTS
+    rng = np.random.default_rng(7)
+    traj, alone = evolve(None, reservoirs, cfg, rng=rng)
+    assert (alone.n_used, alone.converged) == expected
+    assert len(traj) == alone.n_used + 1
+    assert np.array_equal(bloch_to_density(traj.bloch[-1]), alone.rho_ss)
+    batched_rng = np.random.default_rng(7)
+    companion = (reservoirs[::-1], dataclasses.replace(cfg, h=0.3), np.random.default_rng(8))
+    got, _ = evolve_batch([(reservoirs, cfg, batched_rng), companion])
+    assert np.array_equal(got.rho_ss, alone.rho_ss)
+    assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
+    # both streams stand where n_used single collisions leave them
+    single = np.random.default_rng(7)
+    single.random(alone.n_used)
+    assert rng.random() == batched_rng.random() == single.random()
 
 
 @pytest.mark.parametrize("mode", MIXING_MODES)
