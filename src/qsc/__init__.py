@@ -17,6 +17,7 @@ from .classifier import (
 )
 from .collision import (
     DEFAULT_SEED,
+    ORACLE,
     EngineConfig,
     NoiseSpec,
     ReservoirSpec,
@@ -25,6 +26,7 @@ from .collision import (
     collision_unitary,
     evolve,
     evolve_batch,
+    evolve_runs,
     pair_hamiltonian,
     single_collision,
     steady_state_oracle,
@@ -57,6 +59,7 @@ __all__ = [
     "Label",
     "LabeledPoint",
     "NoiseSpec",
+    "ORACLE",
     "ReservoirSpec",
     "SeparabilityReport",
     "SteadyStateResult",
@@ -71,6 +74,7 @@ __all__ = [
     "effective_coupling",
     "evolve",
     "evolve_batch",
+    "evolve_runs",
     "fidelity",
     "generate_theta_dataset",
     "magnetization",

@@ -15,20 +15,24 @@ exchange term, so the matrix has a closed form in cos(j tau), sin(j tau),
 h tau and the ancilla's Bloch vector a, affine in a (``transfer_matrix``).
 ``step``, the evolution loops and the fixed-point oracle all run on that
 one form; ``single_collision`` (unitary plus partial trace) is kept as the
-independent reference the closed form is tested against.  ``evolve`` (one
-run, optionally recorded) and ``evolve_batch`` (many independent runs) share
-one entry point, which advances each kind of run in its own loop, a chunk of
-collisions at a time.  A deterministic run applies the same map R every
-collision, so its loop forms a chunk's states R^1 b ... R^L b from the
-chunk's start state b with one product against powers of R cached for the
-call.  That loop chains four such products per pass, each started from the
-last state of the chunk before, and tests and retires runs once per pass.
-Steps never grow under a map that keeps the Bloch ball, so a run whose last
-step of a pass is well above tol skips the window test for that pass, with
-the result the test would give.  A random run multiplies its drawn maps one
-collision at a time.  Its loop serves one group of runs that share a mixing
-mode and a reservoir count, and forms their drawn maps together, a chunk at
-a time; a convex group forms per chunk only the entries that noise moves.
+independent reference the closed form is tested against.  ``evolve_runs``
+(independent runs from one start state, each recorded in a trail of its
+own; ``evolve`` is its one-run case) and ``evolve_batch`` (steady states of
+many independent runs) share one entry point, which advances each kind of
+run in its own loop, a chunk of collisions at a time, so a preset's
+recorded runs share one call.  A deterministic run applies the same map R
+every collision, so its loop forms a chunk's states R^1 b ... R^L b from
+the chunk's start state b with one product against powers of R cached for
+the call.  That loop chains four such products per pass, each started from
+the last state of the chunk before, and tests and retires runs once per
+pass.  Steps never grow under a map that keeps the Bloch ball, so a run
+whose last step of a pass is well above tol skips the window test for that
+pass, with the result the test would give.  A random run multiplies its
+drawn maps one collision at a time.  Its loop serves one group of runs that
+share a mixing mode and a reservoir count, and forms their drawn maps
+together, a chunk at a time; a convex group forms per chunk only the
+entries that noise moves, and a stochastic one only the map each collision
+draws.
 The chunk length comes from the group's size: a group of fewer runs takes
 longer chunks, in buffers no larger than a group of 42 runs takes.
 Both loops form every collision's state and close runs with one window
@@ -50,6 +54,7 @@ generator where its last collision left it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +77,10 @@ DEFAULT_SEED = 0xC0111DE
 
 MIXING_MODES = ("convex", "sequential", "stochastic")
 
+# The ``evolve_runs`` target of a run whose fidelity is measured against the
+# oracle fixed point of its own map.
+ORACLE = "oracle"
+
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 
 # Collisions per chunk of the evolution loops, and per pass of the
@@ -85,12 +94,13 @@ _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 # into its own buffer of (L + 1) * K * 4 doubles of states, and about 5 * L *
 # K of steps.  Its maps are built in buffers allocated once per call and
 # reused every chunk: L * K * 16 doubles of maps, two sums of L * K doubles
-# per moving entry (convex; four on a fig7 run) or two more map buffers
-# (sequential, stochastic), and L * K doubles of draws, uniforms, strengths
-# and gather indices per slot, about 1.4 MB for a noisy convex sweep at K =
-# 42 with two reservoirs.  A longer chunk would form states from higher
-# powers of R, which round differently, so a pass chains chunks instead; a
-# longer random chunk would raise a noisy sweep's memory.
+# per moving entry (convex; four on a fig7 run), two more map buffers
+# (sequential) or one and L * K picked slots (stochastic), and L * K doubles
+# of draws, uniforms, strengths and gather indices per slot, about 1.4 MB
+# for a noisy convex sweep at K = 42 with two reservoirs.  A longer chunk
+# would form states from higher powers of R, which round differently, so a
+# pass chains chunks instead; a longer random chunk would raise a noisy
+# sweep's memory.
 _CHUNK = 128
 _PASS = 4 * _CHUNK
 _SLOTS = 42 * _CHUNK
@@ -346,7 +356,8 @@ class _MapGroup:
     0, whose eta is 0, so it reads epsilon = 0.  The maps are then a fixed
     number of in-place operations per slot, on buffers allocated once per
     call, and land in one reused buffer of maps, one column per run; the
-    columns keep their order as runs retire.
+    columns keep their order as runs retire.  A stochastic collision forms
+    the map of the slot it draws alone, gathered from the stacks.
 
     A convex mixture differs from one collision to the next only in its
     ``moving`` entries, where some noise map is nonzero.  Every other entry
@@ -417,6 +428,7 @@ class _MapGroup:
                 self.spare = np.empty(length * g * 16)
             else:
                 self.mask = np.empty(length * g, dtype=bool)
+                self.pick = np.empty(length * g, dtype=np.intp)
         # per-slot stacks with the runs last, as chunk's (slot, length, runs)
         # arrays read them
         self.eps0_rows = eps0.T[:, None, :].copy()
@@ -472,30 +484,39 @@ class _MapGroup:
                 np.add(acc[c], spare[c] if k > 1 else 0.0, out=out[:, :, i, j])
             return out
 
+        slot = self.slot[: out.size].reshape(out.shape)
+        if self.mode == "stochastic":
+            # the slot each collision draws, searchsorted(cum_weights, choice,
+            # side="right") capped at K - 1: the count of slots s >= 1 whose
+            # cum_weights[s - 1] the choice reaches
+            mask = self.mask[: length * g].reshape(length, g)
+            pick = self.pick[: length * g].reshape(length, g)
+            pick.fill(0)
+            for s in range(1, k):
+                np.less_equal(self.weights[:, s - 1], u[k], out=mask)
+                pick += mask
+            # epsilon * noise + base of that slot alone, formed as a
+            # sequential slot is, so the map keeps its bits
+            chosen = np.take_along_axis(eps, pick[None], axis=0)[0]
+            pick += np.arange(g) * k
+            np.take(self.noise.reshape(g * k, 4, 4), pick, axis=0, out=out)
+            out *= chosen[..., None, None]
+            out += np.take(self.base.reshape(g * k, 4, 4), pick, axis=0, out=slot)
+            return out
+
         def op(s: int, into: np.ndarray) -> np.ndarray:
             # base + epsilon * noise of slot s
             np.multiply(eps[s, :, :, None, None], self.noise[:, s], out=into)
             into += self.base[:, s]
             return into
 
-        slot = self.slot[: out.size].reshape(out.shape)
-        if self.mode == "sequential":
-            # op_{K-1} @ ... @ op_0, alternating between two buffers so the
-            # last product lands in out
-            spare = self.spare[: out.size].reshape(out.shape)
-            chain = [out if (k - 1 - s) % 2 == 0 else spare for s in range(k)]
-            op(0, chain[0])
-            for s in range(1, k):
-                np.matmul(op(s, slot), chain[s - 1], out=chain[s])
-        else:
-            # slot s replaces the earlier ones where the choice reaches
-            # cum_weights[s - 1], which leaves slot searchsorted(cum_weights,
-            # choice, side="right") capped at K - 1
-            mask = self.mask[: length * g].reshape(length, g)
-            op(0, out)
-            for s in range(1, k):
-                np.less_equal(self.weights[:, s - 1], u[k], out=mask)
-                np.copyto(out, op(s, slot), where=mask[..., None, None])
+        # op_{K-1} @ ... @ op_0, alternating between two buffers so the last
+        # product lands in out
+        spare = self.spare[: out.size].reshape(out.shape)
+        chain = [out if (k - 1 - s) % 2 == 0 else spare for s in range(k)]
+        op(0, chain[0])
+        for s in range(1, k):
+            np.matmul(op(s, slot), chain[s - 1], out=chain[s])
         return out
 
     def retire(self, met: np.ndarray, n_used: np.ndarray, keep: np.ndarray) -> None:
@@ -608,7 +629,7 @@ def _start(state0: np.ndarray, engines: list[_Engine]):
             np.zeros(g, dtype=np.int64), np.zeros(g, dtype=bool))
 
 
-def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = None):
+def _run_fixed(state0: np.ndarray, engines: list[_Engine], trails: list | None = None):
     """The deterministic loop: advance every run from ``state0`` until it
     meets its own tolerance window or uses its own budget.  A run's states
     in a chunk that starts from b are R^1 b ... R^length b, in order, one
@@ -620,8 +641,9 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = 
     bookkeeping run once per four chunks; a run retires at the pass where
     it stops, its state read at the collision it stopped on.  Returns each
     run's final Bloch vector, collision count and whether it converged.
-    With ``trail`` (one run only) the Bloch vectors after each collision
-    are appended to it pass by pass.
+    ``trails``, if given, holds one list per run, and each pass appends to
+    the list of every run it advanced the Bloch vectors after the
+    collisions that run took.
 
     Most passes cannot close a window: every step of the pass is far above
     tol.  A run whose last step of the pass proves that skips the squared
@@ -710,8 +732,9 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = 
         final[active, 1:] = states[np.arange(k), taken - 1]
         n_used[active] += taken
         converged[active] = met
-        if trail is not None:
-            trail.append(states[0, : taken[0]].copy())
+        if trails is not None:
+            for row, run in enumerate(active.tolist()):
+                trails[run].append(states[row, : taken[row]].copy())
         keep = ~met & (left > length)
         kept = np.flatnonzero(keep)
         if kept.size < k:
@@ -723,7 +746,7 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trail: list | None = 
     return final[:, 1:], n_used, converged
 
 
-def _run_drawn(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | None = None):
+def _run_drawn(state0: np.ndarray, engines: list[_Engine], rngs: list, trails: list | None = None):
     """The random loop: advance one group of g runs that share a mixing
     mode and a reservoir count, as ``_run_fixed`` does, a chunk of
     max(``_CHUNK``, ``_SLOTS`` // g) collisions at a time, a length fixed
@@ -733,7 +756,8 @@ def _run_drawn(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: li
     for the chunk together, each run drawing from its own stream, and each
     run multiplies its maps one collision at a time into its own column of
     a state buffer.  A run that stops mid-chunk is rewound to its last
-    collision."""
+    collision.  ``trails`` are per run, as in ``_run_fixed``, and take a
+    chunk at a time."""
     tol, window, budget, final, n_used, streak, converged = _start(state0, engines)
     chunk = max(_CHUNK, _SLOTS // len(engines))
     longest = int(min(chunk, budget.max()))
@@ -765,20 +789,22 @@ def _run_drawn(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: li
         final[active] = states[taken, np.arange(active.size)]
         n_used[active] += taken
         converged[active] = met
-        if trail is not None:
-            trail.append(states[1 : taken[0] + 1, 0, 1:].copy())
+        if trails is not None:
+            for column, run in enumerate(active.tolist()):
+                trails[run].append(states[1 : taken[column] + 1, column, 1:].copy())
         keep = ~met & (left > length)
         group.retire(met, n_used[active], keep)
         active = active[keep]
     return final[:, 1:], n_used, converged
 
 
-def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | None = None):
+def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trails: list | None = None):
     """Advance every run from ``state0`` until it meets its own tolerance
     window or uses its own budget: the deterministic runs in one
     ``_run_fixed``, the random runs in one ``_run_drawn`` per group that
     shares a mixing mode and a reservoir count.  Returns what the loops
-    return, each run's in input order; ``trail`` is for one run only."""
+    return, each run's in input order; ``trails``, if given, holds one list
+    per run, and each loop is handed the lists of its own runs."""
     groups: dict = {}
     for i, e in enumerate(engines):
         groups.setdefault((e.cfg.mixing_mode, len(e.reservoirs)) if e.random else None, []).append(i)
@@ -787,9 +813,10 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trail: list | N
     converged = np.empty(len(engines), dtype=bool)
     for key, runs in groups.items():
         members = [engines[i] for i in runs]
+        kept = None if trails is None else [trails[i] for i in runs]
         final[runs], n_used[runs], converged[runs] = (
-            _run_fixed(state0, members, trail) if key is None
-            else _run_drawn(state0, members, [rngs[i] for i in runs], trail))
+            _run_fixed(state0, members, kept) if key is None
+            else _run_drawn(state0, members, [rngs[i] for i in runs], kept))
     return final, n_used, converged
 
 
@@ -817,6 +844,73 @@ def step(
     return bloch_to_density(op.dot(state)[1:])
 
 
+def _streams(engines: list[_Engine], given: list) -> list:
+    """Each run's random stream: the generator given for it, or one seeded
+    from its ``cfg.seed``.  A generator given to two random runs raises
+    ValueError."""
+    shared = [id(rng) for e, rng in zip(engines, given) if e.random and rng is not None]
+    if len(set(shared)) < len(shared):
+        raise ValueError("each random run needs its own np.random.Generator; one was given to several")
+    return [_stream(e, rng) for e, rng in zip(engines, given)]
+
+
+def _target(engine: _Engine, target) -> np.ndarray | None:
+    """The Bloch vector a run's fidelity is measured against, or None."""
+    if target is None:
+        return None
+    if isinstance(target, str) and target == ORACLE:
+        target = _fixed_point(engine.mean_op).rho_ss
+    return bloch_vector(validate_density_matrix(target))
+
+
+def _trajectory(trail: list, target: np.ndarray | None) -> Trajectory:
+    bloch = np.concatenate(trail)
+    fid = None if target is None else _bloch_fidelity(bloch, target)
+    return Trajectory(np.arange(len(bloch)), bloch[:, 2].copy(), bloch, fid)
+
+
+def evolve_runs(
+    runs: list[tuple[list[ReservoirSpec], EngineConfig, np.ndarray | str | None, np.random.Generator | None]],
+    rho0: np.ndarray | None = None,
+    record: bool = True,
+) -> Iterator[tuple[Trajectory, SteadyStateResult]]:
+    """Trajectories and steady states of independent runs from one start
+    state, one per (reservoirs, cfg, target, rng): the recorded sibling of
+    ``evolve_batch``, and ``evolve`` is its one-run case.
+
+    ``rho0=None`` starts every run from the +x eigenstate.  A run's
+    fidelity column is measured against ``target``: a density matrix, or
+    ``ORACLE`` for the oracle fixed point of the run's own compiled map
+    (for a random map, the map in expectation), found as
+    ``steady_state_oracle`` finds it; None gives no fidelity column.  Each
+    run keeps its own tolerance, window, budget and random stream (None:
+    seeded from its ``cfg.seed``), and a ``np.random.Generator`` given to
+    two random runs raises ValueError, as in ``evolve_batch``.
+
+    Every run's map is compiled and every target found before any
+    collision, so a map with no fixed point raises SingularSystem before
+    any run starts.  The runs then go through the loops together, each
+    recorded in a trail of its own, and each result is bitwise what the
+    run gives alone.  The returned iterator builds each run's Trajectory
+    from its trail only when it reaches that run, so a caller that writes
+    each before taking the next holds the trails and one Trajectory at
+    once.  With ``record=False`` every trajectory is empty; that changes
+    nothing about the results.
+    """
+    if rho0 is None:
+        rho0 = pure_qubit(math.pi / 2.0)
+    state0 = _initial(rho0)
+    engines = [_Engine(reservoirs, cfg) for reservoirs, cfg, _, _ in runs]
+    rngs = _streams(engines, [rng for *_, rng in runs])
+    targets = [_target(e, target) for e, (_, _, target, _) in zip(engines, runs)]
+    trails = [[state0[None, 1:]] for _ in runs] if record else None
+    b, n_used, converged = _run(state0, engines, rngs, trails)
+    results = [_result(b[k], int(n_used[k]), bool(converged[k])) for k in range(len(runs))]
+    if trails is None:
+        return ((Trajectory(np.arange(0), np.empty(0), np.empty((0, 3)), None), r) for r in results)
+    return ((_trajectory(trail, target), r) for trail, target, r in zip(trails, targets, results))
+
+
 def evolve(
     rho0: np.ndarray | None,
     reservoirs: list[ReservoirSpec],
@@ -831,23 +925,10 @@ def evolve(
     cfg.window consecutive collisions; running out of collisions is reported
     through ``converged=False``, never raised.  ``rho0=None`` starts from
     the +x eigenstate.  With ``record=False`` the returned trajectory is
-    empty; it changes nothing about the result.  Sweeps go through
-    ``evolve_batch``.
+    empty; it changes nothing about the result.  This is the one-run case
+    of ``evolve_runs``; sweeps go through ``evolve_batch``.
     """
-    if rho0 is None:
-        rho0 = pure_qubit(math.pi / 2.0)
-    state0 = _initial(rho0)
-    engine = _Engine(reservoirs, cfg)
-    if target is not None:
-        target = validate_density_matrix(target)
-    trail = [state0[None, 1:]] if record else None
-    b, n_used, converged = _run(state0, [engine], [_stream(engine, rng)], trail)
-    result = _result(b[0], int(n_used[0]), bool(converged[0]))
-    if not record:
-        return Trajectory(np.arange(0), np.empty(0), np.empty((0, 3)), None), result
-    bloch = np.concatenate(trail)
-    fid = None if target is None else _bloch_fidelity(bloch, bloch_vector(target))
-    return Trajectory(np.arange(len(bloch)), bloch[:, 2].copy(), bloch, fid), result
+    return next(evolve_runs([(reservoirs, cfg, target, rng)], rho0, record))
 
 
 def evolve_batch(
@@ -866,9 +947,7 @@ def evolve_batch(
     """
     state0 = _initial(pure_qubit(math.pi / 2.0))
     engines = [_Engine(reservoirs, cfg) for reservoirs, cfg, _ in runs]
-    given = [id(rng) for e, (_, _, rng) in zip(engines, runs) if e.random and rng is not None]
-    if len(set(given)) < len(given):
-        raise ValueError("each random run needs its own np.random.Generator; one was given to several")
+    rngs = _streams(engines, [rng for _, _, rng in runs])
     slot: dict = {}
     distinct = []
     owner = []
@@ -878,8 +957,7 @@ def evolve_batch(
             slot[key] = len(distinct)
             distinct.append(i)
         owner.append(slot[key])
-    rngs = [_stream(engines[i], runs[i][2]) for i in distinct]
-    b, n_used, converged = _run(state0, [engines[i] for i in distinct], rngs)
+    b, n_used, converged = _run(state0, [engines[i] for i in distinct], [rngs[i] for i in distinct])
     return [_result(b[k], int(n_used[k]), bool(converged[k])) for k in owner]
 
 
@@ -919,7 +997,13 @@ def steady_state_oracle(reservoirs: list[ReservoirSpec], cfg: EngineConfig) -> S
     D > 0 everywhere.  A property test pins the rule; sequential mixing
     does not follow it.
     """
-    m, c = affine_representation(reservoirs, cfg)
+    return _fixed_point(_Engine(reservoirs, cfg).mean_op)
+
+
+def _fixed_point(op: np.ndarray) -> SteadyStateResult:
+    """The fixed point b = M b + c of the map whose transfer matrix is
+    ``op``, as ``steady_state_oracle`` documents it."""
+    m, c = op[1:, 1:], op[1:, 0]
     a = np.eye(3) - m
     # The Bloch map has norm <= 1, so I - M lives on an O(1) scale and an
     # absolute singular-value floor is the honest degeneracy test (a relative

@@ -14,8 +14,9 @@ convex run's fixed point against its linear rule in the ancillas' Bloch z.
 The evolution loops advance runs a chunk of collisions at a time, the
 deterministic loop four chunks per pass and a random group chunks as long
 as its size allows, so their stopping rule is pinned at chunk and pass
-boundaries, and a batch of runs, mixed or not, must give bitwise what each
-run gives alone, a lone random run across its longer chunks too.  A deterministic run's chunk is one
+boundaries, and a batch of runs, mixed or not, recorded or not, must give
+bitwise what each run gives alone, trajectory and all, a lone random run
+across its longer chunks too.  A deterministic run's chunk is one
 product of its start state with powers of its map, its states in order, so
 it must agree with the per-collision product of drawn maps and with
 ``step``, and bitwise with a plain loop of one such product per chunk whose
@@ -49,6 +50,7 @@ from qsc.collision import (
     _SLOTS,
     DEFAULT_SEED,
     MIXING_MODES,
+    ORACLE,
     EngineConfig,
     NoiseSpec,
     NonUnitaryPropagator,
@@ -62,6 +64,7 @@ from qsc.collision import (
     collision_unitary,
     evolve,
     evolve_batch,
+    evolve_runs,
     pair_hamiltonian,
     resolve_weights,
     single_collision,
@@ -1032,7 +1035,7 @@ def _open_passes(monkeypatch, engine, b0):
 
     monkeypatch.setattr(qsc.collision, "_window", spy)
     trail = [b0[None]]
-    qsc.collision._run_fixed(np.concatenate(([1.0], b0)), [engine], trail)
+    qsc.collision._run_fixed(np.concatenate(([1.0], b0)), [engine], [trail])
     return np.concatenate(trail), opened
 
 
@@ -1169,6 +1172,42 @@ def test_power_stack_edge_cases_equal_each_run_alone(runs, chunks):
             assert batch_rng.random() == rng.random()
 
 
+def _bits(column):
+    return None if column is None else column.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(fixed_runs(), min_size=2, max_size=4), STATES, batch_runs(), st.integers(0, 2**32 - 1))
+@example([CLEARED_AND_OPEN[0], CLEARED_AND_OPEN[2], CLEARED_AND_OPEN[1]], pure_qubit(0.3),
+         (NOISY, EngineConfig(max_collisions=300), None), 5)
+def test_recorded_batch_equals_each_run_alone_bitwise(fixed, given, drawn, seed):
+    # deterministic runs that retire at different passes, the first measured
+    # against its oracle fixed point and the second against a given target,
+    # and two random runs of one group among them, each recorded in its own
+    # trail
+    reservoirs, cfg, _ = drawn
+    cfg = dataclasses.replace(cfg, mixing_mode="stochastic")
+    runs = [(*fixed[0], ORACLE), (*fixed[1], given), *[(*run, None) for run in fixed[2:]]]
+    runs[1:1] = [(reservoirs, cfg, None), (reservoirs[::-1], dataclasses.replace(cfg, tau=0.5), None)]
+
+    def stream(i):
+        return np.random.default_rng([seed, i]) if i in (1, 2) else None
+
+    streams = [stream(i) for i in range(len(runs))]
+    recorded = evolve_runs([(*run, rng) for run, rng in zip(runs, streams)])
+    for i, ((reservoirs, cfg, target), rng, (traj, got)) in enumerate(zip(runs, streams, recorded)):
+        alone_rng = stream(i)
+        if isinstance(target, str):
+            target = steady_state_oracle(reservoirs, cfg).rho_ss
+        expected, alone = evolve(None, reservoirs, cfg, target=target, rng=alone_rng)
+        assert (traj.fidelity is None) == (target is None)
+        for name in ("n", "sigma_z", "bloch", "fidelity"):
+            assert _bits(getattr(traj, name)) == _bits(getattr(expected, name)), name
+        assert got.rho_ss.tobytes() == alone.rho_ss.tobytes()
+        assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
+        assert (None if rng is None else rng.random()) == (None if alone_rng is None else alone_rng.random())
+
+
 # The composed mean map of random compositions is a channel: its Choi matrix,
 # rebuilt from the affine form (M, c), is positive, and it keeps the Bloch
 # sphere inside the ball.
@@ -1264,6 +1303,48 @@ def test_drawn_convex_maps_are_each_collisions_mixture_bitwise(compositions, see
             keep[0] = chunk > 0 or len(columns) == 1
             group.retire(np.zeros(len(columns), dtype=bool), 20 - left, keep)
             columns, left = [c for c, kept in zip(columns, keep) if kept], left[keep]
+
+
+# Three-reservoir stochastic runs, two of them weighted: one with two noisy
+# reservoirs, one with a noisy middle slot, one with none
+STOCHASTIC_GROUP = [
+    [ReservoirSpec(0.4, 0.3, noise=NoiseSpec(0.2, 0.1)), ReservoirSpec(2.0, 0.2, phi=1.0),
+     ReservoirSpec(3.0, 0.4, noise=NoiseSpec(0.5, 0.3))],
+    [ReservoirSpec(1.0, 0.25, 0.5), ReservoirSpec(2.5, 0.35, 0.2, noise=NoiseSpec(0.3, 0.05)),
+     ReservoirSpec(0.2, 0.15, 0.3)],
+    [ReservoirSpec(0.7, 0.3, 0.6), ReservoirSpec(1.5, 0.2, 0.1, phi=4.0), ReservoirSpec(2.9, 0.45, 0.3)],
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+def test_drawn_stochastic_maps_are_each_collisions_drawn_map_bitwise(seed):
+    # A stochastic group gathers only the map of the slot each collision
+    # draws, so every chunk's maps must be that slot's epsilon * noise +
+    # base, formed one collision at a time: after a run retires and the
+    # columns move, and in a shorter last chunk.
+    cfg = EngineConfig(tau=0.7, mixing_mode="stochastic")
+    engines = [_Engine(reservoirs, cfg) for reservoirs in STOCHASTIC_GROUP]
+    streams = [np.random.default_rng(seed + i) for i in range(len(engines))]
+    group = _MapGroup(engines, [np.random.default_rng(seed + i) for i in range(len(engines))], 16)
+    columns, left = list(range(len(engines))), np.full(len(engines), 40)
+    for chunk, length in enumerate((16, 16, 8)):
+        maps = group.chunk(left, length)
+        for t in range(length):
+            for column, run in enumerate(columns):
+                e = engines[run]
+                row = streams[run].random(1 + len(e.noisy))
+                slot = min(int(np.searchsorted(e.cum_weights, row[0], side="right")), len(e.reservoirs) - 1)
+                u = dict(zip(e.noisy, row[1:].tolist())).get(slot, 0.0)
+                noise = e.reservoirs[slot].noise or NoiseSpec(0.0, 0.0)
+                eps = (u * 2.0 - 1.0) * noise.eta + noise.epsilon
+                op = np.zeros((4, 4)) if e.noise_ops[slot] is None else e.noise_ops[slot]
+                assert maps[t, column].tobytes() == (eps * op + e.base_ops[slot]).tobytes()
+        left -= length
+        # the first column retires after the first chunk
+        keep = np.full(len(columns), True)
+        keep[0] = chunk > 0
+        group.retire(np.zeros(len(columns), dtype=bool), 40 - left, keep)
+        columns, left = [c for c, kept in zip(columns, keep) if kept], left[keep]
 
 
 def test_choi_matrix_detects_a_non_positive_map():

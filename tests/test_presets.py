@@ -5,12 +5,17 @@ import math
 
 import pytest
 
+import qsc.collision
 import qsc.writers
+from qsc.collision import ORACLE, EngineConfig, ReservoirSpec, SingularSystem
 from qsc.physical import TransmonParams, system_reservoir_couplings
 from qsc.presets import (
+    NOMINAL_J,
+    NOMINAL_TAU,
     PRESETS,
     RunOptions,
     UnknownPreset,
+    _trajectories,
     derived_transmon_params,
     list_presets,
     run_preset,
@@ -87,6 +92,29 @@ def test_fig2a_writes_one_file_per_drain_coupling(tmp_path):
         "trajectory_j2_0.075.csv",
         "trajectory_j2_0.1.csv",
     ]
+
+
+def test_fig2a_compiles_each_run_once(tmp_path, monkeypatch):
+    # each run's oracle target comes from the map its run compiled
+    compiles = []
+    compile_run = qsc.collision._Engine.__init__
+
+    def counted(engine, *args, **kwargs):
+        compiles.append(engine)
+        compile_run(engine, *args, **kwargs)
+
+    monkeypatch.setattr(qsc.collision._Engine, "__init__", counted)
+    run_preset("fig2a", fast_opts(tmp_path))
+    assert len(compiles) == 4
+
+
+def test_a_run_without_a_fixed_point_stops_the_batch_before_any_file(tmp_path):
+    cfg = EngineConfig(tau=NOMINAL_TAU)
+    runs = [("settles", [ReservoirSpec(0.0, NOMINAL_J), ReservoirSpec(math.pi, 0.05)], ORACLE),
+            ("zero_coupling", [ReservoirSpec(0.0, 0.0)], ORACLE)]
+    with pytest.raises(SingularSystem):
+        _trajectories(RunOptions(out_dir=tmp_path), cfg, runs)
+    assert not any(tmp_path.iterdir())
 
 
 def test_fig5a_compares_two_and_three_channels(tmp_path):
