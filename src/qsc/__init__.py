@@ -25,12 +25,10 @@ from .collision import (
     Trajectory,
     collision_unitary,
     evolve,
-    evolve_batch,
     evolve_runs,
     pair_hamiltonian,
     single_collision,
     steady_state_oracle,
-    step,
 )
 from .linalg import partial_trace, trace_distance
 from .physical import (
@@ -73,7 +71,6 @@ __all__ = [
     "collision_unitary",
     "effective_coupling",
     "evolve",
-    "evolve_batch",
     "evolve_runs",
     "fidelity",
     "generate_theta_dataset",
@@ -85,7 +82,6 @@ __all__ = [
     "response_time",
     "single_collision",
     "steady_state_oracle",
-    "step",
     "sweep_couplings",
     "sweep_thetas",
     "system_reservoir_couplings",

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import DEFAULT_SEED, EngineConfig, NoiseSpec, ReservoirSpec, SteadyStateResult, evolve_batch
+from .collision import DEFAULT_SEED, EngineConfig, NoiseSpec, ReservoirSpec, SteadyStateResult, evolve_runs
 
-# Sweeps call evolve_batch, but perfbench/tracer.py still patches the single-run
+# Sweeps call evolve_runs, but perfbench/tracer.py still patches the single-run
 # ``evolve`` bound here, and its self-tests require the name.
 from .collision import evolve  # noqa: F401
 
@@ -71,13 +71,15 @@ def classify(result: SteadyStateResult) -> Label:
 def label_runs(features, runs, param_values, phi_scaled=None) -> list[LabeledPoint]:
     """One labeled point per (reservoirs, cfg, rng) run, in input order.
 
-    Every run's steady state comes from one ``evolve_batch`` call and its
-    label from ``classify``; ``features``, ``param_values`` and the optional
-    ``phi_scaled`` give each point's remaining fields, one entry per run.
+    Every run's steady state comes from one unrecorded ``evolve_runs`` call
+    and its label from ``classify``; ``features``, ``param_values`` and the
+    optional ``phi_scaled`` give each point's remaining fields, one entry
+    per run.
     """
     phis = [None] * len(runs) if phi_scaled is None else phi_scaled
+    results = evolve_runs([(reservoirs, cfg, None, rng) for reservoirs, cfg, rng in runs], record=False)
     return [LabeledPoint(f, r.sigma_z_ss, classify(r), r.n_used, r.converged, phi, value)
-            for f, r, value, phi in zip(features, evolve_batch(runs), param_values, phis)]
+            for f, (_, r), value, phi in zip(features, results, param_values, phis)]
 
 
 def sweep_couplings(delta_j_values, base_j: float, cfg: EngineConfig) -> list[LabeledPoint]:

@@ -13,17 +13,18 @@ Each reservoir's map is its Pauli transfer matrix, the real 4x4 matrix
 acting on (1, x, y, z).  The free part h/2 (Z x 1 + 1 x Z) commutes with the
 exchange term, so the matrix has a closed form in cos(j tau), sin(j tau),
 h tau and the ancilla's Bloch vector a, affine in a (``transfer_matrix``).
-``step``, the evolution loops and the fixed-point oracle all run on that
-one form; ``single_collision`` (unitary plus partial trace) is kept as the
+The evolution loops and the fixed-point oracle both run on that one form;
+``single_collision`` (unitary plus partial trace) is kept as the
 independent reference the closed form is tested against.  ``evolve_runs``
-(independent runs from one start state, each recorded in a trail of its
-own; ``evolve`` is its one-run case) and ``evolve_batch`` (steady states of
-many independent runs) share one entry point, which advances each kind of
-run in its own loop, a chunk of collisions at a time, so a preset's
-recorded runs share one call.  A deterministic run applies the same map R
-every collision, so its loop forms a chunk's states R^1 b ... R^L b from
-the chunk's start state b with one product against powers of R cached for
-the call.  That loop chains four such products per pass, each started from
+is the one entry point for evolution: independent runs from one start
+state, each recorded in a trail of its own or, for sweeps, not recorded
+(``evolve`` is its one-run case).  Deterministic runs that share a compiled
+map and a stopping rule evolve identically, so each such set advances
+once.  The entry point advances each kind of run in its own loop, a chunk
+of collisions at a time, so a preset's runs share one call.  A
+deterministic run applies the same map R every collision, so its loop
+forms a chunk's states R^1 b ... R^L b from the chunk's start state b
+with one product against powers of R cached for the call.  That loop chains four such products per pass, each started from
 the last state of the chunk before, and tests and retires runs once per
 pass.  Steps never grow under a map that keeps the Bloch ball, so a run
 whose last step of a pass is well above tol skips the window test for that
@@ -296,9 +297,9 @@ def _canonical_order(reservoirs: list[ReservoirSpec], weights: np.ndarray) -> li
 
 
 class _Engine:
-    """Compiled form of one run's collision map shared by step, the evolution
-    loop and the oracle: one closed-form Pauli transfer matrix per reservoir,
-    and ``mean_op``, the composed map in expectation.
+    """Compiled form of one run's collision map shared by the evolution
+    loops and the oracle: one closed-form Pauli transfer matrix per
+    reservoir, and ``mean_op``, the composed map in expectation.
     """
 
     def __init__(self, reservoirs: list[ReservoirSpec], cfg: EngineConfig):
@@ -553,12 +554,6 @@ def _initial(rho: np.ndarray) -> np.ndarray:
     if rho.shape != (2, 2):
         raise DimensionMismatch(f"system state must be 2x2, got {rho.shape}")
     return np.concatenate(([1.0], bloch_vector(rho)))
-
-
-def _stream(engine: _Engine, rng: np.random.Generator | None) -> np.random.Generator | None:
-    if engine.random and rng is None:
-        return np.random.default_rng(engine.cfg.seed)
-    return rng
 
 
 def _result(b: np.ndarray, n_used: int, converged: bool) -> SteadyStateResult:
@@ -829,21 +824,6 @@ def _bloch_fidelity(b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(0.5 * (1.0 + b @ t + mixed), 0.0, 1.0))
 
 
-def step(
-    rho_s: np.ndarray,
-    reservoirs: list[ReservoirSpec],
-    cfg: EngineConfig,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Apply one full collision round to ``rho_s`` and return the new state."""
-    state = _initial(rho_s)
-    engine = _Engine(reservoirs, cfg)
-    op = engine.mean_op
-    if engine.random:
-        op = _MapGroup([engine], [_stream(engine, rng)], 1).chunk(np.ones(1, dtype=np.int64), 1)[0, 0]
-    return bloch_to_density(op.dot(state)[1:])
-
-
 def _streams(engines: list[_Engine], given: list) -> list:
     """Each run's random stream: the generator given for it, or one seeded
     from its ``cfg.seed``.  A generator given to two random runs raises
@@ -851,7 +831,7 @@ def _streams(engines: list[_Engine], given: list) -> list:
     shared = [id(rng) for e, rng in zip(engines, given) if e.random and rng is not None]
     if len(set(shared)) < len(shared):
         raise ValueError("each random run needs its own np.random.Generator; one was given to several")
-    return [_stream(e, rng) for e, rng in zip(engines, given)]
+    return [np.random.default_rng(e.cfg.seed) if e.random and rng is None else rng for e, rng in zip(engines, given)]
 
 
 def _target(engine: _Engine, target) -> np.ndarray | None:
@@ -875,8 +855,9 @@ def evolve_runs(
     record: bool = True,
 ) -> Iterator[tuple[Trajectory, SteadyStateResult]]:
     """Trajectories and steady states of independent runs from one start
-    state, one per (reservoirs, cfg, target, rng): the recorded sibling of
-    ``evolve_batch``, and ``evolve`` is its one-run case.
+    state, one per (reservoirs, cfg, target, rng): the one entry point for
+    evolution, whether recorded or, for sweeps, not; ``evolve`` is its
+    one-run case.
 
     ``rho0=None`` starts every run from the +x eigenstate.  A run's
     fidelity column is measured against ``target``: a density matrix, or
@@ -885,17 +866,21 @@ def evolve_runs(
     ``steady_state_oracle`` finds it; None gives no fidelity column.  Each
     run keeps its own tolerance, window, budget and random stream (None:
     seeded from its ``cfg.seed``), and a ``np.random.Generator`` given to
-    two random runs raises ValueError, as in ``evolve_batch``.
+    two random runs raises ValueError.
 
     Every run's map is compiled and every target found before any
     collision, so a map with no fixed point raises SingularSystem before
-    any run starts.  The runs then go through the loops together, each
-    recorded in a trail of its own, and each result is bitwise what the
-    run gives alone.  The returned iterator builds each run's Trajectory
-    from its trail only when it reaches that run, so a caller that writes
-    each before taking the next holds the trails and one Trajectory at
-    once.  With ``record=False`` every trajectory is empty; that changes
-    nothing about the results.
+    any run starts.  Deterministic runs that share a compiled map, tol,
+    window and budget evolve identically, so each such set advances once,
+    as its first run, and every copy gets that run's result and trail; a
+    copy's fidelity column is still measured against its own target.  The
+    distinct runs then go through the loops together, each recorded in a
+    trail of its own, and each result is bitwise what the run gives alone.  The
+    returned iterator builds each run's Trajectory from its trail only when
+    it reaches that run, so a caller that writes each before taking the
+    next holds the trails and one Trajectory at once.  With
+    ``record=False`` every trajectory is empty; that changes nothing about
+    the results.
     """
     if rho0 is None:
         rho0 = pure_qubit(math.pi / 2.0)
@@ -903,12 +888,22 @@ def evolve_runs(
     engines = [_Engine(reservoirs, cfg) for reservoirs, cfg, _, _ in runs]
     rngs = _streams(engines, [rng for *_, rng in runs])
     targets = [_target(e, target) for e, (_, _, target, _) in zip(engines, runs)]
-    trails = [[state0[None, 1:]] for _ in runs] if record else None
-    b, n_used, converged = _run(state0, engines, rngs, trails)
-    results = [_result(b[k], int(n_used[k]), bool(converged[k])) for k in range(len(runs))]
+    # the runs that advance, and each run's slot among them; a random run is
+    # always its own
+    slot: dict = {}
+    distinct, owner = [], []
+    for i, e in enumerate(engines):
+        key = i if e.random else (e.mean_op.tobytes(), e.cfg.tol, e.cfg.window, e.cfg.max_collisions)
+        if key not in slot:
+            slot[key] = len(distinct)
+            distinct.append(i)
+        owner.append(slot[key])
+    trails = [[state0[None, 1:]] for _ in distinct] if record else None
+    b, n_used, converged = _run(state0, [engines[i] for i in distinct], [rngs[i] for i in distinct], trails)
+    results = [_result(b[k], int(n_used[k]), bool(converged[k])) for k in owner]
     if trails is None:
         return ((Trajectory(np.arange(0), np.empty(0), np.empty((0, 3)), None), r) for r in results)
-    return ((_trajectory(trail, target), r) for trail, target, r in zip(trails, targets, results))
+    return ((_trajectory(trails[k], target), r) for k, target, r in zip(owner, targets, results))
 
 
 def evolve(
@@ -926,53 +921,9 @@ def evolve(
     through ``converged=False``, never raised.  ``rho0=None`` starts from
     the +x eigenstate.  With ``record=False`` the returned trajectory is
     empty; it changes nothing about the result.  This is the one-run case
-    of ``evolve_runs``; sweeps go through ``evolve_batch``.
+    of ``evolve_runs``, which sweeps and recorded presets call.
     """
     return next(evolve_runs([(reservoirs, cfg, target, rng)], rho0, record))
-
-
-def evolve_batch(
-    runs: list[tuple[list[ReservoirSpec], EngineConfig, np.random.Generator | None]],
-) -> list[SteadyStateResult]:
-    """Steady states of independent runs, one per (reservoirs, cfg, rng).
-
-    Every run starts from the +x eigenstate and keeps its own tolerance,
-    window, budget and random stream (None: seeded from its ``cfg.seed``);
-    a ``np.random.Generator`` given to two random runs raises ValueError.
-    The runs go through the loops ``evolve`` uses, one per kind of run, so
-    each result is bitwise the one ``evolve(None, reservoirs, cfg,
-    record=False, rng=rng)`` returns.  Every run's maps are compiled before any run
-    starts, and deterministic runs that share a compiled map and a stopping
-    rule, which evolve identically, are run once.
-    """
-    state0 = _initial(pure_qubit(math.pi / 2.0))
-    engines = [_Engine(reservoirs, cfg) for reservoirs, cfg, _ in runs]
-    rngs = _streams(engines, [rng for _, _, rng in runs])
-    slot: dict = {}
-    distinct = []
-    owner = []
-    for i, e in enumerate(engines):
-        key = i if e.random else (e.mean_op.tobytes(), e.cfg.tol, e.cfg.window, e.cfg.max_collisions)
-        if key not in slot:
-            slot[key] = len(distinct)
-            distinct.append(i)
-        owner.append(slot[key])
-    b, n_used, converged = _run(state0, [engines[i] for i in distinct], [rngs[i] for i in distinct])
-    return [_result(b[k], int(n_used[k]), bool(converged[k])) for k in owner]
-
-
-def affine_representation(
-    reservoirs: list[ReservoirSpec], cfg: EngineConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch-space form b' = M b + c of one collision round, in expectation.
-
-    Read off the compiled mean transfer matrix R as M = R[1:, 1:],
-    c = R[1:, 0].  For a random map (preparation noise, stochastic mixing)
-    this is the map the mean state follows: noise at its mean strength
-    epsilon, stochastic mixing as the convex sum.
-    """
-    r = _Engine(reservoirs, cfg).mean_op
-    return r[1:, 1:].copy(), r[1:, 0].copy()
 
 
 def steady_state_oracle(reservoirs: list[ReservoirSpec], cfg: EngineConfig) -> SteadyStateResult:

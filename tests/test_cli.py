@@ -707,7 +707,7 @@ def test_malformed_config_input_is_rejected_before_any_run(tmp_path, capsys, mon
         raise AssertionError("a run started")
 
     monkeypatch.setattr("qsc.presets.evolve_runs", no_run)
-    monkeypatch.setattr("qsc.classifier.evolve_batch", no_run)
+    monkeypatch.setattr("qsc.classifier.evolve_runs", no_run)
     config = write_config(tmp_path, {**BASE_CONFIG, **patch})
     assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 1
     assert "must be" in capsys.readouterr().err

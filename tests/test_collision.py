@@ -16,11 +16,13 @@ deterministic loop four chunks per pass and a random group chunks as long
 as its size allows, so their stopping rule is pinned at chunk and pass
 boundaries, and a batch of runs, mixed or not, recorded or not, must give
 bitwise what each run gives alone, trajectory and all, a lone random run
-across its longer chunks too.  A deterministic run's chunk is one
-product of its start state with powers of its map, its states in order, so
-it must agree with the per-collision product of drawn maps and with
-``step``, and bitwise with a plain loop of one such product per chunk whose
-powers are stacked per Bloch component, an independent layout.
+across its longer chunks too.  Repeated deterministic runs must advance
+once and each still get its own fidelity column.  A deterministic run's
+chunk is one product of its start state with powers of its map, its states
+in order, so it must agree with the per-collision product of drawn maps
+and with the compiled map applied one collision at a time, and bitwise
+with a plain loop of one such product per chunk whose powers are stacked
+per Bloch component, an independent layout.
 The window rule is recounted one step at a time from a recorded trajectory,
 independently of how a chunk is laid out, and on drawn passes of the one
 window helper both loops call, at tols from the least positive double to
@@ -60,16 +62,13 @@ from qsc.collision import (
     _Engine,
     _MapGroup,
     _window,
-    affine_representation,
     collision_unitary,
     evolve,
-    evolve_batch,
     evolve_runs,
     pair_hamiltonian,
     resolve_weights,
     single_collision,
     steady_state_oracle,
-    step,
     transfer_matrix,
 )
 from qsc.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, NonHermitianInput, dagger, kron, trace_distance
@@ -91,6 +90,24 @@ def random_density(rng):
     if norm > 1.0:
         b /= norm * (1.0 + rng.uniform(0.0, 0.5))
     return bloch_to_density(b)
+
+
+def one_collision(rho, reservoirs, cfg, rng=None):
+    """The state after one collision from ``rho``, by a one-collision run."""
+    cfg = dataclasses.replace(cfg, max_collisions=1, window=1)
+    return evolve(rho, reservoirs, cfg, record=False, rng=rng)[1].rho_ss
+
+
+def apply_mean_map(rho, reservoirs, cfg):
+    """The compiled map in expectation applied once to ``rho``."""
+    state = np.concatenate(([1.0], bloch_vector(rho)))
+    return bloch_to_density(_Engine(reservoirs, cfg).mean_op.dot(state)[1:])
+
+
+def steady_states(runs):
+    """Steady states of (reservoirs, cfg, rng) runs, from one unrecorded
+    ``evolve_runs`` call."""
+    return [r for _, r in evolve_runs([(reservoirs, cfg, None, rng) for reservoirs, cfg, rng in runs], record=False)]
 
 
 class TestPairDynamics:
@@ -181,10 +198,11 @@ def test_convex_step_invariant_under_reservoir_order():
     ]
     cfg = EngineConfig(h=0.7, tau=0.6)
     rho = random_density(rng)
-    reference = step(rho, reservoirs, cfg)
+    reference = apply_mean_map(rho, reservoirs, cfg)
     for perm in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
         shuffled = [reservoirs[i] for i in perm]
-        assert np.array_equal(step(rho, shuffled, cfg), reference)
+        assert np.array_equal(apply_mean_map(rho, shuffled, cfg), reference)
+        assert np.array_equal(one_collision(rho, shuffled, cfg), one_collision(rho, reservoirs, cfg))
 
 
 def test_sequential_mixing_matches_closed_form_bias():
@@ -300,9 +318,8 @@ def test_stochastic_oracle_is_the_convex_oracle():
     convex = steady_state_oracle(reservoirs, EngineConfig())
     stochastic = steady_state_oracle(reservoirs, EngineConfig(mixing_mode="stochastic"))
     assert np.array_equal(stochastic.rho_ss, convex.rho_ss)
-    for a, b in zip(affine_representation(reservoirs, EngineConfig(mixing_mode="stochastic")),
-                    affine_representation(reservoirs, EngineConfig())):
-        assert np.array_equal(a, b)
+    assert np.array_equal(_Engine(reservoirs, EngineConfig(mixing_mode="stochastic")).mean_op,
+                          _Engine(reservoirs, EngineConfig()).mean_op)
 
 
 def test_noisy_affine_form_depolarizes_at_the_mean_strength():
@@ -310,9 +327,9 @@ def test_noisy_affine_form_depolarizes_at_the_mean_strength():
     spec = ReservoirSpec(1.1, 0.1, phi=0.4, noise=NoiseSpec(0.3, 0.1))
     cfg = EngineConfig(h=0.9, tau=0.8)
     r = transfer_matrix(cfg.h, spec.coupling, cfg.tau, 0.7 * bloch_vector(pure_qubit(1.1, 0.4)))
-    m, c = affine_representation([spec], cfg)
-    assert np.allclose(m, r[1:, 1:], atol=1e-14)
-    assert np.allclose(c, r[1:, 0], atol=1e-14)
+    mean = _Engine([spec], cfg).mean_op
+    assert np.allclose(mean[1:, 1:], r[1:, 1:], atol=1e-14)
+    assert np.allclose(mean[1:, 0], r[1:, 0], atol=1e-14)
 
 
 @pytest.mark.parametrize("mode", ["convex", "sequential"])
@@ -324,13 +341,14 @@ def test_random_runs_average_to_the_mean_map(mode):
     noise = NoiseSpec(0.3, 0.1)
     reservoirs = [ReservoirSpec(0.3, 0.1, noise=noise), ReservoirSpec(2.0, 0.1, noise=noise)]
     cfgs = [EngineConfig(max_collisions=3000, tol=1e-300, mixing_mode=mode, seed=s) for s in range(400)]
-    results = evolve_batch([(reservoirs, cfg, None) for cfg in cfgs])
+    results = steady_states([(reservoirs, cfg, None) for cfg in cfgs])
     assert all(r.n_used == 3000 and not r.converged for r in results)
     z = np.array([r.sigma_z_ss for r in results])
     se = z.std(ddof=1) / math.sqrt(z.size)
 
     def iterate(specs):
-        m, c = affine_representation(specs, cfgs[0])
+        mean = _Engine(specs, cfgs[0]).mean_op
+        m, c = mean[1:, 1:], mean[1:, 0]
         b = np.array([1.0, 0.0, 0.0])
         for _ in range(3000):
             b = m @ b + c
@@ -387,7 +405,7 @@ def test_noisy_step_depolarizes_the_ancilla():
     eps_eff = 0.2 + 0.1 * 0.25019093320933394
     ancilla = (1.0 - eps_eff) * pure_qubit(math.pi / 2.0) + 0.5 * eps_eff * np.eye(2)
     direct = single_collision(rho, ancilla, collision_unitary(cfg.h, spec.coupling, cfg.tau))
-    assert np.allclose(step(rho, [spec], cfg, rng=np.random.default_rng(7)), direct, atol=1e-14)
+    assert np.allclose(one_collision(rho, [spec], cfg, rng=np.random.default_rng(7)), direct, atol=1e-14)
 
 
 def test_noise_spec_validation():
@@ -450,7 +468,8 @@ def test_step_reduces_to_single_collision_for_one_reservoir():
     direct = single_collision(
         rho, pure_qubit(spec.theta, spec.phi), collision_unitary(cfg.h, spec.coupling, cfg.tau)
     )
-    assert np.allclose(step(rho, [spec], cfg), direct, atol=1e-14)
+    assert np.allclose(apply_mean_map(rho, [spec], cfg), direct, atol=1e-14)
+    assert np.allclose(one_collision(rho, [spec], cfg), direct, atol=1e-14)
 
 
 # Property tests: the compiled transfer matrices against the independent
@@ -496,7 +515,7 @@ def test_transfer_matrix_matches_single_collision(rho, ancilla, h, j, tau):
 def test_noisy_map_matches_depolarized_reference(rho, spec, cfg, eps):
     # eta = 0 pins the drawn strength to epsilon exactly
     noisy = dataclasses.replace(spec, noise=NoiseSpec(eps, 0.0))
-    out = step(rho, [noisy], cfg, rng=np.random.default_rng(0))
+    out = one_collision(rho, [noisy], cfg, rng=np.random.default_rng(0))
     assert np.max(np.abs(out - _reference(rho, spec, cfg, eps))) < 1e-12
 
 
@@ -511,11 +530,11 @@ def weighted_reservoirs(draw):
 @given(STATES, weighted_reservoirs(), ENGINE)
 def test_compositions_match_per_reservoir_reference(rho, reservoirs, cfg):
     convex = sum(w * _reference(rho, r, cfg) for w, r in zip(resolve_weights(reservoirs), reservoirs))
-    assert np.max(np.abs(step(rho, reservoirs, cfg) - convex)) < 1e-12
+    assert np.max(np.abs(apply_mean_map(rho, reservoirs, cfg) - convex)) < 1e-12
     chained = rho
     for r in reservoirs:
         chained = _reference(chained, r, cfg)
-    seq = step(rho, reservoirs, dataclasses.replace(cfg, mixing_mode="sequential"))
+    seq = apply_mean_map(rho, reservoirs, dataclasses.replace(cfg, mixing_mode="sequential"))
     assert np.max(np.abs(seq - chained)) < 1e-12
 
 
@@ -594,8 +613,9 @@ def test_convex_label_is_the_sign_of_the_weighted_ancilla_z(reservoirs, h, tau, 
 
 def _reference_distances(reservoirs, cfg, n):
     """Trace distances of the first n steps from the +x state, iterating the
-    affine form b' = M b + c one collision at a time."""
-    m, c = affine_representation(reservoirs, cfg)
+    affine form b' = M b + c of the compiled map one collision at a time."""
+    mean = _Engine(reservoirs, cfg).mean_op
+    m, c = mean[1:, 1:], mean[1:, 0]
     b = bloch_vector(pure_qubit(math.pi / 2.0))
     out = []
     for _ in range(n):
@@ -615,7 +635,7 @@ def test_window_straddling_a_chunk_boundary():
     traj, result = evolve(None, spec, cfg)
     assert result.converged and result.n_used == _CHUNK + 9
     assert len(traj) == result.n_used + 1
-    [batched] = evolve_batch([(spec, cfg, None)])
+    [batched] = steady_states([(spec, cfg, None)])
     assert batched.n_used == result.n_used and batched.converged
 
 
@@ -629,7 +649,7 @@ def test_budget_not_a_multiple_of_the_chunk_length():
     _, b = _reference_distances(spec, cfg, budget)
     assert np.max(np.abs(traj.bloch[-1] - b)) < 1e-12
     short = dataclasses.replace(cfg, max_collisions=37, window=37)
-    assert [r.n_used for r in evolve_batch([(spec, cfg, None), (spec, short, None)])] == [budget, 37]
+    assert [r.n_used for r in steady_states([(spec, cfg, None), (spec, short, None)])] == [budget, 37]
 
 
 def _chunked_reference(reservoirs, cfg):
@@ -706,8 +726,8 @@ def settling(theta):
 def test_powers_agree_with_the_per_collision_routes():
     # A deterministic run forms each chunk's states from powers of its map.
     # NoiseSpec(0, 0) draws bitwise the same map every collision, so the same
-    # run then goes through the per-collision product; step applies the map
-    # one collision at a time.
+    # run then goes through the per-collision product; the compiled map is
+    # also applied one collision at a time.
     spec = settling(math.pi)
     cfg = EngineConfig(max_collisions=10 * _CHUNK, tol=1e-4)
     traj, result = evolve(None, spec, cfg)
@@ -716,10 +736,11 @@ def test_powers_agree_with_the_per_collision_routes():
     drawn_traj, drawn = evolve(None, noisy, cfg)
     assert (drawn.n_used, drawn.converged) == (result.n_used, result.converged)
     assert np.max(np.abs(drawn_traj.bloch - traj.bloch)) < 1e-12
-    rho = pure_qubit(math.pi / 2.0)
+    mean = _Engine(spec, cfg).mean_op
+    state = np.concatenate(([1.0], bloch_vector(pure_qubit(math.pi / 2.0))))
     for b in traj.bloch[1 : 3 * _CHUNK + 6]:
-        rho = step(rho, spec, cfg)
-        assert np.max(np.abs(bloch_vector(rho) - b)) < 1e-12
+        state = mean.dot(state)
+        assert np.max(np.abs(state[1:] - b)) < 1e-12
 
 
 def test_recorded_trajectory_is_sized_to_the_run():
@@ -786,7 +807,7 @@ def test_one_run_group_equals_the_run_beside_another_bitwise(reservoirs, mode, t
     assert np.array_equal(bloch_to_density(traj.bloch[-1]), alone.rho_ss)
     batched_rng = np.random.default_rng(7)
     companion = (reservoirs[::-1], dataclasses.replace(cfg, h=0.3), np.random.default_rng(8))
-    got, _ = evolve_batch([(reservoirs, cfg, batched_rng), companion])
+    got, _ = steady_states([(reservoirs, cfg, batched_rng), companion])
     assert np.array_equal(got.rho_ss, alone.rho_ss)
     assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
     # both streams stand where n_used single collisions leave them
@@ -807,7 +828,7 @@ def test_evolution_draws_in_single_collision_order(mode):
     rng = np.random.default_rng(11)
     rho = pure_qubit(math.pi / 2.0)
     for b in traj.bloch[1:]:
-        rho = step(rho, reservoirs, cfg, rng=rng)
+        rho = one_collision(rho, reservoirs, cfg, rng=rng)
         assert np.max(np.abs(bloch_vector(rho) - b)) < 1e-12
 
 
@@ -868,7 +889,7 @@ def test_batch_equals_each_run_alone(specs, shuffler: random.Random):
     order = list(range(len(specs)))
     for indices in (order, shuffler.sample(order, len(order))):
         runs = [fresh(i) for i in indices]
-        for i, (_, _, rng), got in zip(indices, runs, evolve_batch(runs)):
+        for i, (_, _, rng), got in zip(indices, runs, steady_states(runs)):
             assert np.array_equal(got.rho_ss, alone[i].rho_ss)
             assert (got.n_used, got.converged) == (alone[i].n_used, alone[i].converged)
             assert (None if rng is None else rng.random()) == ends[i]
@@ -991,7 +1012,7 @@ def fixed_runs(draw):
 def _outcomes(runs):
     """Every bit of what the runs give: the batched results, and each run
     alone, recorded."""
-    batched = [(r.rho_ss.tobytes(), r.n_used, r.converged) for r in evolve_batch([(*run, None) for run in runs])]
+    batched = [(r.rho_ss.tobytes(), r.n_used, r.converged) for r in steady_states([(*run, None) for run in runs])]
     recorded = []
     for reservoirs, cfg in runs:
         traj, r = evolve(None, reservoirs, cfg)
@@ -1085,15 +1106,44 @@ def test_step_bound_clears_no_pass_without_steps(monkeypatch):
     assert opened == [0, _PASS, 2 * _PASS] and not np.diff(states, axis=0).any()
 
 
+@pytest.mark.parametrize("record", [True, False])
+def test_repeated_deterministic_runs_advance_once(monkeypatch, record):
+    # Deterministic runs that share a compiled map, tol, window and budget
+    # evolve identically, so the deterministic loop advances each such map
+    # once: the reversed convex pair compiles to PASSES' map, while a looser
+    # tol or another map is a run of its own.  Random runs are never merged.
+    advanced = {}
+    for name in ("_run_fixed", "_run_drawn"):
+        def spy(state0, engines, *rest, loop=getattr(qsc.collision, name), name=name):
+            advanced.setdefault(name, []).extend(e.mean_op.tobytes() for e in engines)
+            return loop(state0, engines, *rest)
+
+        monkeypatch.setattr(qsc.collision, name, spy)
+    cfg = EngineConfig(max_collisions=3 * _PASS, tol=1e-6)
+    loose = dataclasses.replace(cfg, tol=1e-3)
+    runs = [(PASSES, cfg), (NOISY, cfg), (PASSES[::-1], cfg), (settling(1.8), cfg), (PASSES, loose),
+            (list(PASSES), cfg), (NOISY, cfg)]
+    got = list(evolve_runs([(reservoirs, cfg, None, None) for reservoirs, cfg in runs], record=record))
+    pair, other = _Engine(PASSES, cfg).mean_op.tobytes(), _Engine(settling(1.8), cfg).mean_op.tobytes()
+    assert advanced["_run_fixed"] == [pair, other, pair]
+    assert len(advanced["_run_drawn"]) == 2
+    monkeypatch.undo()
+    for (reservoirs, cfg), (traj, result) in zip(runs, got):
+        expected, alone = evolve(None, reservoirs, cfg, record=record)
+        assert traj.bloch.tobytes() == expected.bloch.tobytes()
+        assert result.rho_ss.tobytes() == alone.rho_ss.tobytes()
+        assert (result.n_used, result.converged) == (alone.n_used, alone.converged)
+
+
 def test_empty_batch_has_no_results():
-    assert evolve_batch([]) == []
+    assert steady_states([]) == []
 
 
 def test_batch_rejects_one_generator_for_two_random_runs():
     shared = np.random.default_rng(5)
     cfg = EngineConfig(max_collisions=300)
     with pytest.raises(ValueError, match="its own"):
-        evolve_batch([(NOISY, cfg, shared), (NOISY[::-1], cfg, shared)])
+        steady_states([(NOISY, cfg, shared), (NOISY[::-1], cfg, shared)])
 
 
 def test_deterministic_run_may_share_a_generator_with_a_random_run():
@@ -1101,7 +1151,7 @@ def test_deterministic_run_may_share_a_generator_with_a_random_run():
     cfg = EngineConfig(max_collisions=300)
     runs = [(up_down_pair(), cfg), (NOISY, cfg)]
     shared = np.random.default_rng(5)
-    batched = evolve_batch([(reservoirs, cfg, shared) for reservoirs, cfg in runs])
+    batched = steady_states([(reservoirs, cfg, shared) for reservoirs, cfg in runs])
     for (reservoirs, cfg), got in zip(runs, batched):
         alone = evolve(None, reservoirs, cfg, record=False, rng=np.random.default_rng(5))[1]
         assert np.array_equal(got.rho_ss, alone.rho_ss)
@@ -1161,7 +1211,7 @@ def test_power_stack_edge_cases_equal_each_run_alone(runs, chunks):
         return reservoirs, cfg, None if stream is None else np.random.default_rng(stream)
 
     batch = [fresh(run) for run in runs]
-    batched = evolve_batch(batch)
+    batched = steady_states(batch)
     assert [(r.n_used - 1) // _CHUNK for r in batched] == chunks
     for run, (_, _, batch_rng), got in zip(runs, batch, batched):
         reservoirs, cfg, rng = fresh(run)
@@ -1183,11 +1233,12 @@ def _bits(column):
 def test_recorded_batch_equals_each_run_alone_bitwise(fixed, given, drawn, seed):
     # deterministic runs that retire at different passes, the first measured
     # against its oracle fixed point and the second against a given target,
-    # and two random runs of one group among them, each recorded in its own
-    # trail
+    # a copy of the first measured against the given target, which advances
+    # with the first, and two random runs of one group among them, each
+    # recorded in its own trail
     reservoirs, cfg, _ = drawn
     cfg = dataclasses.replace(cfg, mixing_mode="stochastic")
-    runs = [(*fixed[0], ORACLE), (*fixed[1], given), *[(*run, None) for run in fixed[2:]]]
+    runs = [(*fixed[0], ORACLE), (*fixed[1], given), *[(*run, None) for run in fixed[2:]], (*fixed[0], given)]
     runs[1:1] = [(reservoirs, cfg, None), (reservoirs[::-1], dataclasses.replace(cfg, tau=0.5), None)]
 
     def stream(i):
@@ -1243,7 +1294,8 @@ def random_compositions(draw):
 @PROPERTY
 @given(random_compositions(), st.integers(0, 2**32 - 1))
 def test_random_compositions_are_cptp(composition, seed):
-    m, c = affine_representation(*composition)
+    mean = _Engine(*composition).mean_op
+    m, c = mean[1:, 1:], mean[1:, 0]
     assert np.linalg.eigvalsh(_choi(m, c)).min() >= -1e-12
     sphere = np.random.default_rng(seed).normal(size=(20, 3))
     sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
@@ -1260,13 +1312,9 @@ def test_drawn_map_without_spread_is_the_mean_map_bitwise(composition, seed):
     assume(cfg.mixing_mode != "stochastic" and any(r.noise for r in reservoirs))
     reservoirs = [r if r.noise is None else dataclasses.replace(r, noise=NoiseSpec(r.noise.epsilon, 0.0))
                   for r in reservoirs]
-    m, c = affine_representation(reservoirs, cfg)
-    mean = np.eye(4)
-    mean[1:, 0], mean[1:, 1:] = c, m
     rho = random_density(np.random.default_rng(seed))
-    state = np.concatenate(([1.0], bloch_vector(rho)))
-    got = step(rho, reservoirs, cfg, rng=np.random.default_rng(seed))
-    assert np.array_equal(got, bloch_to_density(mean.dot(state)[1:]))
+    got = one_collision(rho, reservoirs, cfg, rng=np.random.default_rng(seed))
+    assert np.array_equal(got, apply_mean_map(rho, reservoirs, cfg))
 
 
 @PROPERTY
