@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def classify(result: SteadyStateResult) -> Label:
 
 
 def label_runs(features, runs, param_values, phi_scaled=None) -> list[LabeledPoint]:
-    """One labeled point per (reservoirs, cfg, rng) run, in input order.
+    """One labeled point per (reservoirs, cfg) run, in input order.
 
     Every run's steady state comes from one unrecorded ``evolve_runs`` call
     and its label from ``classify``; ``features``, ``param_values`` and the
@@ -77,7 +77,7 @@ def label_runs(features, runs, param_values, phi_scaled=None) -> list[LabeledPoi
     per run.
     """
     phis = [None] * len(runs) if phi_scaled is None else phi_scaled
-    results = evolve_runs([(reservoirs, cfg, None, rng) for reservoirs, cfg, rng in runs], record=False)
+    results = evolve_runs([(reservoirs, cfg, None) for reservoirs, cfg in runs], record=False)
     return [LabeledPoint(f, r.sigma_z_ss, classify(r), r.n_used, r.converged, phi, value)
             for f, (_, r), value, phi in zip(features, results, param_values, phis)]
 
@@ -96,7 +96,7 @@ def sweep_couplings(delta_j_values, base_j: float, cfg: EngineConfig) -> list[La
         if abs(d) > half + 1e-15:
             raise CouplingOutOfRange(f"|delta_j| = {abs(d)} exceeds base_j/2 = {half}")
     pairs = [(min(half + d, base_j), max(half - d, 0.0)) for d in deltas]
-    runs = [([ReservoirSpec(theta=0.0, coupling=j1), ReservoirSpec(theta=math.pi, coupling=j2)], cfg, None)
+    runs = [([ReservoirSpec(theta=0.0, coupling=j1), ReservoirSpec(theta=math.pi, coupling=j2)], cfg)
             for j1, j2 in pairs]
     return label_runs(pairs, runs, deltas)
 
@@ -111,8 +111,9 @@ def sweep_thetas(
 
     Pairs also carry the scaled angle pi - (theta_1 + theta_2), as both
     ``phi_scaled`` and ``param_value``, since the response is plotted against
-    that single collapsed coordinate.  Under noise every point owns a private
-    stream derived from (seed, point index).
+    that single collapsed coordinate.  Under noise point i owns a private
+    stream, its config's seed replaced by SeedSequence(cfg.seed,
+    spawn_key=(i,)).
     """
     tuples = [tuple(float(t) for t in entry) for entry in theta_tuples]
     if not tuples:
@@ -120,10 +121,8 @@ def sweep_thetas(
     runs = []
     for index, thetas in enumerate(tuples):
         reservoirs = [ReservoirSpec(theta=t, coupling=coupling, noise=noise) for t in thetas]
-        rng = None
-        if noise is not None:
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
-        runs.append((reservoirs, cfg, rng))
+        point = cfg if noise is None else replace(cfg, seed=np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
+        runs.append((reservoirs, point))
     phis = [math.pi - (thetas[0] + thetas[1]) if len(thetas) == 2 else None for thetas in tuples]
     return label_runs(tuples, runs, phis, phis)
 

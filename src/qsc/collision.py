@@ -40,16 +40,16 @@ Both loops form every collision's state and close runs with one window
 rule, which compares the trace distance of each collision's step with tol.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
-generator seeded from ``EngineConfig.seed``, so runs are reproducible across
-platforms.  Every random run has one draw layout: each collision reads one
+generator, and ``EngineConfig.seed`` alone sets a random run's stream: each
+call builds the run's generator afresh with ``np.random.default_rng(seed)``,
+so runs are reproducible across platforms and calls, and no two runs share
+a generator.  Every random run has one draw layout: each collision reads one
 row of uniforms on [0, 1), the stochastic channel choice first (stochastic
 mode only), then one noise draw per noisy reservoir in list order, in every
 mixing mode, so a stochastic collision also draws noise for the reservoirs
 it does not choose.  The loop reads a chunk of collisions' rows at once,
-each run from its own generator, so one generator serves one random run.  A
-run that stops mid-chunk is rewound to where its generator stood when the
-call began and redraws one row per collision it took, so it leaves the
-generator where its last collision left it.
+each run from its own generator; the rows a run draws past the collision it
+stops on are never read.
 """
 
 from __future__ import annotations
@@ -173,6 +173,8 @@ class EngineConfig:
 
     ``tau=0`` is accepted (the collision degenerates to the identity map);
     it exists so the singular steady-state branch can be exercised.
+    ``seed``, a nonnegative int or a ``np.random.SeedSequence``, is the one
+    source of a random run's stream.
     """
 
     h: float = 1.0
@@ -181,7 +183,7 @@ class EngineConfig:
     tol: float = 1e-9
     window: int = 10
     mixing_mode: str = "convex"
-    seed: int = DEFAULT_SEED
+    seed: int | np.random.SeedSequence = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.h) or not math.isfinite(self.tau) or self.tau < 0.0:
@@ -194,6 +196,10 @@ class EngineConfig:
             )
         if self.mixing_mode not in MIXING_MODES:
             raise ValueError(f"mixing_mode must be one of {MIXING_MODES}, got {self.mixing_mode!r}")
+        # a bool is an int, and a Generator would carry state from call to call
+        if not (isinstance(self.seed, np.random.SeedSequence)
+                or (isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0)):
+            raise ValueError(f"seed must be a nonnegative int or a np.random.SeedSequence, got {self.seed!r}")
 
 
 @dataclass
@@ -350,8 +356,9 @@ class _MapGroup:
     stacks ``chunk`` reads, and a retired run's column is dropped from
     those.  A reservoir without
     noise gets epsilon = eta = 0 and a zero noise map, so one formula serves
-    every slot.  Each chunk every run reads its rows of uniforms from its own
-    stream into its own block of ``drawn``, and one ``take`` lays them out
+    every slot.  Each run's stream is a generator built from its
+    ``cfg.seed``.  Each chunk every run reads its rows of uniforms from its
+    own stream into its own block of ``drawn``, and one ``take`` lays them out
     (slot, length, runs) in ``u``: a run's row of draws lands in the slots it
     feeds, with the channel choice in slot K, and a slot no draw feeds reads
     0, whose eta is 0, so it reads epsilon = 0.  The maps are then a fixed
@@ -369,7 +376,7 @@ class _MapGroup:
     moving ones are formed per chunk.
     """
 
-    def __init__(self, engines: list[_Engine], rngs: list, length: int):
+    def __init__(self, engines: list[_Engine], length: int):
         self.mode = engines[0].cfg.mixing_mode
         k = len(engines[0].reservoirs)
         stochastic = self.mode == "stochastic"
@@ -386,10 +393,7 @@ class _MapGroup:
             dests.append([k] * stochastic + [order.index(r) for r in e.noisy])
         base, noise = np.array(base), np.array(noise)
         eps0, eta, weights = np.array(eps0), np.array(eta), np.array(weights)
-        self.rngs = rngs
-        # where each stream stood when the call began, for rewinding a run
-        # that stops mid-chunk
-        self.initial = [rng.bit_generator.state for rng in rngs]
+        self.rngs = [np.random.default_rng(e.cfg.seed) for e in engines]
         g = len(engines)
         # Run r draws its rows into blocks[r], a (length, cols) view of
         # ``drawn``; the last element of ``drawn`` stays 0 and feeds every
@@ -520,21 +524,8 @@ class _MapGroup:
             np.matmul(op(s, slot), chain[s - 1], out=chain[s])
         return out
 
-    def retire(self, met: np.ndarray, n_used: np.ndarray, keep: np.ndarray) -> None:
-        """Rewind a run that ``met`` its window to the start of the call and
-        redraw one row per collision it took since then, ``n_used``, so its
-        stream ends where that many single collisions leave it, then drop
-        the runs whose entry of ``keep`` is False."""
-        # drawn is free scratch now: the next chunk draws every row it reads
-        scratch = self.drawn[:-1]
-        for r in np.flatnonzero(met):
-            rng = self.rngs[r]
-            rng.bit_generator.state = self.initial[r]
-            left = int(n_used[r]) * self.blocks[r].shape[1]
-            while left:
-                n = min(left, scratch.size)
-                rng.random(out=scratch[:n])
-                left -= n
+    def retire(self, keep: np.ndarray) -> None:
+        """Drop the runs whose entry of ``keep`` is False."""
         if keep.all():
             return
         self.eps0_rows, self.eta_rows = self.eps0_rows[..., keep], self.eta_rows[..., keep]
@@ -545,7 +536,6 @@ class _MapGroup:
             self.base, self.noise, self.weights = self.base[keep], self.noise[keep], self.weights[keep]
         self.gather = self.gather[:, :, keep]
         self.rngs = [r for r, kept in zip(self.rngs, keep) if kept]
-        self.initial = [s for s, kept in zip(self.initial, keep) if kept]
         self.blocks = [b for b, kept in zip(self.blocks, keep) if kept]
 
 
@@ -741,22 +731,21 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trails: list | None =
     return final[:, 1:], n_used, converged
 
 
-def _run_drawn(state0: np.ndarray, engines: list[_Engine], rngs: list, trails: list | None = None):
+def _run_drawn(state0: np.ndarray, engines: list[_Engine], trails: list | None = None):
     """The random loop: advance one group of g runs that share a mixing
     mode and a reservoir count, as ``_run_fixed`` does, a chunk of
     max(``_CHUNK``, ``_SLOTS`` // g) collisions at a time, a length fixed
-    when the call starts.  A run's maps, draws, window and rewind do not
-    depend on where a chunk ends, so a small group takes fewer, longer
-    chunks with the same bits.  One ``_MapGroup`` builds the group's maps
-    for the chunk together, each run drawing from its own stream, and each
-    run multiplies its maps one collision at a time into its own column of
-    a state buffer.  A run that stops mid-chunk is rewound to its last
-    collision.  ``trails`` are per run, as in ``_run_fixed``, and take a
-    chunk at a time."""
+    when the call starts.  A run's maps, draws and window do not depend on
+    where a chunk ends, so a small group takes fewer, longer chunks with the
+    same bits.  One ``_MapGroup`` builds the group's maps for the chunk
+    together, each run drawing from its own stream, and each run multiplies
+    its maps one collision at a time into its own column of a state buffer.
+    ``trails`` are per run, as in ``_run_fixed``, and take a chunk at a
+    time."""
     tol, window, budget, final, n_used, streak, converged = _start(state0, engines)
     chunk = max(_CHUNK, _SLOTS // len(engines))
     longest = int(min(chunk, budget.max()))
-    group = _MapGroup(engines, rngs, longest)
+    group = _MapGroup(engines, longest)
     active = np.arange(len(engines))  # the runs in the columns of the group's maps, in order
     while active.size:
         left = budget[active] - n_used[active]
@@ -788,12 +777,12 @@ def _run_drawn(state0: np.ndarray, engines: list[_Engine], rngs: list, trails: l
             for column, run in enumerate(active.tolist()):
                 trails[run].append(states[1 : taken[column] + 1, column, 1:].copy())
         keep = ~met & (left > length)
-        group.retire(met, n_used[active], keep)
+        group.retire(keep)
         active = active[keep]
     return final[:, 1:], n_used, converged
 
 
-def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trails: list | None = None):
+def _run(state0: np.ndarray, engines: list[_Engine], trails: list | None = None):
     """Advance every run from ``state0`` until it meets its own tolerance
     window or uses its own budget: the deterministic runs in one
     ``_run_fixed``, the random runs in one ``_run_drawn`` per group that
@@ -811,7 +800,7 @@ def _run(state0: np.ndarray, engines: list[_Engine], rngs: list, trails: list | 
         kept = None if trails is None else [trails[i] for i in runs]
         final[runs], n_used[runs], converged[runs] = (
             _run_fixed(state0, members, kept) if key is None
-            else _run_drawn(state0, members, [rngs[i] for i in runs], kept))
+            else _run_drawn(state0, members, kept))
     return final, n_used, converged
 
 
@@ -822,16 +811,6 @@ def _bloch_fidelity(b: np.ndarray, t: np.ndarray) -> np.ndarray:
     purity_b = np.maximum(1.0 - np.einsum("ij,ij->i", b, b), 0.0)
     mixed = np.sqrt(purity_b * max(1.0 - float(t @ t), 0.0))
     return np.sqrt(np.clip(0.5 * (1.0 + b @ t + mixed), 0.0, 1.0))
-
-
-def _streams(engines: list[_Engine], given: list) -> list:
-    """Each run's random stream: the generator given for it, or one seeded
-    from its ``cfg.seed``.  A generator given to two random runs raises
-    ValueError."""
-    shared = [id(rng) for e, rng in zip(engines, given) if e.random and rng is not None]
-    if len(set(shared)) < len(shared):
-        raise ValueError("each random run needs its own np.random.Generator; one was given to several")
-    return [np.random.default_rng(e.cfg.seed) if e.random and rng is None else rng for e, rng in zip(engines, given)]
 
 
 def _target(engine: _Engine, target) -> np.ndarray | None:
@@ -850,12 +829,12 @@ def _trajectory(trail: list, target: np.ndarray | None) -> Trajectory:
 
 
 def evolve_runs(
-    runs: list[tuple[list[ReservoirSpec], EngineConfig, np.ndarray | str | None, np.random.Generator | None]],
+    runs: list[tuple[list[ReservoirSpec], EngineConfig, np.ndarray | str | None]],
     rho0: np.ndarray | None = None,
     record: bool = True,
 ) -> Iterator[tuple[Trajectory, SteadyStateResult]]:
     """Trajectories and steady states of independent runs from one start
-    state, one per (reservoirs, cfg, target, rng): the one entry point for
+    state, one per (reservoirs, cfg, target): the one entry point for
     evolution, whether recorded or, for sweeps, not; ``evolve`` is its
     one-run case.
 
@@ -864,9 +843,8 @@ def evolve_runs(
     ``ORACLE`` for the oracle fixed point of the run's own compiled map
     (for a random map, the map in expectation), found as
     ``steady_state_oracle`` finds it; None gives no fidelity column.  Each
-    run keeps its own tolerance, window, budget and random stream (None:
-    seeded from its ``cfg.seed``), and a ``np.random.Generator`` given to
-    two random runs raises ValueError.
+    run keeps its own tolerance, window, budget and random stream, the one
+    its ``cfg.seed`` sets.
 
     Every run's map is compiled and every target found before any
     collision, so a map with no fixed point raises SingularSystem before
@@ -885,9 +863,8 @@ def evolve_runs(
     if rho0 is None:
         rho0 = pure_qubit(math.pi / 2.0)
     state0 = _initial(rho0)
-    engines = [_Engine(reservoirs, cfg) for reservoirs, cfg, _, _ in runs]
-    rngs = _streams(engines, [rng for *_, rng in runs])
-    targets = [_target(e, target) for e, (_, _, target, _) in zip(engines, runs)]
+    engines = [_Engine(reservoirs, cfg) for reservoirs, cfg, _ in runs]
+    targets = [_target(e, target) for e, (_, _, target) in zip(engines, runs)]
     # the runs that advance, and each run's slot among them; a random run is
     # always its own
     slot: dict = {}
@@ -899,7 +876,7 @@ def evolve_runs(
             distinct.append(i)
         owner.append(slot[key])
     trails = [[state0[None, 1:]] for _ in distinct] if record else None
-    b, n_used, converged = _run(state0, [engines[i] for i in distinct], [rngs[i] for i in distinct], trails)
+    b, n_used, converged = _run(state0, [engines[i] for i in distinct], trails)
     results = [_result(b[k], int(n_used[k]), bool(converged[k])) for k in owner]
     if trails is None:
         return ((Trajectory(np.arange(0), np.empty(0), np.empty((0, 3)), None), r) for r in results)
@@ -912,7 +889,6 @@ def evolve(
     cfg: EngineConfig,
     target: np.ndarray | None = None,
     record: bool = True,
-    rng: np.random.Generator | None = None,
 ) -> tuple[Trajectory, SteadyStateResult]:
     """Iterate collisions until the state settles or the budget runs out.
 
@@ -923,7 +899,7 @@ def evolve(
     empty; it changes nothing about the result.  This is the one-run case
     of ``evolve_runs``, which sweeps and recorded presets call.
     """
-    return next(evolve_runs([(reservoirs, cfg, target, rng)], rho0, record))
+    return next(evolve_runs([(reservoirs, cfg, target)], rho0, record))
 
 
 def steady_state_oracle(reservoirs: list[ReservoirSpec], cfg: EngineConfig) -> SteadyStateResult:

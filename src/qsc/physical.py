@@ -19,6 +19,11 @@ import math
 from dataclasses import dataclass
 
 
+# The least |detuning| / g of a dispersive qubit, and the least frequency gap
+# over effective coupling of a decoupled reservoir pair.
+DISPERSIVE_RATIO_MIN = 10.0
+
+
 class ZeroDetuning(ValueError):
     """Raised when a qubit sits exactly on the resonator frequency."""
 
@@ -105,8 +110,9 @@ class DispersiveReport:
     ok: bool
 
 
-def validate_dispersive(params: TransmonParams, ratio_min: float = 10.0) -> DispersiveReport:
-    """Report whether every qubit is dispersive and reservoirs stay decoupled.
+def validate_dispersive(params: TransmonParams) -> DispersiveReport:
+    """Report whether every qubit is dispersive and reservoirs stay decoupled:
+    each ratio must reach ``DISPERSIVE_RATIO_MIN``.
 
     Report-style: marginal or failing ratios set ``ok=False`` rather than
     raising, including the degenerate zero-detuning case.
@@ -114,7 +120,7 @@ def validate_dispersive(params: TransmonParams, ratio_min: float = 10.0) -> Disp
     qubit_ratios = []
     for i, (_, g) in enumerate(params.qubits):
         ratio = abs(params.detuning(i)) * 1000.0 / g
-        qubit_ratios.append((i, ratio, ratio >= ratio_min))
+        qubit_ratios.append((i, ratio, ratio >= DISPERSIVE_RATIO_MIN))
     pair_checks = []
     for i in range(1, len(params.qubits)):
         for j in range(i + 1, len(params.qubits)):
@@ -122,7 +128,7 @@ def validate_dispersive(params: TransmonParams, ratio_min: float = 10.0) -> Disp
             j_mhz = effective_coupling(gi, gj, params.detuning(i), params.detuning(j))
             gap_mhz = abs(wi - wj) * 1000.0
             ratio = gap_mhz / abs(j_mhz) if j_mhz != 0.0 else math.inf
-            pair_checks.append(((i, j), j_mhz, ratio, ratio >= ratio_min))
+            pair_checks.append(((i, j), j_mhz, ratio, ratio >= DISPERSIVE_RATIO_MIN))
     ok = all(ok_ for _, _, ok_ in qubit_ratios) and all(ok_ for _, _, _, ok_ in pair_checks)
     return DispersiveReport(qubit_ratios, pair_checks, ok)
 

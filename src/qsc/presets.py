@@ -119,7 +119,7 @@ def _trajectories(opts: RunOptions, cfg: EngineConfig, runs) -> PresetOutcome:
     ``ORACLE``, the oracle fixed point of the run's map (for a random map,
     the map in expectation).  Each run's Trajectory is built just before
     its file is written."""
-    recorded = evolve_runs([(reservoirs, cfg, target, None) for _, reservoirs, target in runs])
+    recorded = evolve_runs([(reservoirs, cfg, target) for _, reservoirs, target in runs])
     files, all_ok = [], True
     for (base, _, _), (traj, result) in zip(runs, recorded):
         path = _artifact(opts, base)
@@ -398,6 +398,6 @@ def run_custom_sweep(opts: RunOptions, param_name: str, values: list[float],
                      setups: list[tuple[list[ReservoirSpec], dict]]) -> PresetOutcome:
     """One batched steady state per sweep value, from its (reservoirs,
     engine fields) setup; the header carries the first run's seed."""
-    runs = [(reservoirs, _cfg(opts, **engine), None) for reservoirs, engine in setups]
+    runs = [(reservoirs, _cfg(opts, **engine)) for reservoirs, engine in setups]
     points = label_runs([(value,) for value in values], runs, values)
     return _sweep_run(opts, runs[0][1], param_name, points)

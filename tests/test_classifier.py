@@ -1,5 +1,6 @@
 """Steady-state labeling, sweep helpers and the exact separability check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from qsc.classifier import (
     sweep_couplings,
     sweep_thetas,
 )
-from qsc.collision import DEFAULT_SEED, EngineConfig, NoiseSpec, ReservoirSpec, steady_state_oracle
+from qsc.collision import DEFAULT_SEED, EngineConfig, NoiseSpec, ReservoirSpec, evolve, steady_state_oracle
 from qsc.presets import NOMINAL_J, NOMINAL_TAU
 
 FAST_CFG = EngineConfig(max_collisions=200, tol=1e-4)
@@ -94,6 +95,20 @@ def test_sweep_thetas_noise_is_seed_deterministic():
     assert [p.sigma_z_ss for p in a] == [p.sigma_z_ss for p in b]
     c = sweep_thetas(tuples, 0.1, EngineConfig(max_collisions=300, tol=1e-12, seed=6), noise=noise)
     assert any(x.sigma_z_ss != y.sigma_z_ss for x, y in zip(a, c))
+
+
+def test_sweep_thetas_noise_gives_each_point_its_own_stream():
+    # two equal angle tuples differ only in their streams: point i runs on
+    # SeedSequence(cfg.seed, spawn_key=(i,)), bitwise as a lone run does
+    noise = NoiseSpec(0.2, 0.05)
+    cfg = EngineConfig(max_collisions=300, tol=1e-12, seed=5)
+    points = sweep_thetas([(0.4, 2.0)] * 2, 0.1, cfg, noise=noise)
+    assert points[0].sigma_z_ss != points[1].sigma_z_ss
+    reservoirs = [ReservoirSpec(theta, 0.1, noise=noise) for theta in (0.4, 2.0)]
+    for i, p in enumerate(points):
+        own = dataclasses.replace(cfg, seed=np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        _, alone = evolve(None, reservoirs, own, record=False)
+        assert (p.sigma_z_ss.hex(), p.n_used, p.converged) == (alone.sigma_z_ss.hex(), alone.n_used, alone.converged)
 
 
 def test_generate_theta_dataset_shapes_and_range():

@@ -92,10 +92,15 @@ def random_density(rng):
     return bloch_to_density(b)
 
 
-def one_collision(rho, reservoirs, cfg, rng=None):
+def seeded(cfg, seed):
+    """``cfg`` with its stream set by ``seed``, or as it is for None."""
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
+
+
+def one_collision(rho, reservoirs, cfg, seed=None):
     """The state after one collision from ``rho``, by a one-collision run."""
-    cfg = dataclasses.replace(cfg, max_collisions=1, window=1)
-    return evolve(rho, reservoirs, cfg, record=False, rng=rng)[1].rho_ss
+    cfg = dataclasses.replace(seeded(cfg, seed), max_collisions=1, window=1)
+    return evolve(rho, reservoirs, cfg, record=False)[1].rho_ss
 
 
 def apply_mean_map(rho, reservoirs, cfg):
@@ -105,9 +110,10 @@ def apply_mean_map(rho, reservoirs, cfg):
 
 
 def steady_states(runs):
-    """Steady states of (reservoirs, cfg, rng) runs, from one unrecorded
-    ``evolve_runs`` call."""
-    return [r for _, r in evolve_runs([(reservoirs, cfg, None, rng) for reservoirs, cfg, rng in runs], record=False)]
+    """Steady states of (reservoirs, cfg, seed) runs, from one unrecorded
+    ``evolve_runs`` call; a seed of None keeps the cfg's own."""
+    return [r for _, r in evolve_runs([(reservoirs, seeded(cfg, seed), None) for reservoirs, cfg, seed in runs],
+                                      record=False)]
 
 
 class TestPairDynamics:
@@ -405,7 +411,7 @@ def test_noisy_step_depolarizes_the_ancilla():
     eps_eff = 0.2 + 0.1 * 0.25019093320933394
     ancilla = (1.0 - eps_eff) * pure_qubit(math.pi / 2.0) + 0.5 * eps_eff * np.eye(2)
     direct = single_collision(rho, ancilla, collision_unitary(cfg.h, spec.coupling, cfg.tau))
-    assert np.allclose(one_collision(rho, [spec], cfg, rng=np.random.default_rng(7)), direct, atol=1e-14)
+    assert np.allclose(one_collision(rho, [spec], cfg, seed=7), direct, atol=1e-14)
 
 
 def test_noise_spec_validation():
@@ -458,6 +464,14 @@ def test_engine_config_validation():
         EngineConfig(max_collisions=5, window=10)
     with pytest.raises(ValueError):
         EngineConfig(mixing_mode="roulette")
+
+
+@pytest.mark.parametrize("seed", [True, False, -1, 1.0, "5", None, np.int64(5), np.random.default_rng(5)])
+def test_engine_config_rejects_a_seed_that_is_not_a_nonnegative_int_or_a_seed_sequence(seed):
+    # a bool would run as 0 or 1, and a Generator would carry its state from
+    # one call to the next
+    with pytest.raises(ValueError, match="seed"):
+        EngineConfig(seed=seed)
 
 
 def test_step_reduces_to_single_collision_for_one_reservoir():
@@ -515,7 +529,7 @@ def test_transfer_matrix_matches_single_collision(rho, ancilla, h, j, tau):
 def test_noisy_map_matches_depolarized_reference(rho, spec, cfg, eps):
     # eta = 0 pins the drawn strength to epsilon exactly
     noisy = dataclasses.replace(spec, noise=NoiseSpec(eps, 0.0))
-    out = one_collision(rho, [noisy], cfg, rng=np.random.default_rng(0))
+    out = one_collision(rho, [noisy], cfg, seed=0)
     assert np.max(np.abs(out - _reference(rho, spec, cfg, eps))) < 1e-12
 
 
@@ -608,8 +622,8 @@ def test_convex_label_is_the_sign_of_the_weighted_ancilla_z(reservoirs, h, tau, 
 
 
 # The evolution loop: stopping at and across chunk boundaries, buffers sized
-# to the run, random streams left where single collisions leave them, and
-# batches equal to their runs taken one at a time.
+# to the run, random runs equal to a plain per-collision loop over their
+# seed's stream, and batches equal to their runs taken one at a time.
 
 def _reference_distances(reservoirs, cfg, n):
     """Trace distances of the first n steps from the +x state, iterating the
@@ -755,27 +769,58 @@ def test_recorded_trajectory_is_sized_to_the_run():
     assert peak < 10 * 2**20
 
 
+def drawn_states(reservoirs, cfg, n):
+    """The Bloch vectors after each of the first ``n`` collisions from +x, by
+    a plain loop: each collision reads its row of uniforms from its own
+    ``default_rng(cfg.seed)`` in the documented layout (the channel choice
+    first under stochastic mixing, then one draw per noisy reservoir in list
+    order), depolarizes each noisy ancilla by its drawn strength and
+    composes the ``transfer_matrix`` maps as the mixing mode says."""
+    rng = np.random.default_rng(cfg.seed)
+    weights = resolve_weights(reservoirs)
+    noisy = [i for i, r in enumerate(reservoirs) if r.noise is not None]
+    stochastic = cfg.mixing_mode == "stochastic"
+    ancillas = [bloch_vector(pure_qubit(r.theta, r.phi)) for r in reservoirs]
+    state = np.concatenate(([1.0], bloch_vector(pure_qubit(math.pi / 2.0))))
+    states = []
+    for _ in range(n):
+        row = rng.random(stochastic + len(noisy))
+        drawn = dict(zip(noisy, row[stochastic:].tolist()))
+        maps = []
+        for i, (r, a) in enumerate(zip(reservoirs, ancillas)):
+            eps = 0.0 if r.noise is None else r.noise.epsilon + (2.0 * drawn[i] - 1.0) * r.noise.eta
+            maps.append(transfer_matrix(cfg.h, r.coupling, cfg.tau, (1.0 - eps) * a))
+        if cfg.mixing_mode == "convex":
+            op = sum(w * m for w, m in zip(weights, maps))
+        elif cfg.mixing_mode == "sequential":
+            op = maps[0]
+            for m in maps[1:]:
+                op = m @ op
+        else:
+            op = maps[min(int(np.searchsorted(np.cumsum(weights), row[0], side="right")), len(maps) - 1)]
+        state = op @ state
+        states.append(state[1:])
+    return np.array(states)
+
+
 @pytest.mark.parametrize(
-    "reservoirs, mode, draws",
+    "reservoirs, mode",
     [
         # eta = 0 draws a uniform each collision but keeps the map fixed
-        ([ReservoirSpec(math.pi, 0.5, noise=NoiseSpec(0.3, 0.0))], "convex",
-         lambda g, n: g.uniform(-1.0, 1.0, size=n)),
+        ([ReservoirSpec(math.pi, 0.5, noise=NoiseSpec(0.3, 0.0))], "convex"),
         # two equal reservoirs: a channel choice each collision, one map
-        ([ReservoirSpec(math.pi, 0.5)] * 2, "stochastic", lambda g, n: g.random(n)),
+        ([ReservoirSpec(math.pi, 0.5)] * 2, "stochastic"),
         # one row per collision: the choice, then a draw per noisy reservoir
-        ([ReservoirSpec(math.pi, 0.5, noise=NoiseSpec(0.3, 0.0))] * 2, "stochastic",
-         lambda g, n: g.random((n, 3))),
+        ([ReservoirSpec(math.pi, 0.5, noise=NoiseSpec(0.3, 0.0))] * 2, "stochastic"),
     ],
 )
-def test_converged_random_run_leaves_stream_after_its_last_collision(reservoirs, mode, draws):
-    rng = np.random.default_rng(3)
-    _, result = evolve(None, reservoirs, EngineConfig(max_collisions=10_000, mixing_mode=mode),
-                       record=False, rng=rng)
+def test_converged_random_run_leaves_stream_after_its_last_collision(reservoirs, mode):
+    cfg = EngineConfig(max_collisions=10_000, mixing_mode=mode, seed=3)
+    _, result = evolve(None, reservoirs, cfg, record=False)
     assert result.converged and result.n_used % _CHUNK != 0
-    expected = np.random.default_rng(3)
-    draws(expected, result.n_used)
-    assert rng.random() == expected.random()
+    # the state read mid-chunk is the one after the run's last collision
+    last = drawn_states(reservoirs, cfg, result.n_used)[-1]
+    assert np.max(np.abs(bloch_vector(result.rho_ss) - last)) < 1e-12
 
 
 # A random group of one run takes chunks of _SLOTS collisions, each collision
@@ -794,26 +839,20 @@ ONE_RUN_GROUPS = [
     # the whole budget, across two one-run chunk boundaries
     (1e-9, 10, (12_000, False)),
     # every step is under a tol of 1, so the window closes just past the
-    # first one-run chunk boundary, mid-chunk, and the run is rewound
+    # first one-run chunk boundary, mid-chunk
     (1.0, _SLOTS + 9, (_SLOTS + 9, True)),
 ])
 def test_one_run_group_equals_the_run_beside_another_bitwise(reservoirs, mode, tol, window, expected):
-    cfg = EngineConfig(tau=0.7, tol=tol, window=window, max_collisions=12_000, mixing_mode=mode)
+    cfg = EngineConfig(tau=0.7, tol=tol, window=window, max_collisions=12_000, mixing_mode=mode, seed=7)
     assert cfg.max_collisions > 2 * _SLOTS
-    rng = np.random.default_rng(7)
-    traj, alone = evolve(None, reservoirs, cfg, rng=rng)
+    traj, alone = evolve(None, reservoirs, cfg)
     assert (alone.n_used, alone.converged) == expected
     assert len(traj) == alone.n_used + 1
     assert np.array_equal(bloch_to_density(traj.bloch[-1]), alone.rho_ss)
-    batched_rng = np.random.default_rng(7)
-    companion = (reservoirs[::-1], dataclasses.replace(cfg, h=0.3), np.random.default_rng(8))
-    got, _ = steady_states([(reservoirs, cfg, batched_rng), companion])
+    companion = (reservoirs[::-1], dataclasses.replace(cfg, h=0.3), 8)
+    got, _ = steady_states([(reservoirs, cfg, None), companion])
     assert np.array_equal(got.rho_ss, alone.rho_ss)
     assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
-    # both streams stand where n_used single collisions leave them
-    single = np.random.default_rng(7)
-    single.random(alone.n_used)
-    assert rng.random() == batched_rng.random() == single.random()
 
 
 @pytest.mark.parametrize("mode", MIXING_MODES)
@@ -823,13 +862,9 @@ def test_evolution_draws_in_single_collision_order(mode):
         ReservoirSpec(2.0, 0.2),
         ReservoirSpec(3.0, 0.4, noise=NoiseSpec(0.5, 0.3)),
     ]
-    cfg = EngineConfig(tau=0.7, max_collisions=_CHUNK + 5, tol=1e-30, window=1, mixing_mode=mode)
-    traj, _ = evolve(None, reservoirs, cfg, rng=np.random.default_rng(11))
-    rng = np.random.default_rng(11)
-    rho = pure_qubit(math.pi / 2.0)
-    for b in traj.bloch[1:]:
-        rho = one_collision(rho, reservoirs, cfg, rng=rng)
-        assert np.max(np.abs(bloch_vector(rho) - b)) < 1e-12
+    cfg = EngineConfig(tau=0.7, max_collisions=_CHUNK + 5, tol=1e-30, window=1, mixing_mode=mode, seed=11)
+    traj, _ = evolve(None, reservoirs, cfg)
+    assert np.max(np.abs(traj.bloch[1:] - drawn_states(reservoirs, cfg, cfg.max_collisions))) < 1e-12
 
 
 NOISE = st.none() | st.floats(0.0, 0.5).flatmap(lambda eps: st.builds(NoiseSpec, st.just(eps), st.floats(0.0, eps)))
@@ -846,9 +881,9 @@ def maybe_weighted(draw, reservoirs):
 
 @st.composite
 def batch_runs(draw):
-    """(reservoirs, cfg, stream seed or None) of one run: 1-3 reservoirs,
-    optionally weighted, any mixing mode, noise, tolerances, windows and
-    budgets up to nine chunks, which cross loop passes.  A batch of them
+    """(reservoirs, cfg) of one run: 1-3 reservoirs, optionally weighted,
+    any mixing mode, noise, tolerances, windows, budgets up to nine chunks,
+    which cross loop passes, and seeds.  A batch of them
     mixes reservoir counts and modes, so its random runs fall into several
     groups of shared maps."""
     reservoirs = draw(st.lists(st.builds(ReservoirSpec, THETA, st.floats(0.05, 0.5), phi=PHI, noise=NOISE),
@@ -864,7 +899,7 @@ def batch_runs(draw):
         mixing_mode=draw(st.sampled_from(MIXING_MODES)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return reservoirs, cfg, draw(st.none() | st.integers(0, 2**32 - 1))
+    return reservoirs, cfg
 
 
 @settings(max_examples=100, deadline=None)
@@ -872,27 +907,15 @@ def batch_runs(draw):
 def test_batch_equals_each_run_alone(specs, shuffler: random.Random):
     # a repeat of the first run, and the first run with a looser tol, share
     # its compiled map
-    reservoirs, cfg, stream = specs[0]
-    specs = [*specs, specs[0], (reservoirs, dataclasses.replace(cfg, tol=10.0 * cfg.tol), stream)]
-
-    def fresh(i):
-        reservoirs, cfg, stream = specs[i]
-        return reservoirs, cfg, None if stream is None else np.random.default_rng(stream)
-
-    # each explicit stream must end where the run alone leaves it, which pins
-    # the batched draws and the rewind of a run that stops mid-chunk
-    alone, ends = [], []
-    for i in range(len(specs)):
-        reservoirs, cfg, rng = fresh(i)
-        alone.append(evolve(None, reservoirs, cfg, record=False, rng=rng)[1])
-        ends.append(None if rng is None else rng.random())
+    reservoirs, cfg = specs[0]
+    specs = [*specs, specs[0], (reservoirs, dataclasses.replace(cfg, tol=10.0 * cfg.tol))]
+    alone = [evolve(None, reservoirs, cfg, record=False)[1] for reservoirs, cfg in specs]
     order = list(range(len(specs)))
     for indices in (order, shuffler.sample(order, len(order))):
-        runs = [fresh(i) for i in indices]
-        for i, (_, _, rng), got in zip(indices, runs, steady_states(runs)):
+        runs = [(*specs[i], None) for i in indices]
+        for i, got in zip(indices, steady_states(runs)):
             assert np.array_equal(got.rho_ss, alone[i].rho_ss)
             assert (got.n_used, got.converged) == (alone[i].n_used, alone[i].converged)
-            assert (None if rng is None else rng.random()) == ends[i]
 
 
 # A streak that starts some 25 collisions before the first chunk boundary and
@@ -908,14 +931,14 @@ def extreme_tol_run(tol, random):
     noise = NoiseSpec(0.2, 0.1) if random else None
     reservoirs = [ReservoirSpec(2.0, 0.3, phi=1.0), ReservoirSpec(0.5, 0.2, noise=noise)]
     cfg = EngineConfig(tau=1.0, tol=tol, window=7, max_collisions=_PASS + 40,
-                       mixing_mode="stochastic" if random else "convex")
-    return reservoirs, cfg, 5 if random else None
+                       mixing_mode="stochastic" if random else "convex", seed=5)
+    return reservoirs, cfg
 
 
 @PROPERTY
 @given(batch_runs())
-@example((STRADDLING, STRADDLING_CFG, None))
-@example(([dataclasses.replace(STRADDLING[0], noise=NoiseSpec(0.0, 0.0))], STRADDLING_CFG, 3))
+@example((STRADDLING, STRADDLING_CFG))
+@example(([dataclasses.replace(STRADDLING[0], noise=NoiseSpec(0.0, 0.0))], seeded(STRADDLING_CFG, 3)))
 # the least positive tol, under which only a zero step is, and tols whose
 # (2 tol)^2 overflows, under which every step is
 @example(extreme_tol_run(5e-324, False))
@@ -925,9 +948,8 @@ def extreme_tol_run(tol, random):
 @example(extreme_tol_run(1.7e308, False))
 @example(extreme_tol_run(1.7e308, True))
 def test_window_rule_matches_a_recount_of_the_recorded_steps(run):
-    reservoirs, cfg, stream = run
-    rng = None if stream is None else np.random.default_rng(stream)
-    traj, result = evolve(None, reservoirs, cfg, rng=rng)
+    reservoirs, cfg = run
+    traj, result = evolve(None, reservoirs, cfg)
     # the first collision that closes ``window`` consecutive steps under
     # tol, or the budget when none does
     expected, streak = (cfg.max_collisions, False), 0
@@ -1123,7 +1145,7 @@ def test_repeated_deterministic_runs_advance_once(monkeypatch, record):
     loose = dataclasses.replace(cfg, tol=1e-3)
     runs = [(PASSES, cfg), (NOISY, cfg), (PASSES[::-1], cfg), (settling(1.8), cfg), (PASSES, loose),
             (list(PASSES), cfg), (NOISY, cfg)]
-    got = list(evolve_runs([(reservoirs, cfg, None, None) for reservoirs, cfg in runs], record=record))
+    got = list(evolve_runs([(reservoirs, cfg, None) for reservoirs, cfg in runs], record=record))
     pair, other = _Engine(PASSES, cfg).mean_op.tobytes(), _Engine(settling(1.8), cfg).mean_op.tobytes()
     assert advanced["_run_fixed"] == [pair, other, pair]
     assert len(advanced["_run_drawn"]) == 2
@@ -1137,25 +1159,6 @@ def test_repeated_deterministic_runs_advance_once(monkeypatch, record):
 
 def test_empty_batch_has_no_results():
     assert steady_states([]) == []
-
-
-def test_batch_rejects_one_generator_for_two_random_runs():
-    shared = np.random.default_rng(5)
-    cfg = EngineConfig(max_collisions=300)
-    with pytest.raises(ValueError, match="its own"):
-        steady_states([(NOISY, cfg, shared), (NOISY[::-1], cfg, shared)])
-
-
-def test_deterministic_run_may_share_a_generator_with_a_random_run():
-    # a deterministic run draws nothing, so the random run's stream is its own
-    cfg = EngineConfig(max_collisions=300)
-    runs = [(up_down_pair(), cfg), (NOISY, cfg)]
-    shared = np.random.default_rng(5)
-    batched = steady_states([(reservoirs, cfg, shared) for reservoirs, cfg in runs])
-    for (reservoirs, cfg), got in zip(runs, batched):
-        alone = evolve(None, reservoirs, cfg, record=False, rng=np.random.default_rng(5))[1]
-        assert np.array_equal(got.rho_ss, alone.rho_ss)
-        assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
 
 
 NOISY = [ReservoirSpec(0.4, 0.3, noise=NoiseSpec(0.2, 0.1)), ReservoirSpec(2.0, 0.2)]
@@ -1206,20 +1209,12 @@ SECOND_NOISY = [ReservoirSpec(2.5, 0.25, 0.3), ReservoirSpec(1.0, 0.35, 0.7, noi
 ], ids=["budget_below_a_chunk", "staggered_retirement", "different_noisy_sets", "shorter_last_chunk",
         "passes_after_noisy_runs"])
 def test_power_stack_edge_cases_equal_each_run_alone(runs, chunks):
-    def fresh(run):
-        reservoirs, cfg, stream = run
-        return reservoirs, cfg, None if stream is None else np.random.default_rng(stream)
-
-    batch = [fresh(run) for run in runs]
-    batched = steady_states(batch)
+    batched = steady_states(runs)
     assert [(r.n_used - 1) // _CHUNK for r in batched] == chunks
-    for run, (_, _, batch_rng), got in zip(runs, batch, batched):
-        reservoirs, cfg, rng = fresh(run)
-        alone = evolve(None, reservoirs, cfg, record=False, rng=rng)[1]
+    for (reservoirs, cfg, seed), got in zip(runs, batched):
+        alone = evolve(None, reservoirs, seeded(cfg, seed), record=False)[1]
         assert np.array_equal(got.rho_ss, alone.rho_ss)
         assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
-        if rng is not None:
-            assert batch_rng.random() == rng.random()
 
 
 def _bits(column):
@@ -1229,34 +1224,27 @@ def _bits(column):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(fixed_runs(), min_size=2, max_size=4), STATES, batch_runs(), st.integers(0, 2**32 - 1))
 @example([CLEARED_AND_OPEN[0], CLEARED_AND_OPEN[2], CLEARED_AND_OPEN[1]], pure_qubit(0.3),
-         (NOISY, EngineConfig(max_collisions=300), None), 5)
+         (NOISY, EngineConfig(max_collisions=300)), 5)
 def test_recorded_batch_equals_each_run_alone_bitwise(fixed, given, drawn, seed):
     # deterministic runs that retire at different passes, the first measured
     # against its oracle fixed point and the second against a given target,
     # a copy of the first measured against the given target, which advances
     # with the first, and two random runs of one group among them, each
     # recorded in its own trail
-    reservoirs, cfg, _ = drawn
-    cfg = dataclasses.replace(cfg, mixing_mode="stochastic")
+    reservoirs, cfg = drawn
+    cfg = dataclasses.replace(cfg, mixing_mode="stochastic", seed=np.random.SeedSequence([seed, 1]))
     runs = [(*fixed[0], ORACLE), (*fixed[1], given), *[(*run, None) for run in fixed[2:]], (*fixed[0], given)]
-    runs[1:1] = [(reservoirs, cfg, None), (reservoirs[::-1], dataclasses.replace(cfg, tau=0.5), None)]
-
-    def stream(i):
-        return np.random.default_rng([seed, i]) if i in (1, 2) else None
-
-    streams = [stream(i) for i in range(len(runs))]
-    recorded = evolve_runs([(*run, rng) for run, rng in zip(runs, streams)])
-    for i, ((reservoirs, cfg, target), rng, (traj, got)) in enumerate(zip(runs, streams, recorded)):
-        alone_rng = stream(i)
+    runs[1:1] = [(reservoirs, cfg, None),
+                 (reservoirs[::-1], dataclasses.replace(cfg, tau=0.5, seed=np.random.SeedSequence([seed, 2])), None)]
+    for (reservoirs, cfg, target), (traj, got) in zip(runs, evolve_runs(runs)):
         if isinstance(target, str):
             target = steady_state_oracle(reservoirs, cfg).rho_ss
-        expected, alone = evolve(None, reservoirs, cfg, target=target, rng=alone_rng)
+        expected, alone = evolve(None, reservoirs, cfg, target=target)
         assert (traj.fidelity is None) == (target is None)
         for name in ("n", "sigma_z", "bloch", "fidelity"):
             assert _bits(getattr(traj, name)) == _bits(getattr(expected, name)), name
         assert got.rho_ss.tobytes() == alone.rho_ss.tobytes()
         assert (got.n_used, got.converged) == (alone.n_used, alone.converged)
-        assert (None if rng is None else rng.random()) == (None if alone_rng is None else alone_rng.random())
 
 
 # The composed mean map of random compositions is a channel: its Choi matrix,
@@ -1313,7 +1301,7 @@ def test_drawn_map_without_spread_is_the_mean_map_bitwise(composition, seed):
     reservoirs = [r if r.noise is None else dataclasses.replace(r, noise=NoiseSpec(r.noise.epsilon, 0.0))
                   for r in reservoirs]
     rho = random_density(np.random.default_rng(seed))
-    got = one_collision(rho, reservoirs, cfg, rng=np.random.default_rng(seed))
+    got = one_collision(rho, reservoirs, cfg, seed=seed)
     assert np.array_equal(got, apply_mean_map(rho, reservoirs, cfg))
 
 
@@ -1324,16 +1312,15 @@ def test_drawn_convex_maps_are_each_collisions_mixture_bitwise(compositions, see
     # writes the others once per layout, so every chunk's maps must still be
     # each collision's mixture of base + epsilon * noise: after a run retires
     # and the columns move, and in a shorter last chunk.
-    engines = [_Engine(reservoirs, dataclasses.replace(cfg, mixing_mode="convex"))
-               for reservoirs, cfg in compositions]
+    engines = [_Engine(reservoirs, dataclasses.replace(cfg, mixing_mode="convex", seed=seed + i))
+               for i, (reservoirs, cfg) in enumerate(compositions)]
     engines = [e for e in engines if e.random]
     assume(engines)
-    streams = [np.random.default_rng(seed + i) for i in range(len(engines))]
+    streams = [np.random.default_rng(e.cfg.seed) for e in engines]
     # one group per reservoir count, as the random loop runs them
     for count in sorted({len(e.reservoirs) for e in engines}):
         columns = [run for run, e in enumerate(engines) if len(e.reservoirs) == count]
-        group = _MapGroup([engines[run] for run in columns],
-                          [np.random.default_rng(seed + run) for run in columns], 8)
+        group = _MapGroup([engines[run] for run in columns], 8)
         left = np.full(len(columns), 20)
         for chunk, length in enumerate((8, 8, 4)):
             maps = group.chunk(left, length)
@@ -1349,7 +1336,7 @@ def test_drawn_convex_maps_are_each_collisions_mixture_bitwise(compositions, see
             # the first column retires after the first chunk
             keep = np.ones(len(columns), dtype=bool)
             keep[0] = chunk > 0 or len(columns) == 1
-            group.retire(np.zeros(len(columns), dtype=bool), 20 - left, keep)
+            group.retire(keep)
             columns, left = [c for c, kept in zip(columns, keep) if kept], left[keep]
 
 
@@ -1370,10 +1357,10 @@ def test_drawn_stochastic_maps_are_each_collisions_drawn_map_bitwise(seed):
     # draws, so every chunk's maps must be that slot's epsilon * noise +
     # base, formed one collision at a time: after a run retires and the
     # columns move, and in a shorter last chunk.
-    cfg = EngineConfig(tau=0.7, mixing_mode="stochastic")
-    engines = [_Engine(reservoirs, cfg) for reservoirs in STOCHASTIC_GROUP]
-    streams = [np.random.default_rng(seed + i) for i in range(len(engines))]
-    group = _MapGroup(engines, [np.random.default_rng(seed + i) for i in range(len(engines))], 16)
+    engines = [_Engine(reservoirs, EngineConfig(tau=0.7, mixing_mode="stochastic", seed=seed + i))
+               for i, reservoirs in enumerate(STOCHASTIC_GROUP)]
+    streams = [np.random.default_rng(e.cfg.seed) for e in engines]
+    group = _MapGroup(engines, 16)
     columns, left = list(range(len(engines))), np.full(len(engines), 40)
     for chunk, length in enumerate((16, 16, 8)):
         maps = group.chunk(left, length)
@@ -1391,7 +1378,7 @@ def test_drawn_stochastic_maps_are_each_collisions_drawn_map_bitwise(seed):
         # the first column retires after the first chunk
         keep = np.full(len(columns), True)
         keep[0] = chunk > 0
-        group.retire(np.zeros(len(columns), dtype=bool), 40 - left, keep)
+        group.retire(keep)
         columns, left = [c for c, kept in zip(columns, keep) if kept], left[keep]
 
 

@@ -89,8 +89,6 @@ def test_validate_dispersive_flags_strong_coupling():
     report = validate_dispersive(params)
     assert not report.ok
     assert report.qubit_ratios[0][2] is False
-    # the bar itself is adjustable
-    assert validate_dispersive(params, ratio_min=4.0).ok
 
 
 def test_validate_dispersive_empty_params():
