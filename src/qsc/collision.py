@@ -13,31 +13,33 @@ Each reservoir's map is its Pauli transfer matrix, the real 4x4 matrix
 acting on (1, x, y, z).  The free part h/2 (Z x 1 + 1 x Z) commutes with the
 exchange term, so the matrix has a closed form in cos(j tau), sin(j tau),
 h tau and the ancilla's Bloch vector a, affine in a (``transfer_matrix``).
-The evolution loops and the fixed-point oracle both run on that one form;
+The evolution loop and the fixed-point oracle both run on that one form;
 ``single_collision`` (unitary plus partial trace) is kept as the
 independent reference the closed form is tested against.  ``evolve_runs``
 is the one entry point for evolution: independent runs from one start
 state, each recorded in a trail of its own or, for sweeps, not recorded
 (``evolve`` is its one-run case).  Deterministic runs that share a compiled
 map and a stopping rule evolve identically, so each such set advances
-once.  The entry point advances each kind of run in its own loop, a chunk
-of collisions at a time, so a preset's runs share one call.  A
-deterministic run applies the same map R every collision, so its loop
-forms a chunk's states R^1 b ... R^L b from the chunk's start state b
-with one product against powers of R cached for the call.  That loop chains four such products per pass, each started from
-the last state of the chunk before, and tests and retires runs once per
-pass.  Steps never grow under a map that keeps the Bloch ball, so a run
-whose last step of a pass is well above tol skips the window test for that
-pass, with the result the test would give.  A random run multiplies its
-drawn maps one collision at a time.  Its loop serves one group of runs that
-share a mixing mode and a reservoir count, and forms their drawn maps
-together, a chunk at a time; a convex group forms per chunk only the
-entries that noise moves, and a stochastic one only the map each collision
-draws.
-The chunk length comes from the group's size: a group of fewer runs takes
-longer chunks, in buffers no larger than a group of 42 runs takes.
-Both loops form every collision's state and close runs with one window
-rule, which compares the trace distance of each collision's step with tol.
+once.  One pass loop, ``_drive``, advances every run of a call, a pass of
+collisions at a time, so a preset's runs share one call.  It holds each
+run's stopping rule, state, count and verdict, tests each pass with one
+window rule, which compares the trace distance of each collision's step
+with tol, records trails and retires runs.  It takes each pass's states
+from one of two kernels, one per group of runs.  A deterministic run
+applies the same map R every collision, so the deterministic kernel
+(``_MapPowers``) forms a chunk's states R^1 b ... R^L b from the chunk's
+start state b with one product against powers of R cached for the call,
+and chains four such products per pass, each started from the last state
+of the chunk before.  Steps never grow under a map that keeps the Bloch
+ball, so it leaves out of the window test a run whose last step of a pass
+is well above tol, with the result the test would give.  The random kernel
+(``_MapGroup``) serves one group of runs that share a mixing mode and a
+reservoir count, forms their drawn maps together, a chunk at a time, and
+multiplies each run's maps one collision at a time; a convex group forms
+per chunk only the entries that noise moves, and a stochastic one only the
+map each collision draws.  Its chunk length comes from the group's size: a
+group of fewer runs takes longer chunks, in buffers no larger than a group
+of 42 runs takes.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator, and ``EngineConfig.seed`` alone sets a random run's stream: each
@@ -47,7 +49,7 @@ a generator.  Every random run has one draw layout: each collision reads one
 row of uniforms on [0, 1), the stochastic channel choice first (stochastic
 mode only), then one noise draw per noisy reservoir in list order, in every
 mixing mode, so a stochastic collision also draws noise for the reservoirs
-it does not choose.  The loop reads a chunk of collisions' rows at once,
+it does not choose.  The kernel reads a chunk of collisions' rows at once,
 each run from its own generator; the rows a run draws past the collision it
 stops on are never read.
 """
@@ -84,10 +86,10 @@ ORACLE = "oracle"
 
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 
-# Collisions per chunk of the evolution loops, and per pass of the
-# deterministic loop.  The K deterministic runs of a call share a stack of
-# the Bloch rows of their maps' powers, K * _CHUNK * 12 doubles, about 0.5 MB
-# at K = 42, built once per call.  A pass's products with it take K * _PASS
+# Collisions per chunk of the kernels, and per pass of the deterministic
+# kernel.  The K deterministic runs of a call share a stack of the Bloch
+# rows of their maps' powers, K * _CHUNK * 12 doubles, about 0.5 MB at
+# K = 42, built once per call.  A pass's products with it take K * _PASS
 # * 3 doubles (about 0.5 MB), allocated once per call; each run a pass
 # window-tests, usually a few, takes about 8 * _PASS doubles of states and
 # steps.  A group of K random runs takes chunks of L = max(_CHUNK, _SLOTS //
@@ -107,7 +109,7 @@ _PASS = 4 * _CHUNK
 _SLOTS = 42 * _CHUNK
 
 # Slacks of the bound that lets a deterministic pass skip its window test
-# (``_run_fixed`` derives them): the distance of a computed step from the
+# (``_MapPowers`` derives them): the distance of a computed step from the
 # exact one, and the relative growth and rounding of a step over a pass.
 _STEP_SLACK = 3e-11
 _GROWTH_SLACK = 1e-8
@@ -188,7 +190,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.h) or not math.isfinite(self.tau) or self.tau < 0.0:
             raise ValueError(f"h must be finite and tau >= 0, got h={self.h}, tau={self.tau}")
-        # the loops count collisions in int64
+        # the pass loop counts collisions in int64
         if not math.isfinite(self.tol) or self.tol <= 0.0 or not 1 <= self.window <= self.max_collisions <= 2**63 - 1:
             raise ValueError(
                 f"need finite tol > 0, window >= 1, window <= max_collisions <= 2**63 - 1; got tol={self.tol}, "
@@ -304,7 +306,7 @@ def _canonical_order(reservoirs: list[ReservoirSpec], weights: np.ndarray) -> li
 
 class _Engine:
     """Compiled form of one run's collision map shared by the evolution
-    loops and the oracle: one closed-form Pauli transfer matrix per
+    kernels and the oracle: one closed-form Pauli transfer matrix per
     reservoir, and ``mean_op``, the composed map in expectation.
     """
 
@@ -348,8 +350,10 @@ class _Engine:
 
 
 class _MapGroup:
-    """The random runs of one call that share a mixing mode and a reservoir
-    count K, and the buffers their drawn maps are built in.
+    """The random kernel: the random runs of one call that share a mixing
+    mode and a reservoir count K, and the buffers their drawn maps are built
+    in.  A group of g runs takes chunks of max(``_CHUNK``, ``_SLOTS`` // g)
+    collisions; where a chunk ends changes no bit.
 
     Each run's reservoirs are stacked once, in the order the mode composes
     them: canonical for convex, list order otherwise, into the per-slot
@@ -376,7 +380,11 @@ class _MapGroup:
     moving ones are formed per chunk.
     """
 
-    def __init__(self, engines: list[_Engine], length: int):
+    def __init__(self, engines: list[_Engine]):
+        g = len(engines)
+        self.length = max(_CHUNK, _SLOTS // g)
+        # every buffer holds the group's longest chunk
+        length = int(min(self.length, max(e.cfg.max_collisions for e in engines)))
         self.mode = engines[0].cfg.mixing_mode
         k = len(engines[0].reservoirs)
         stochastic = self.mode == "stochastic"
@@ -394,7 +402,6 @@ class _MapGroup:
         base, noise = np.array(base), np.array(noise)
         eps0, eta, weights = np.array(eps0), np.array(eta), np.array(weights)
         self.rngs = [np.random.default_rng(e.cfg.seed) for e in engines]
-        g = len(engines)
         # Run r draws its rows into blocks[r], a (length, cols) view of
         # ``drawn``; the last element of ``drawn`` stays 0 and feeds every
         # slot no draw feeds.
@@ -524,6 +531,33 @@ class _MapGroup:
             np.matmul(op(s, slot), chain[s - 1], out=chain[s])
         return out
 
+    def advance(self, start: np.ndarray, left: np.ndarray, length: int, tol: np.ndarray):
+        """Multiply each run's maps of the next ``length`` collisions into
+        its column of a state buffer from ``start``, each run's (1, b).
+        Returns the states as (runs, length, 3), every run as a row to
+        window-test, and the rows' squared Bloch steps."""
+        k = len(start)
+        buf = np.empty((length + 1, k, 4, 1))
+        buf[0, :, :, 0] = start
+        maps = self.chunk(left, length)
+        if k == 1:
+            # ndarray.dot on 2-D views calls the same dgemv as np.matmul on
+            # the stacks, with less overhead per call
+            flat = buf[:, 0, :, 0]
+            for op, before, after in zip(maps[:, 0], flat, flat[1:]):
+                op.dot(before, out=after)
+        else:
+            rows = list(buf)
+            for op, before, after in zip(maps, rows, rows[1:]):
+                np.matmul(op, before, out=after)
+        states = buf[..., 0]
+        # the steps are formed in the time-major buffer, where they are
+        # contiguous per collision, and summed as (x + y) + z
+        step = states[1:, :, 1:] - states[:-1, :, 1:]
+        step *= step
+        dist = ((step[..., 0] + step[..., 1]) + step[..., 2]).T
+        return states[1:, :, 1:].transpose(1, 0, 2), np.arange(k), dist
+
     def retire(self, keep: np.ndarray) -> None:
         """Drop the runs whose entry of ``keep`` is False."""
         if keep.all():
@@ -603,32 +637,14 @@ def _window(dist: np.ndarray, tol: np.ndarray, window: np.ndarray, streak: np.nd
     return met, taken, ends
 
 
-def _start(state0: np.ndarray, engines: list[_Engine]):
-    """Each run's tol, window and budget, then its state, collision count,
-    streak of steps under tol and verdict before it starts."""
-    g = len(engines)
-    tol = np.array([e.cfg.tol for e in engines])
-    window = np.array([e.cfg.window for e in engines])
-    budget = np.array([e.cfg.max_collisions for e in engines])
-    return (tol, window, budget, np.tile(state0, (g, 1)), np.zeros(g, dtype=np.int64),
-            np.zeros(g, dtype=np.int64), np.zeros(g, dtype=bool))
-
-
-def _run_fixed(state0: np.ndarray, engines: list[_Engine], trails: list | None = None):
-    """The deterministic loop: advance every run from ``state0`` until it
-    meets its own tolerance window or uses its own budget.  A run's states
-    in a chunk that starts from b are R^1 b ... R^length b, in order, one
-    product with the ``_powers`` of its map R, built once per call up to
-    ``_CHUNK`` or the largest budget.  A pass chains four such products,
-    ``_PASS`` collisions, each chunk started from the last state of the one
-    before, the last three rows of its product, so a pass's states follow
-    one another and state t is one index.  The window test and the
-    bookkeeping run once per four chunks; a run retires at the pass where
-    it stops, its state read at the collision it stopped on.  Returns each
-    run's final Bloch vector, collision count and whether it converged.
-    ``trails``, if given, holds one list per run, and each pass appends to
-    the list of every run it advanced the Bloch vectors after the
-    collisions that run took.
+class _MapPowers:
+    """The deterministic runs of one call and the powers of their maps.  A
+    run's states in a chunk that starts from b are R^1 b ... R^length b, in
+    order, one product with the ``_powers`` of its map R, built once per
+    call up to ``_CHUNK`` or the largest budget.  A pass chains four such
+    products, ``_PASS`` collisions, each chunk started from the last state
+    of the one before, the last three rows of its product, so a pass's
+    states follow one another and state t is one index.
 
     Most passes cannot close a window: every step of the pass is far above
     tol.  A run whose last step of the pass proves that skips the squared
@@ -679,129 +695,102 @@ def _run_fixed(state0: np.ndarray, engines: list[_Engine], trails: list | None =
     s = 3e-11 is more than ten times that bound.  A last step within 2s of
     zero never clears, so neither tau = 0 (M = I, no step) nor a NaN step
     ever does, nor a pass close to the run's fixed point."""
-    tol, window, budget, final, n_used, streak, converged = _start(state0, engines)
-    longest = int(min(_CHUNK, budget.max()))
-    powers = _powers(np.array([e.mean_op for e in engines]), longest)
-    # the pass's products with the powers, one chunk of states at a time
-    blocks = np.empty(len(engines) * 3 * _PASS)
-    active = np.arange(len(engines))  # the runs whose powers are the rows of ``powers``, in order
-    while active.size:
-        left = budget[active] - n_used[active]
-        length = int(min(_PASS, left.max()))
-        k = active.size
-        block = blocks[: k * 3 * _PASS].reshape(k, 3 * _PASS, 1)
-        # each chunk's start state (1, b), the last state of the chunk before
-        start = final[active, :, None]
-        for first in range(0, 3 * length, 3 * longest):
-            chunk = block[:, first : first + 3 * longest]
-            np.matmul(powers, start, out=chunk)
-            start[:, 1:] = chunk[:, -3:]
+
+    def __init__(self, engines: list[_Engine]):
+        self.length = _PASS
+        self.longest = int(min(_CHUNK, max(e.cfg.max_collisions for e in engines)))
+        self.powers = _powers(np.array([e.mean_op for e in engines]), self.longest)
+        # the pass's products with the powers, one chunk of states at a time
+        self.blocks = np.empty(len(engines) * 3 * _PASS)
+
+    def advance(self, start: np.ndarray, left: np.ndarray, length: int, tol: np.ndarray):
+        """One pass of ``length`` collisions from ``start``, each run's
+        (1, b).  Returns the states as (runs, length, 3), the rows the step
+        bound leaves to the window test, and their squared Bloch steps, None
+        if it leaves none."""
+        k = len(start)
+        block = self.blocks[: k * 3 * _PASS].reshape(k, 3 * _PASS, 1)
+        # each chunk's start state (1, b), the last state of the chunk
+        # before.  It must be a fresh C-contiguous (k, 4, 1) array, not a
+        # (k, 4)[:, :, None] view of ``start``: each chunk writes into it,
+        # and a view would move the pass's start state, from which its first
+        # step is taken, and change the bits of fig3b, fig3c and fig5f.
+        chain = start[:, :, None].copy()
+        for first in range(0, 3 * length, 3 * self.longest):
+            chunk = block[:, first : first + 3 * self.longest]
+            np.matmul(self.powers, chain, out=chunk)
+            chain[:, 1:] = chunk[:, -3:]
         # state t of the pass, after its collision t + 1, is states[:, t]
-        states = block.reshape(k, _PASS, 3)
+        states = block.reshape(k, _PASS, 3)[:, :length]
         # the least step of the pass each run's last step proves
-        last_step = states[:, length - 1] - (states[:, length - 2] if length > 1 else final[active, 1:])
+        last_step = states[:, -1] - (states[:, -2] if length > 1 else start[:, 1:])
         least = np.sqrt(np.einsum("ij,ij->i", last_step, last_step)) * (1.0 - _GROWTH_SLACK) - 2.0 * _STEP_SLACK
-        cleared = (least > 0.0) & (0.5 * np.sqrt(least * least) >= tol[active])
-        met = np.zeros(k, dtype=bool)
-        taken = np.minimum(left, length)
-        ends = np.zeros(k, dtype=np.int64)
+        cleared = (least > 0.0) & (0.5 * np.sqrt(least * least) >= tol)
         rows = np.flatnonzero(~cleared)
-        if rows.size:
-            # each open run's squared Bloch step at each collision, from the
-            # pass's start on, summed as (x + y) + z
-            step = np.diff(np.concatenate((final[active[rows], None, 1:], states[rows, :length]), axis=1), axis=1)
-            step *= step
-            dist = (step[..., 0] + step[..., 1]) + step[..., 2]
-            met[rows], taken[rows], ends[rows] = _window(dist, tol, window, streak, left[rows], active[rows])
-        streak[active] = ends
-        final[active, 1:] = states[np.arange(k), taken - 1]
-        n_used[active] += taken
-        converged[active] = met
-        if trails is not None:
-            for row, run in enumerate(active.tolist()):
-                trails[run].append(states[row, : taken[row]].copy())
-        keep = ~met & (left > length)
+        if not rows.size:
+            return states, rows, None
+        # each open run's squared Bloch step at each collision, from the
+        # pass's start on, summed as (x + y) + z
+        step = np.diff(np.concatenate((start[rows, None, 1:], states[rows]), axis=1), axis=1)
+        step *= step
+        return states, rows, (step[..., 0] + step[..., 1]) + step[..., 2]
+
+    def retire(self, keep: np.ndarray) -> None:
+        """Drop the runs whose entry of ``keep`` is False."""
         kept = np.flatnonzero(keep)
-        if kept.size < k:
+        if kept.size < len(keep):
             # move the kept rows down in place, so no second stack is made
             for row, source in enumerate(kept):
-                powers[row] = powers[source]
-            powers = powers[: kept.size]
-        active = active[keep]
-    return final[:, 1:], n_used, converged
+                self.powers[row] = self.powers[source]
+            self.powers = self.powers[: kept.size]
 
 
-def _run_drawn(state0: np.ndarray, engines: list[_Engine], trails: list | None = None):
-    """The random loop: advance one group of g runs that share a mixing
-    mode and a reservoir count, as ``_run_fixed`` does, a chunk of
-    max(``_CHUNK``, ``_SLOTS`` // g) collisions at a time, a length fixed
-    when the call starts.  A run's maps, draws and window do not depend on
-    where a chunk ends, so a small group takes fewer, longer chunks with the
-    same bits.  One ``_MapGroup`` builds the group's maps for the chunk
-    together, each run drawing from its own stream, and each run multiplies
-    its maps one collision at a time into its own column of a state buffer.
-    ``trails`` are per run, as in ``_run_fixed``, and take a chunk at a
-    time."""
-    tol, window, budget, final, n_used, streak, converged = _start(state0, engines)
-    chunk = max(_CHUNK, _SLOTS // len(engines))
-    longest = int(min(chunk, budget.max()))
-    group = _MapGroup(engines, longest)
-    active = np.arange(len(engines))  # the runs in the columns of the group's maps, in order
-    while active.size:
-        left = budget[active] - n_used[active]
-        length = int(min(chunk, left.max()))
-        buf = np.empty((length + 1, active.size, 4, 1))
-        buf[0, :, :, 0] = final[active]
-        maps = group.chunk(left, length)
-        if active.size == 1:
-            # ndarray.dot on 2-D views calls the same dgemv as np.matmul on
-            # the stacks, with less overhead per call
-            flat = buf[:, 0, :, 0]
-            for op, before, after in zip(maps[:, 0], flat, flat[1:]):
-                op.dot(before, out=after)
-        else:
-            rows = list(buf)
-            for op, before, after in zip(maps, rows, rows[1:]):
-                np.matmul(op, before, out=after)
-        states = buf[..., 0]
-        step = states[1:, :, 1:] - states[:-1, :, 1:]
-        step *= step
-        # one row per run: its squared Bloch step at each collision of the
-        # chunk, summed as (x + y) + z
-        dist = ((step[..., 0] + step[..., 1]) + step[..., 2]).T
-        met, taken, streak[active] = _window(dist, tol, window, streak, left, active)
-        final[active] = states[taken, np.arange(active.size)]
-        n_used[active] += taken
-        converged[active] = met
-        if trails is not None:
-            for column, run in enumerate(active.tolist()):
-                trails[run].append(states[1 : taken[column] + 1, column, 1:].copy())
-        keep = ~met & (left > length)
-        group.retire(keep)
-        active = active[keep]
-    return final[:, 1:], n_used, converged
-
-
-def _run(state0: np.ndarray, engines: list[_Engine], trails: list | None = None):
-    """Advance every run from ``state0`` until it meets its own tolerance
-    window or uses its own budget: the deterministic runs in one
-    ``_run_fixed``, the random runs in one ``_run_drawn`` per group that
-    shares a mixing mode and a reservoir count.  Returns what the loops
-    return, each run's in input order; ``trails``, if given, holds one list
-    per run, and each loop is handed the lists of its own runs."""
-    groups: dict = {}
-    for i, e in enumerate(engines):
-        groups.setdefault((e.cfg.mixing_mode, len(e.reservoirs)) if e.random else None, []).append(i)
-    final = np.empty((len(engines), 3))
-    n_used = np.empty(len(engines), dtype=np.int64)
-    converged = np.empty(len(engines), dtype=bool)
+def _drive(state0: np.ndarray, engines: list[_Engine], groups: dict, trails: list | None = None):
+    """The one pass loop: advance every run from ``state0`` until it meets
+    its own tolerance window or uses its own budget.  ``groups`` maps None
+    to the deterministic runs, indices into ``engines``, and (mixing mode,
+    K) to the random runs that share them; each group gets one kernel.
+    Each pass tests the rows its kernel hands back with ``_window`` and
+    gives every other row what ``_window`` returns for a row with no step
+    under tol: not met, min(left, L) collisions taken and streak 0.  A run
+    retires at the pass where it stops, its state read at the collision it
+    stopped on.  Returns each run's final Bloch vector, collision count and
+    whether it converged.  ``trails``, if given, holds one list per run,
+    and each pass appends to a run's list the Bloch vectors after the
+    collisions it took."""
+    n = len(engines)
+    tol = np.array([e.cfg.tol for e in engines])
+    window = np.array([e.cfg.window for e in engines])
+    budget = np.array([e.cfg.max_collisions for e in engines])
+    final = np.tile(state0, (n, 1))
+    n_used = np.zeros(n, dtype=np.int64)
+    streak = np.zeros(n, dtype=np.int64)
+    converged = np.zeros(n, dtype=bool)
     for key, runs in groups.items():
         members = [engines[i] for i in runs]
-        kept = None if trails is None else [trails[i] for i in runs]
-        final[runs], n_used[runs], converged[runs] = (
-            _run_fixed(state0, members, kept) if key is None
-            else _run_drawn(state0, members, kept))
-    return final, n_used, converged
+        kernel = _MapPowers(members) if key is None else _MapGroup(members)
+        active = np.array(runs)  # the runs in the kernel's rows, in order
+        while active.size:
+            left = budget[active] - n_used[active]
+            length = int(min(kernel.length, left.max()))
+            states, rows, dist = kernel.advance(final[active], left, length, tol[active])
+            k = active.size
+            met = np.zeros(k, dtype=bool)
+            taken = np.minimum(left, length)
+            ends = np.zeros(k, dtype=np.int64)
+            if rows.size:
+                met[rows], taken[rows], ends[rows] = _window(dist, tol, window, streak, left[rows], active[rows])
+            streak[active] = ends
+            final[active, 1:] = states[np.arange(k), taken - 1]
+            n_used[active] += taken
+            converged[active] = met
+            if trails is not None:
+                for row, run in enumerate(active.tolist()):
+                    trails[run].append(states[row, : taken[row]].copy())
+            keep = ~met & (left > length)
+            kernel.retire(keep)
+            active = active[keep]
+    return final[:, 1:], n_used, converged
 
 
 def _bloch_fidelity(b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -852,11 +841,11 @@ def evolve_runs(
     window and budget evolve identically, so each such set advances once,
     as its first run, and every copy gets that run's result and trail; a
     copy's fidelity column is still measured against its own target.  The
-    distinct runs then go through the loops together, each recorded in a
-    trail of its own, and each result is bitwise what the run gives alone.  The
-    returned iterator builds each run's Trajectory from its trail only when
-    it reaches that run, so a caller that writes each before taking the
-    next holds the trails and one Trajectory at once.  With
+    distinct runs then go through the pass loop together, each recorded in
+    a trail of its own, and each result is bitwise what the run gives
+    alone.  The returned iterator builds each run's Trajectory from its
+    trail only when it reaches that run, so a caller that writes each
+    before taking the next holds the trails and one Trajectory at once.  With
     ``record=False`` every trajectory is empty; that changes nothing about
     the results.
     """
@@ -865,18 +854,19 @@ def evolve_runs(
     state0 = _initial(rho0)
     engines = [_Engine(reservoirs, cfg) for reservoirs, cfg, _ in runs]
     targets = [_target(e, target) for e, (_, _, target) in zip(engines, runs)]
-    # the runs that advance, and each run's slot among them; a random run is
-    # always its own
+    # the runs that advance, each run's slot among them, and the slots of
+    # each kernel's runs; a random run is always its own
     slot: dict = {}
-    distinct, owner = [], []
+    distinct, owner, groups = [], [], {}
     for i, e in enumerate(engines):
         key = i if e.random else (e.mean_op.tobytes(), e.cfg.tol, e.cfg.window, e.cfg.max_collisions)
         if key not in slot:
             slot[key] = len(distinct)
+            groups.setdefault((e.cfg.mixing_mode, len(e.reservoirs)) if e.random else None, []).append(len(distinct))
             distinct.append(i)
         owner.append(slot[key])
     trails = [[state0[None, 1:]] for _ in distinct] if record else None
-    b, n_used, converged = _run(state0, [engines[i] for i in distinct], trails)
+    b, n_used, converged = _drive(state0, [engines[i] for i in distinct], groups, trails)
     results = [_result(b[k], int(n_used[k]), bool(converged[k])) for k in owner]
     if trails is None:
         return ((Trajectory(np.arange(0), np.empty(0), np.empty((0, 3)), None), r) for r in results)

@@ -111,6 +111,18 @@ def test_sweep_thetas_noise_gives_each_point_its_own_stream():
         assert (p.sigma_z_ss.hex(), p.n_used, p.converged) == (alone.sigma_z_ss.hex(), alone.n_used, alone.converged)
 
 
+def test_sweep_thetas_noise_spawns_from_a_seed_sequence_as_from_its_int():
+    # a SeedSequence seed spawns point i's stream from its own entropy and
+    # spawn key, so SeedSequence(5) gives the streams seed 5 gives
+    noise = NoiseSpec(0.2, 0.05)
+    cfg = EngineConfig(max_collisions=300, tol=1e-12, seed=5)
+    tuples = [(0.4, 2.0), (0.4, 2.0), (1.0, 2.5)]
+    from_int = sweep_thetas(tuples, 0.1, cfg, noise=noise)
+    from_sequence = sweep_thetas(tuples, 0.1, dataclasses.replace(cfg, seed=np.random.SeedSequence(5)), noise=noise)
+    assert [(p.sigma_z_ss.hex(), p.n_used, p.converged) for p in from_sequence] == [
+        (p.sigma_z_ss.hex(), p.n_used, p.converged) for p in from_int]
+
+
 def test_generate_theta_dataset_shapes_and_range():
     data = generate_theta_dataset(42, dims=2)
     assert data.shape == (42, 2)

@@ -11,12 +11,12 @@ tests check those matrices against ``single_collision`` (unitary plus partial
 trace) on random inputs and check that they are affine in the ancilla's Bloch
 vector, the z-axis fixed point against its closed form, and the sign of a
 convex run's fixed point against its linear rule in the ancillas' Bloch z.
-The evolution loops advance runs a chunk of collisions at a time, the
-deterministic loop four chunks per pass and a random group chunks as long
-as its size allows, so their stopping rule is pinned at chunk and pass
-boundaries, and a batch of runs, mixed or not, recorded or not, must give
-bitwise what each run gives alone, trajectory and all, a lone random run
-across its longer chunks too.  Repeated deterministic runs must advance
+One pass loop advances runs through two kernels, a chunk of collisions at
+a time, the deterministic kernel four chunks per pass and a random group
+chunks as long as its size allows, so the stopping rule is pinned at chunk
+and pass boundaries, and a batch of runs, mixed or not, recorded or not,
+must give bitwise what each run gives alone, trajectory and all, a lone
+random run across its longer chunks too.  Repeated deterministic runs must advance
 once and each still get its own fidelity column.  A deterministic run's
 chunk is one product of its start state with powers of its map, its states
 in order, so it must agree with the per-collision product of drawn maps
@@ -24,12 +24,13 @@ and with the compiled map applied one collision at a time, and bitwise
 with a plain loop of one such product per chunk whose powers are stacked
 per Bloch component, an independent layout.
 The window rule is recounted one step at a time from a recorded trajectory,
-independently of how a chunk is laid out, and on drawn passes of the one
-window helper both loops call, at tols from the least positive double to
-ones whose (2 tol)^2 overflows.  The deterministic loop skips the window
-test on a pass whose steps a bound proves all above tol, so the loop must
-give the same bits with the bound disabled, and on every pass the bound
-clears every computed step's trace distance must reach tol.
+independently of how a chunk is laid out, and on drawn passes of the
+window helper the pass loop calls for both kernels, at tols from the least
+positive double to ones whose (2 tol)^2 overflows.  The deterministic kernel
+leaves out of the window test a pass whose steps a bound proves all above
+tol, so the loop must give the same bits with the bound disabled, and on
+every pass the bound clears every computed step's trace distance must
+reach tol.
 """
 
 import dataclasses
@@ -1067,9 +1068,9 @@ def test_step_bound_changes_no_bit(runs):
 
 
 def _open_passes(monkeypatch, engine, b0):
-    """Run one engine through the deterministic loop from Bloch vector
-    ``b0``, recorded, and return its states and the first collisions of
-    the passes the bound left to the window test."""
+    """Run one engine through the pass loop's deterministic kernel from
+    Bloch vector ``b0``, recorded, and return its states and the first
+    collisions of the passes the bound left to the window test."""
     window, opened = qsc.collision._window, []
 
     def spy(dist, tol, window_, streak, left, active):
@@ -1078,7 +1079,7 @@ def _open_passes(monkeypatch, engine, b0):
 
     monkeypatch.setattr(qsc.collision, "_window", spy)
     trail = [b0[None]]
-    qsc.collision._run_fixed(np.concatenate(([1.0], b0)), [engine], [trail])
+    qsc.collision._drive(np.concatenate(([1.0], b0)), [engine], {None: [0]}, [trail])
     return np.concatenate(trail), opened
 
 
@@ -1131,14 +1132,15 @@ def test_step_bound_clears_no_pass_without_steps(monkeypatch):
 @pytest.mark.parametrize("record", [True, False])
 def test_repeated_deterministic_runs_advance_once(monkeypatch, record):
     # Deterministic runs that share a compiled map, tol, window and budget
-    # evolve identically, so the deterministic loop advances each such map
-    # once: the reversed convex pair compiles to PASSES' map, while a looser
-    # tol or another map is a run of its own.  Random runs are never merged.
+    # evolve identically, so the deterministic kernel is built with each such
+    # map once: the reversed convex pair compiles to PASSES' map, while a
+    # looser tol or another map is a run of its own.  Random runs are never
+    # merged.
     advanced = {}
-    for name in ("_run_fixed", "_run_drawn"):
-        def spy(state0, engines, *rest, loop=getattr(qsc.collision, name), name=name):
+    for name in ("_MapPowers", "_MapGroup"):
+        def spy(engines, kernel=getattr(qsc.collision, name), name=name):
             advanced.setdefault(name, []).extend(e.mean_op.tobytes() for e in engines)
-            return loop(state0, engines, *rest)
+            return kernel(engines)
 
         monkeypatch.setattr(qsc.collision, name, spy)
     cfg = EngineConfig(max_collisions=3 * _PASS, tol=1e-6)
@@ -1147,8 +1149,8 @@ def test_repeated_deterministic_runs_advance_once(monkeypatch, record):
             (list(PASSES), cfg), (NOISY, cfg)]
     got = list(evolve_runs([(reservoirs, cfg, None) for reservoirs, cfg in runs], record=record))
     pair, other = _Engine(PASSES, cfg).mean_op.tobytes(), _Engine(settling(1.8), cfg).mean_op.tobytes()
-    assert advanced["_run_fixed"] == [pair, other, pair]
-    assert len(advanced["_run_drawn"]) == 2
+    assert advanced["_MapPowers"] == [pair, other, pair]
+    assert len(advanced["_MapGroup"]) == 2
     monkeypatch.undo()
     for (reservoirs, cfg), (traj, result) in zip(runs, got):
         expected, alone = evolve(None, reservoirs, cfg, record=record)
@@ -1317,10 +1319,10 @@ def test_drawn_convex_maps_are_each_collisions_mixture_bitwise(compositions, see
     engines = [e for e in engines if e.random]
     assume(engines)
     streams = [np.random.default_rng(e.cfg.seed) for e in engines]
-    # one group per reservoir count, as the random loop runs them
+    # one group per reservoir count, as the pass loop groups them
     for count in sorted({len(e.reservoirs) for e in engines}):
         columns = [run for run, e in enumerate(engines) if len(e.reservoirs) == count]
-        group = _MapGroup([engines[run] for run in columns], 8)
+        group = _MapGroup([engines[run] for run in columns])
         left = np.full(len(columns), 20)
         for chunk, length in enumerate((8, 8, 4)):
             maps = group.chunk(left, length)
@@ -1360,7 +1362,7 @@ def test_drawn_stochastic_maps_are_each_collisions_drawn_map_bitwise(seed):
     engines = [_Engine(reservoirs, EngineConfig(tau=0.7, mixing_mode="stochastic", seed=seed + i))
                for i, reservoirs in enumerate(STOCHASTIC_GROUP)]
     streams = [np.random.default_rng(e.cfg.seed) for e in engines]
-    group = _MapGroup(engines, 16)
+    group = _MapGroup(engines)
     columns, left = list(range(len(engines))), np.full(len(engines), 40)
     for chunk, length in enumerate((16, 16, 8)):
         maps = group.chunk(left, length)
