@@ -111,10 +111,11 @@ def sweep_thetas(
 
     Pairs also carry the scaled angle pi - (theta_1 + theta_2), as both
     ``phi_scaled`` and ``param_value``, since the response is plotted against
-    that single collapsed coordinate.  Under noise point i owns a private
-    stream, its config's seed replaced by the child SeedSequence(entropy,
-    spawn_key=spawn_key + (i,)) of the seed as a SeedSequence; for an int
-    seed that is SeedSequence(cfg.seed, spawn_key=(i,)).
+    that single collapsed coordinate.  A point that draws, under noise or
+    stochastic mixing, owns a private stream, its config's seed replaced by
+    the child SeedSequence(entropy, spawn_key=spawn_key + (i,)) of the seed
+    as a SeedSequence; for an int seed that is SeedSequence(cfg.seed,
+    spawn_key=(i,)).
     """
     tuples = [tuple(float(t) for t in entry) for entry in theta_tuples]
     if not tuples:
@@ -123,7 +124,7 @@ def sweep_thetas(
     runs = []
     for index, thetas in enumerate(tuples):
         reservoirs = [ReservoirSpec(theta=t, coupling=coupling, noise=noise) for t in thetas]
-        point = cfg if noise is None else replace(
+        point = cfg if noise is None and cfg.mixing_mode != "stochastic" else replace(
             cfg, seed=np.random.SeedSequence(base.entropy, spawn_key=base.spawn_key + (index,)))
         runs.append((reservoirs, point))
     phis = [math.pi - (thetas[0] + thetas[1]) if len(thetas) == 2 else None for thetas in tuples]

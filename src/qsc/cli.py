@@ -52,7 +52,7 @@ import os
 import sys
 from pathlib import Path
 
-from .collision import DEFAULT_SEED, NoiseSpec, ReservoirSpec
+from .collision import NoiseSpec, ReservoirSpec
 from .physical import TimingBudget, TransmonParams
 from .presets import (CUSTOM_READS, TRANSMON_TIMING, PresetOutcome, RunOptions, UnknownPreset, find_preset,
                       list_presets, run_custom, run_custom_sweep, run_preset, transmon_report)
@@ -148,9 +148,8 @@ def _parse_reservoir(block: dict, factor: float, where: str) -> ReservoirSpec:
     )
 
 
-def _parse_engine(block: dict, seed: int | None) -> dict:
-    """EngineConfig fields of an engine block; a --seed or QSC_SEED seed
-    replaces engine.seed."""
+def _parse_engine(block: dict) -> dict:
+    """EngineConfig fields of an engine block."""
     _check_keys(block, _ENGINE_KEYS, "engine")
     kwargs = {}
     for key in ("h", "tau", "tol"):
@@ -163,8 +162,6 @@ def _parse_engine(block: dict, seed: int | None) -> dict:
         _nonnegative_seed(kwargs["seed"], "engine.seed")
     if "mixing_mode" in block:
         kwargs["mixing_mode"] = block["mixing_mode"]
-    if seed is not None:
-        kwargs["seed"] = seed
     return kwargs
 
 
@@ -212,13 +209,13 @@ def _options(args, raw: dict, seed: int | None) -> RunOptions:
     if not isinstance(path, str):
         raise InvalidConfig(f"output.path must be a string, got {path!r}")
     return RunOptions(out_dir=Path(path) if args.out is None else args.out,
-                      seed=DEFAULT_SEED if seed is None else seed,
+                      seed=seed,
                       fmt=args.format or output.get("format", "csv"),
                       max_collisions=args.max_collisions, tol=args.tol,
                       convention=args.convention or "angular")
 
 
-def _run_custom(raw: dict, angle_unit: str | None, seed: int | None, opts: RunOptions) -> PresetOutcome:
+def _run_custom(raw: dict, angle_unit: str | None, opts: RunOptions) -> PresetOutcome:
     for key in ("reservoirs", "engine"):
         if key not in raw:
             raise InvalidConfig(f"custom configs must define {key!r}")
@@ -231,7 +228,7 @@ def _run_custom(raw: dict, angle_unit: str | None, seed: int | None, opts: RunOp
             _parse_reservoir(block, factor, f"reservoirs.{i}")
             for i, block in enumerate(config["reservoirs"])
         ]
-        return reservoirs, _parse_engine(config["engine"], seed)
+        return reservoirs, _parse_engine(config["engine"])
 
     sweep = raw.get("sweep")
     if sweep is None:
@@ -279,7 +276,7 @@ def cmd_run(args) -> int:
     _reject_unread(args, raw, name, reads)
     seed = _resolve_seed(args.seed) if "seed" in reads else None
     opts = _options(args, raw, seed)
-    outcome = _run_custom(raw, args.angle_unit, seed, opts) if custom else run_preset(name, opts)
+    outcome = _run_custom(raw, args.angle_unit, opts) if custom else run_preset(name, opts)
     for path in outcome.files:
         print(path)
     if not outcome.all_converged:

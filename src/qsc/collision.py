@@ -36,10 +36,11 @@ is well above tol, with the result the test would give.  The random kernel
 (``_MapGroup``) serves one group of runs that share a mixing mode and a
 reservoir count, forms their drawn maps together, a chunk at a time, and
 multiplies each run's maps one collision at a time; a convex group forms
-per chunk only the entries that noise moves, and a stochastic one only the
-map each collision draws.  Its chunk length comes from the group's size: a
-group of fewer runs takes longer chunks, in buffers no larger than a group
-of 42 runs takes.
+per chunk only the entries that noise moves, and takes the others from the
+mean map, and a stochastic one forms only the map each collision draws.  Its
+chunk length comes from the group's size alone: a group of fewer runs takes
+longer chunks, in buffers no larger than a group of 42 runs takes.  Neither
+kernel reads a run's budget; ``_drive`` alone does.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator, and ``EngineConfig.seed`` alone sets a random run's stream: each
@@ -50,8 +51,9 @@ row of uniforms on [0, 1), the stochastic channel choice first (stochastic
 mode only), then one noise draw per noisy reservoir in list order, in every
 mixing mode, so a stochastic collision also draws noise for the reservoirs
 it does not choose.  The kernel reads a chunk of collisions' rows at once,
-each run from its own generator; the rows a run draws past the collision it
-stops on are never read.
+each run from its own generator and every run the whole chunk; the rows a
+run draws past the collision it stops on, or past its budget, are never
+read, and the next call builds the generator afresh.
 """
 
 from __future__ import annotations
@@ -329,7 +331,6 @@ class _Engine:
         self.order = _canonical_order(reservoirs, self.weights)
         self.noisy = [i for i, op in enumerate(self.noise_ops) if op is not None]
         self.random = cfg.mixing_mode == "stochastic" or bool(self.noisy)
-        self.cum_weights = np.cumsum(self.weights)
         # Draws do not depend on the state, so E[rho] follows the mean map
         # exactly: noise at epsilon, stochastic choices as the convex sum.
         self.mean_op = self._compose([
@@ -353,7 +354,7 @@ class _MapGroup:
     """The random kernel: the random runs of one call that share a mixing
     mode and a reservoir count K, and the buffers their drawn maps are built
     in.  A group of g runs takes chunks of max(``_CHUNK``, ``_SLOTS`` // g)
-    collisions; where a chunk ends changes no bit.
+    collisions, sized from g alone; where a chunk ends changes no bit.
 
     Each run's reservoirs are stacked once, in the order the mode composes
     them: canonical for convex, list order otherwise, into the per-slot
@@ -375,16 +376,17 @@ class _MapGroup:
     ``moving`` entries, where some noise map is nonzero.  Every other entry
     is a sum from +0.0 of terms w * (base + epsilon * (+-0.0)): a nonzero
     base passes unchanged, and a zero one gives a zero whose sign a sum from
-    +0.0 drops, so the entry has the same bits every collision.  Those
+    +0.0 drops, so the entry has the same bits every collision, and those
+    of the run's mean map, ``_Engine.mean_op``, whose terms, summed in the
+    same order, differ from these at most in the sign of a zero.  These
     fixed entries are written once per layout of the maps, and only the
     moving ones are formed per chunk.
     """
 
     def __init__(self, engines: list[_Engine]):
         g = len(engines)
-        self.length = max(_CHUNK, _SLOTS // g)
         # every buffer holds the group's longest chunk
-        length = int(min(self.length, max(e.cfg.max_collisions for e in engines)))
+        self.length = length = max(_CHUNK, _SLOTS // g)
         self.mode = engines[0].cfg.mixing_mode
         k = len(engines[0].reservoirs)
         stochastic = self.mode == "stochastic"
@@ -397,7 +399,7 @@ class _MapGroup:
             noise.append([zero if e.noise_ops[r] is None else e.noise_ops[r] for r in order])
             eps0.append([s.epsilon for s in specs])
             eta.append([s.eta for s in specs])
-            weights.append(e.cum_weights if stochastic else e.weights[order])
+            weights.append(np.cumsum(e.weights) if stochastic else e.weights[order])
             dests.append([k] * stochastic + [order.index(r) for r in e.noisy])
         base, noise = np.array(base), np.array(noise)
         eps0, eta, weights = np.array(eps0), np.array(eta), np.array(weights)
@@ -424,15 +426,7 @@ class _MapGroup:
             self.cells = [divmod(int(entry), 4) for entry in self.moving]
             self.sum = np.empty(len(self.moving) * length * g)
             self.term = np.empty(len(self.moving) * length * g)
-            # the same sum as every chunk's, at epsilon = epsilon_0
-            fixed = np.zeros((g, 4, 4))
-            for s in range(k):
-                term = eps0[:, s, None, None] * noise[:, s]
-                term += base[:, s]
-                term *= weights[:, s, None, None]
-                fixed += term
-            fixed[:, 0, :] = _TRACE_ROW
-            self.fixed = fixed
+            self.fixed = np.array([e.mean_op for e in engines])
         else:
             self.base, self.noise, self.weights = base, noise, weights
             self.slot = np.empty(length * g * 16)
@@ -453,16 +447,15 @@ class _MapGroup:
         self.maps = np.empty(length * g * 16)
         self.layout = None
 
-    def chunk(self, left: np.ndarray, length: int) -> np.ndarray:
-        """Draw each run's next min(length, left) rows from its own stream and
+    def chunk(self, length: int) -> np.ndarray:
+        """Draw each run's next ``length`` rows from its own stream and
         return the maps of the next ``length`` collisions, shape (length,
-        runs, 4, 4); ``left`` is each run's remaining budget.  Past a run's
-        budget nothing is drawn, and its maps there are built from earlier
-        uniforms and never read."""
+        runs, 4, 4).  A run's rows past its budget, like those past the
+        collision it stops on, are never read."""
         k, _, g = self.eps0_rows.shape
         out = self.maps[: length * g * 16].reshape(length, g, 4, 4)
-        for rng, block, n in zip(self.rngs, self.blocks, np.minimum(left, length).tolist()):
-            rng.random(out=block[:n])
+        for rng, block in zip(self.rngs, self.blocks):
+            rng.random(out=block[:length])
         gather = self.gather[:, :length]
         u = self.u[: gather.size].reshape(gather.shape)
         np.take(self.drawn, gather, out=u, mode="clip")
@@ -531,7 +524,7 @@ class _MapGroup:
             np.matmul(op(s, slot), chain[s - 1], out=chain[s])
         return out
 
-    def advance(self, start: np.ndarray, left: np.ndarray, length: int, tol: np.ndarray):
+    def advance(self, start: np.ndarray, length: int, tol: np.ndarray):
         """Multiply each run's maps of the next ``length`` collisions into
         its column of a state buffer from ``start``, each run's (1, b).
         Returns the states as (runs, length, 3), every run as a row to
@@ -539,7 +532,7 @@ class _MapGroup:
         k = len(start)
         buf = np.empty((length + 1, k, 4, 1))
         buf[0, :, :, 0] = start
-        maps = self.chunk(left, length)
+        maps = self.chunk(length)
         if k == 1:
             # ndarray.dot on 2-D views calls the same dgemv as np.matmul on
             # the stacks, with less overhead per call
@@ -641,7 +634,8 @@ class _MapPowers:
     """The deterministic runs of one call and the powers of their maps.  A
     run's states in a chunk that starts from b are R^1 b ... R^length b, in
     order, one product with the ``_powers`` of its map R, built once per
-    call up to ``_CHUNK`` or the largest budget.  A pass chains four such
+    call up to ``_CHUNK`` whatever the runs' budgets: a shorter pass leaves
+    the states past its length unread.  A pass chains four such
     products, ``_PASS`` collisions, each chunk started from the last state
     of the one before, the last three rows of its product, so a pass's
     states follow one another and state t is one index.
@@ -698,12 +692,11 @@ class _MapPowers:
 
     def __init__(self, engines: list[_Engine]):
         self.length = _PASS
-        self.longest = int(min(_CHUNK, max(e.cfg.max_collisions for e in engines)))
-        self.powers = _powers(np.array([e.mean_op for e in engines]), self.longest)
+        self.powers = _powers(np.array([e.mean_op for e in engines]), _CHUNK)
         # the pass's products with the powers, one chunk of states at a time
         self.blocks = np.empty(len(engines) * 3 * _PASS)
 
-    def advance(self, start: np.ndarray, left: np.ndarray, length: int, tol: np.ndarray):
+    def advance(self, start: np.ndarray, length: int, tol: np.ndarray):
         """One pass of ``length`` collisions from ``start``, each run's
         (1, b).  Returns the states as (runs, length, 3), the rows the step
         bound leaves to the window test, and their squared Bloch steps, None
@@ -716,8 +709,8 @@ class _MapPowers:
         # and a view would move the pass's start state, from which its first
         # step is taken, and change the bits of fig3b, fig3c and fig5f.
         chain = start[:, :, None].copy()
-        for first in range(0, 3 * length, 3 * self.longest):
-            chunk = block[:, first : first + 3 * self.longest]
+        for first in range(0, 3 * length, 3 * _CHUNK):
+            chunk = block[:, first : first + 3 * _CHUNK]
             np.matmul(self.powers, chain, out=chunk)
             chain[:, 1:] = chunk[:, -3:]
         # state t of the pass, after its collision t + 1, is states[:, t]
@@ -773,7 +766,7 @@ def _drive(state0: np.ndarray, engines: list[_Engine], groups: dict, trails: lis
         while active.size:
             left = budget[active] - n_used[active]
             length = int(min(kernel.length, left.max()))
-            states, rows, dist = kernel.advance(final[active], left, length, tol[active])
+            states, rows, dist = kernel.advance(final[active], length, tol[active])
             k = active.size
             met = np.zeros(k, dtype=bool)
             taken = np.minimum(left, length)

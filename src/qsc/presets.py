@@ -9,8 +9,9 @@ Shared conventions across the catalog:
   in us.  A quoted frequency f enters the collision propagator with the
   standard 2*pi*f*tau phase (``convention="angular"``, the default);
   ``convention="ordinary"`` drops the 2*pi for the literal f*tau reading,
-* every random draw descends from ``RunOptions.seed``, so a preset rerun
-  with the same options is byte-identical.
+* every random draw descends from the run's ``EngineConfig.seed``, which
+  ``_cfg`` resolves, so a preset rerun with the same options is
+  byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .classifier import (
     sweep_couplings,
     sweep_thetas,
 )
-from .collision import DEFAULT_SEED, ORACLE, EngineConfig, NoiseSpec, ReservoirSpec, evolve_runs
+from .collision import ORACLE, EngineConfig, NoiseSpec, ReservoirSpec, evolve_runs
 
 # Trajectories call evolve_runs, but perfbench/tracer.py still patches the
 # single-run ``evolve`` bound here, and its self-tests require the name.
@@ -73,11 +74,11 @@ class UnknownPreset(KeyError):
 @dataclass(frozen=True)
 class RunOptions:
     """The knobs of one run.  A run reads only those its kind declares
-    (``Preset.reads``, ``CUSTOM_READS``) and ignores the rest; None leaves
-    the preset's or the config's own value alone."""
+    (``Preset.reads``, ``CUSTOM_READS``) and ignores the rest; None means
+    "not given" and leaves the preset's or the config's own value alone."""
 
     out_dir: Path
-    seed: int = DEFAULT_SEED
+    seed: int | None = None
     fmt: str = "csv"
     max_collisions: int | None = None
     tol: float | None = None
@@ -99,9 +100,12 @@ class PresetOutcome:
 
 
 def _cfg(opts: RunOptions, **overrides) -> EngineConfig:
-    """The engine of one run: the options' max_collisions and tol beat the
-    run's own values, and the options' seed fills in a missing one."""
-    overrides.setdefault("seed", opts.seed)
+    """The engine of one run, and the one place the seed order is applied:
+    the options' seed, max_collisions and tol, where given, beat the run's
+    own values (a config's engine.seed among them), and ``EngineConfig``'s
+    defaults sit behind both."""
+    if opts.seed is not None:
+        overrides["seed"] = opts.seed
     if opts.max_collisions is not None:
         overrides["max_collisions"] = opts.max_collisions
     if opts.tol is not None:
@@ -136,9 +140,9 @@ def _sweep_run(opts: RunOptions, cfg: EngineConfig, param_name: str,
     return PresetOutcome([path], all(p.converged for p in points))
 
 
-def _dataset_run(opts, points: list[LabeledPoint], feature_names) -> PresetOutcome:
+def _dataset_run(opts: RunOptions, cfg: EngineConfig, points: list[LabeledPoint], feature_names) -> PresetOutcome:
     dataset = _artifact(opts, "dataset")
-    writers.write_dataset(dataset, points, feature_names, opts.seed, opts.fmt)
+    writers.write_dataset(dataset, points, feature_names, cfg.seed, opts.fmt)
     verdict = Path(opts.out_dir) / "separability.json"
     writers.write_separability(verdict, check_linear_separability(points))
     return PresetOutcome([dataset, verdict], all(p.converged for p in points))
@@ -148,9 +152,9 @@ def _theta_dataset_run(opts: RunOptions, cfg: EngineConfig, dims: int, coupling:
                        noise: NoiseSpec | None = None) -> PresetOutcome:
     """42 random angle tuples of ``dims`` reservoirs at one equal coupling,
     classified, with their separability verdict."""
-    thetas = generate_theta_dataset(42, dims=dims, seed=opts.seed)
+    thetas = generate_theta_dataset(42, dims=dims, seed=cfg.seed)
     points = sweep_thetas(thetas, coupling, cfg, noise=noise)
-    return _dataset_run(opts, points, tuple(f"theta_{i + 1}" for i in range(dims)))
+    return _dataset_run(opts, cfg, points, tuple(f"theta_{i + 1}" for i in range(dims)))
 
 
 def _run_fig1e(opts: RunOptions) -> PresetOutcome:
@@ -212,7 +216,7 @@ def _run_fig3c(opts: RunOptions) -> PresetOutcome:
 def _run_fig4a(opts: RunOptions) -> PresetOutcome:
     cfg = _cfg(opts, tau=NOMINAL_TAU, max_collisions=100_000)
     points = sweep_couplings(np.linspace(-0.05, 0.05, 24), NOMINAL_J, cfg)
-    return _dataset_run(opts, points, ("j_1", "j_2"))
+    return _dataset_run(opts, cfg, points, ("j_1", "j_2"))
 
 
 def _run_fig4b(opts: RunOptions) -> PresetOutcome:

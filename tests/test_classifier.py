@@ -111,6 +111,20 @@ def test_sweep_thetas_noise_gives_each_point_its_own_stream():
         assert (p.sigma_z_ss.hex(), p.n_used, p.converged) == (alone.sigma_z_ss.hex(), alone.n_used, alone.converged)
 
 
+def test_sweep_thetas_stochastic_mixing_gives_each_point_its_own_stream():
+    # without noise a stochastic point still draws its channel choices, so
+    # point i runs on SeedSequence(cfg.seed, spawn_key=(i,)) as a noisy one
+    # does, and three equal angle tuples read three different states
+    cfg = EngineConfig(max_collisions=300, mixing_mode="stochastic")
+    points = sweep_thetas([(0.4, 2.0)] * 3, 0.1, cfg)
+    assert len({p.sigma_z_ss for p in points}) == 3
+    reservoirs = [ReservoirSpec(theta, 0.1) for theta in (0.4, 2.0)]
+    for i, p in enumerate(points):
+        own = dataclasses.replace(cfg, seed=np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        _, alone = evolve(None, reservoirs, own, record=False)
+        assert (p.sigma_z_ss.hex(), p.n_used, p.converged) == (alone.sigma_z_ss.hex(), alone.n_used, alone.converged)
+
+
 def test_sweep_thetas_noise_spawns_from_a_seed_sequence_as_from_its_int():
     # a SeedSequence seed spawns point i's stream from its own entropy and
     # spawn key, so SeedSequence(5) gives the streams seed 5 gives

@@ -392,7 +392,7 @@ def reservoir_block(spec: ReservoirSpec, factor: float) -> dict:
 @given(st.lists(RESERVOIRS, min_size=1, max_size=3), ENGINES)
 def test_config_parser_round_trips_specs(reservoirs, cfg):
     engine = json.loads(json.dumps(dataclasses.asdict(cfg)))
-    assert EngineConfig(**_parse_engine(engine, None)) == cfg
+    assert EngineConfig(**_parse_engine(engine)) == cfg
     for factor in (1.0, math.pi / 180.0):
         blocks = json.loads(json.dumps([reservoir_block(spec, factor) for spec in reservoirs]))
         parsed = [_parse_reservoir(block, factor, f"reservoirs.{i}") for i, block in enumerate(blocks)]
@@ -406,20 +406,26 @@ def test_config_parser_round_trips_specs(reservoirs, cfg):
 
 
 def test_seed_precedence(tmp_path, monkeypatch):
-    def header_seed(out_dir):
-        first = (out_dir / "trajectory.csv").read_text(encoding="utf-8").splitlines()[0]
+    # --seed > QSC_SEED > engine.seed, for a trajectory and for a sweep
+    # whose header carries its runs' seed
+    def header_seed(path):
+        first = path.read_text(encoding="utf-8").splitlines()[0]
         return first.removeprefix("# seed=")
 
-    config = write_config(tmp_path, {**BASE_CONFIG, "engine": {**BASE_CONFIG["engine"], "seed": 77}})
-    run_cli("run", "--config", config, "--out", tmp_path / "a")
-    assert header_seed(tmp_path / "a") == "77"
+    seeded = {**BASE_CONFIG, "engine": {**BASE_CONFIG["engine"], "seed": 77}}
+    sweep = {**seeded, "sweep": {"path": "reservoirs.0.coupling", "values": [0.05, 0.1]}}
+    for name, payload, artifact in (("plain", seeded, "trajectory.csv"), ("sweep", sweep, "sweep.csv")):
+        monkeypatch.delenv("QSC_SEED", raising=False)
+        config = write_config(tmp_path, payload, f"{name}.json")
+        run_cli("run", "--config", config, "--out", tmp_path / name / "a")
+        assert header_seed(tmp_path / name / "a" / artifact) == "77"
 
-    monkeypatch.setenv("QSC_SEED", "123")
-    run_cli("run", "--config", config, "--out", tmp_path / "b")
-    assert header_seed(tmp_path / "b") == "123"
+        monkeypatch.setenv("QSC_SEED", "123")
+        run_cli("run", "--config", config, "--out", tmp_path / name / "b")
+        assert header_seed(tmp_path / name / "b" / artifact) == "123"
 
-    run_cli("run", "--config", config, "--out", tmp_path / "c", "--seed", 9)
-    assert header_seed(tmp_path / "c") == "9"
+        run_cli("run", "--config", config, "--out", tmp_path / name / "c", "--seed", 9)
+        assert header_seed(tmp_path / name / "c" / artifact) == "9"
 
 
 def test_invalid_env_seed_exits_one(tmp_path, monkeypatch, capsys):

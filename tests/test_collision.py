@@ -1323,9 +1323,8 @@ def test_drawn_convex_maps_are_each_collisions_mixture_bitwise(compositions, see
     for count in sorted({len(e.reservoirs) for e in engines}):
         columns = [run for run, e in enumerate(engines) if len(e.reservoirs) == count]
         group = _MapGroup([engines[run] for run in columns])
-        left = np.full(len(columns), 20)
         for chunk, length in enumerate((8, 8, 4)):
-            maps = group.chunk(left, length)
+            maps = group.chunk(length)
             for t in range(length):
                 for column, run in enumerate(columns):
                     e = engines[run]
@@ -1334,12 +1333,11 @@ def test_drawn_convex_maps_are_each_collisions_mixture_bitwise(compositions, see
                         noise = e.reservoirs[i].noise
                         ops[i] = e.base_ops[i] + ((u * 2.0 - 1.0) * noise.eta + noise.epsilon) * e.noise_ops[i]
                     assert maps[t, column].tobytes() == e._compose(ops).tobytes()
-            left -= length
             # the first column retires after the first chunk
             keep = np.ones(len(columns), dtype=bool)
             keep[0] = chunk > 0 or len(columns) == 1
             group.retire(keep)
-            columns, left = [c for c, kept in zip(columns, keep) if kept], left[keep]
+            columns = [c for c, kept in zip(columns, keep) if kept]
 
 
 # Three-reservoir stochastic runs, two of them weighted: one with two noisy
@@ -1363,25 +1361,24 @@ def test_drawn_stochastic_maps_are_each_collisions_drawn_map_bitwise(seed):
                for i, reservoirs in enumerate(STOCHASTIC_GROUP)]
     streams = [np.random.default_rng(e.cfg.seed) for e in engines]
     group = _MapGroup(engines)
-    columns, left = list(range(len(engines))), np.full(len(engines), 40)
+    columns = list(range(len(engines)))
     for chunk, length in enumerate((16, 16, 8)):
-        maps = group.chunk(left, length)
+        maps = group.chunk(length)
         for t in range(length):
             for column, run in enumerate(columns):
                 e = engines[run]
                 row = streams[run].random(1 + len(e.noisy))
-                slot = min(int(np.searchsorted(e.cum_weights, row[0], side="right")), len(e.reservoirs) - 1)
+                slot = min(int(np.searchsorted(np.cumsum(e.weights), row[0], side="right")), len(e.reservoirs) - 1)
                 u = dict(zip(e.noisy, row[1:].tolist())).get(slot, 0.0)
                 noise = e.reservoirs[slot].noise or NoiseSpec(0.0, 0.0)
                 eps = (u * 2.0 - 1.0) * noise.eta + noise.epsilon
                 op = np.zeros((4, 4)) if e.noise_ops[slot] is None else e.noise_ops[slot]
                 assert maps[t, column].tobytes() == (eps * op + e.base_ops[slot]).tobytes()
-        left -= length
         # the first column retires after the first chunk
         keep = np.full(len(columns), True)
         keep[0] = chunk > 0
         group.retire(keep)
-        columns, left = [c for c, kept in zip(columns, keep) if kept], left[keep]
+        columns = [c for c, kept in zip(columns, keep) if kept]
 
 
 def test_choi_matrix_detects_a_non_positive_map():
