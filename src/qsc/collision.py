@@ -28,19 +28,25 @@ with tol, records trails and retires runs.  It takes each pass's states
 from one of two kernels, one per group of runs.  A deterministic run
 applies the same map R every collision, so the deterministic kernel
 (``_MapPowers``) forms a chunk's states R^1 b ... R^L b from the chunk's
-start state b with one product against powers of R cached for the call,
-and chains four such products per pass, each started from the last state
-of the chunk before.  Steps never grow under a map that keeps the Bloch
-ball, so it leaves out of the window test a run whose last step of a pass
-is well above tol, with the result the test would give.  The random kernel
+start state b with one product against powers of R cached for the call.
+Each pass it first takes every run from chunk end to chunk end, one small
+product per chunk with the rows of R^(L - 1) and R^L alone.  Steps never
+grow under a map that keeps the Bloch ball, so a chunk whose last step is
+well above tol cannot close a window: a run advances through such chunks
+with the result the window test would give, and only a run whose next
+chunk is not proven clear gets a pass of full states, four chunks, for the
+test.  A recorded call forms every run's states, a pass of four chunks at a
+time; an unrecorded one, every sweep's, forms no state but the chunk ends,
+the window-tested passes and each run's last state.  The random kernel
 (``_MapGroup``) serves one group of runs that share a mixing mode and a
 reservoir count, forms their drawn maps together, a chunk at a time, and
 multiplies each run's maps one collision at a time; a convex group forms
 per chunk only the entries that noise moves, and takes the others from the
 mean map, and a stochastic one forms only the map each collision draws.  Its
 chunk length comes from the group's size alone: a group of fewer runs takes
-longer chunks, in buffers no larger than a group of 42 runs takes.  Neither
-kernel reads a run's budget; ``_drive`` alone does.
+longer chunks, in buffers no larger than a group of 42 runs takes.  Only
+``_drive`` reads a run's budget; each pass it hands the kernels the
+collisions each run has left.
 
 Randomness (stochastic mixing, preparation noise) comes from numpy's PCG64
 generator, and ``EngineConfig.seed`` alone sets a random run's stream: each
@@ -88,31 +94,34 @@ ORACLE = "oracle"
 
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])
 
-# Collisions per chunk of the kernels, and per pass of the deterministic
-# kernel.  The K deterministic runs of a call share a stack of the Bloch
-# rows of their maps' powers, K * _CHUNK * 12 doubles, about 0.5 MB at
-# K = 42, built once per call.  A pass's products with it take K * _PASS
-# * 3 doubles (about 0.5 MB), allocated once per call; each run a pass
-# window-tests, usually a few, takes about 8 * _PASS doubles of states and
-# steps.  A group of K random runs takes chunks of L = max(_CHUNK, _SLOTS //
-# K) collisions, so L * K is at most 42 runs' worth at _CHUNK.  It multiplies
-# into its own buffer of (L + 1) * K * 4 doubles of states, and about 5 * L *
-# K of steps.  Its maps are built in buffers allocated once per call and
-# reused every chunk: L * K * 16 doubles of maps, two sums of L * K doubles
-# per moving entry (convex; four on a fig7 run), two more map buffers
-# (sequential) or one and L * K picked slots (stochastic), and L * K doubles
-# of draws, uniforms, strengths and gather indices per slot, about 1.4 MB
-# for a noisy convex sweep at K = 42 with two reservoirs.  A longer chunk
-# would form states from higher powers of R, which round differently, so a
-# pass chains chunks instead; a longer random chunk would raise a noisy
-# sweep's memory.
+# Collisions per chunk of the kernels, per pass of the deterministic kernel's
+# states, and per pass of its chunk ends in an unrecorded call.  The K
+# deterministic runs of a call share a stack of the Bloch rows of their
+# maps' powers, K * _CHUNK * 12 doubles, about 0.5 MB at K = 42, built once
+# per call.  A pass's products with it take K * _PASS * 3 doubles (about 0.5
+# MB), allocated once per call; each run a pass window-tests, usually a
+# few, takes about 8 * _PASS doubles of states and steps.  Its chunk ends
+# take a stack of K * 28 doubles and 7 doubles per run and chunk end of a
+# pass, allocated once per call, about 80 KB at K = 42 unrecorded.  A group
+# of K random runs takes chunks of L = max(_CHUNK, _SLOTS // K) collisions,
+# so L * K is at most 42 runs' worth at _CHUNK.  It multiplies into its own
+# buffer of (L + 1) * K * 4 doubles of states, and about 5 * L * K of steps.
+# Its maps are built in buffers allocated once per call and reused every
+# chunk: L * K * 16 doubles of maps, two sums of L * K doubles per moving
+# entry (convex; four on a fig7 run), two more map buffers (sequential) or
+# one and L * K picked slots (stochastic), and L * K doubles of draws,
+# uniforms, strengths and gather indices per slot, about 1.4 MB for a noisy
+# convex sweep at K = 42 with two reservoirs.  A longer chunk would form
+# states from higher powers of R, which round differently, so a pass chains
+# chunks instead; a longer random chunk would raise a noisy sweep's memory.
 _CHUNK = 128
 _PASS = 4 * _CHUNK
+_SPAN = 32 * _CHUNK
 _SLOTS = 42 * _CHUNK
 
-# Slacks of the bound that lets a deterministic pass skip its window test
+# Slacks of the bound that lets a deterministic chunk skip its window test
 # (``_MapPowers`` derives them): the distance of a computed step from the
-# exact one, and the relative growth and rounding of a step over a pass.
+# exact one, and the relative growth and rounding of a step over a chunk.
 _STEP_SLACK = 3e-11
 _GROWTH_SLACK = 1e-8
 
@@ -524,12 +533,13 @@ class _MapGroup:
             np.matmul(op(s, slot), chain[s - 1], out=chain[s])
         return out
 
-    def advance(self, start: np.ndarray, length: int, tol: np.ndarray):
-        """Multiply each run's maps of the next ``length`` collisions into
-        its column of a state buffer from ``start``, each run's (1, b).
-        Returns the states as (runs, length, 3), every run as a row to
-        window-test, and the rows' squared Bloch steps."""
+    def advance(self, start: np.ndarray, left: np.ndarray, tol: np.ndarray):
+        """Multiply each run's maps of the next ``length`` collisions, at
+        most a chunk and the most any run has ``left``, into its column of a
+        state buffer from ``start``, each run's (1, b).  Returns what
+        ``_MapPowers.advance`` returns, with every run a row to window-test."""
         k = len(start)
+        length = int(min(self.length, left.max()))
         buf = np.empty((length + 1, k, 4, 1))
         buf[0, :, :, 0] = start
         maps = self.chunk(length)
@@ -549,7 +559,7 @@ class _MapGroup:
         step = states[1:, :, 1:] - states[:-1, :, 1:]
         step *= step
         dist = ((step[..., 0] + step[..., 1]) + step[..., 2]).T
-        return states[1:, :, 1:].transpose(1, 0, 2), np.arange(k), dist
+        return states[1:, :, 1:].transpose(1, 0, 2), np.arange(k), dist, np.minimum(left, length), np.empty((k, 3))
 
     def retire(self, keep: np.ndarray) -> None:
         """Drop the runs whose entry of ``keep`` is False."""
@@ -632,30 +642,46 @@ def _window(dist: np.ndarray, tol: np.ndarray, window: np.ndarray, streak: np.nd
 
 class _MapPowers:
     """The deterministic runs of one call and the powers of their maps.  A
-    run's states in a chunk that starts from b are R^1 b ... R^length b, in
+    run's states in a chunk that starts from b are R^1 b ... R^_CHUNK b, in
     order, one product with the ``_powers`` of its map R, built once per
-    call up to ``_CHUNK`` whatever the runs' budgets: a shorter pass leaves
-    the states past its length unread.  A pass chains four such
-    products, ``_PASS`` collisions, each chunk started from the last state
-    of the one before, the last three rows of its product, so a pass's
-    states follow one another and state t is one index.
+    call up to ``_CHUNK`` whatever the runs' budgets.  Chunks start every
+    ``_CHUNK`` collisions from a run's start, so a state has the same bits
+    whichever pass forms it.
 
-    Most passes cannot close a window: every step of the pass is far above
-    tol.  A run whose last step of the pass proves that skips the squared
-    steps and the window test for the pass, and gets what ``_window``
-    returns for a row with no step under tol: not met, min(left, L)
-    collisions taken and streak 0, L being the pass's length.  Every state
-    is still formed by the same products, so every result keeps its bits.
+    A pass first takes every run from chunk end to chunk end: one product
+    of ``ends``, the (K, 7, 4) stack of the Bloch rows of R^(_CHUNK - 1),
+    the trace row and the Bloch rows of R^_CHUNK, with a chunk's start
+    gives its last two states, the last as (1, b), the next chunk's start.
+    Their Bloch rows are the last six rows of the chunk's full product,
+    with its bits: a matrix-vector product forms each row as the same four
+    products of the same operands, summed in the same order, whatever rows
+    stand beside it, and the trace row gives exactly 1.  So every state
+    formed from a chunk end is the one a chain of full products gives; a
+    test pins that an unrecorded run equals the recorded one bitwise.
+
+    Most chunks cannot close a window: every step in them is far above
+    tol.  The step bound below proves that from a chunk's last step, so a
+    run advances through the chunks it clears from the pass's start, and
+    gets what ``_window`` returns for steps none of which is under tol: not
+    met and streak 0.  Those chunks need no state but their ends, and where
+    the run's budget ends inside one, the rows of that power give its last
+    state.  A run whose first chunk the bound leaves open takes the window
+    test over ``_PASS`` collisions, whose states one product of its whole
+    stack with each chunk's start forms.  A recorded call forms every run's
+    states and passes ``_PASS`` collisions at a time; an unrecorded one,
+    which reads nothing but each run's last state, forms the window-tested
+    runs' states alone and passes ``_SPAN`` collisions of chunk ends at a
+    time.
 
     The bound.  A run's map b -> M b + c keeps the unit Bloch ball, so |M|
     <= 1 in the 2-norm (for a unit b, M b is half the difference of the
-    images of b and -b), and the exact iterates from the pass's start have
-    steps D_(n+1) = M D_n that never grow: the last step of the pass is
-    its least.  The stored map keeps the ball only up to rounding and the
+    images of b and -b), and the exact iterates from a chunk's start have
+    steps D_(n+1) = M D_n that never grow: the chunk's last step is its
+    least.  The stored map keeps the ball only up to rounding and the
     1e-12 by which convex weights may miss one, so a step may grow by a
-    factor 1 + 1e-12 a collision, under 1 + 6e-10 over a pass.  If every
+    factor 1 + 1e-12 a collision, under 1 + 2e-10 over a chunk.  If every
     computed step lies within s of the exact one, every computed step of
-    the pass is at least
+    the chunk is at least
 
         l = |last computed step| (1 - q) - 2 s,
 
@@ -665,13 +691,13 @@ class _MapPowers:
     Stability of Numerical Algorithms, 3.5) and those of l and l^2.  A
     correctly rounded square root is monotone, so d >= fl(l^2) gives
     0.5 sqrt(d) >= 0.5 sqrt(fl(l^2)), and a run with l > 0 and
-    0.5 sqrt(fl(l^2)) >= tol has no step under tol in the pass.
+    0.5 sqrt(fl(l^2)) >= tol has no step under tol in the chunk.
 
     The slack s = ``_STEP_SLACK``.  Let u = 2^-53 and g = 4u / (1 - 4u),
     the bound on the relative error of a sum of four products.  |c| <= 1
     and the states' |b| <= 1 as well, and an error in a state passes
     through M^n without growing.  Against the exact iterates from the
-    pass's start, a computed step errs by at most the sum of:
+    chunk's computed start, a computed step errs by at most the sum of:
 
     * the powers: R^n = R R^(n-1) up to n = 128, 127 products, with row 0
       exactly (1, 0, 0, 0).  Product k adds F_k, |F_k| <= g |R| |R^(k-1)|
@@ -679,54 +705,76 @@ class _MapPowers:
       |w| <= |c| + |M|_F |b| <= 1 + sqrt(3), and |R| (1, w) one of norm
       at most 1 + sqrt(3) (1 + sqrt(3)) = 4 + sqrt(3).  Each product moves
       a state by at most g (4 + sqrt(3)) < 2.6e-15, and all by 3.3e-13;
-    * the gemv: g (1 + sqrt(3)) < 1.3e-15 per state;
-    * the chained chunk starts: a chunk starts from the computed last state
-      of the one before and carries its error on, so over four chunks a
-      state lies within 4 (3.3e-13 + 1.3e-15) < 1.4e-12 of the exact one;
+    * the gemv: g (1 + sqrt(3)) < 1.3e-15 per state, so a state lies
+      within 3.4e-13 of the exact one;
     * the subtraction: a step is the difference of two such states,
-      rounded once, u |step| <= 2.3e-16, so it errs by under 2.7e-12.
+      rounded once, u |step| <= 2.3e-16, so it errs by under 7e-13.
 
-    s = 3e-11 is more than ten times that bound.  A last step within 2s of
-    zero never clears, so neither tau = 0 (M = I, no step) nor a NaN step
-    ever does, nor a pass close to the run's fixed point."""
+    s = 3e-11 is more than forty times that bound.  A last step within 2s
+    of zero never clears, so neither tau = 0 (M = I, no step) nor a NaN
+    step ever does, nor a chunk close to the run's fixed point."""
 
-    def __init__(self, engines: list[_Engine]):
-        self.length = _PASS
+    def __init__(self, engines: list[_Engine], record: bool):
+        k = len(engines)
+        self.record = record
+        self.span = _PASS if record else _SPAN
         self.powers = _powers(np.array([e.mean_op for e in engines]), _CHUNK)
-        # the pass's products with the powers, one chunk of states at a time
-        self.blocks = np.empty(len(engines) * 3 * _PASS)
+        # the Bloch rows of R^(_CHUNK - 1), the trace row and the Bloch rows
+        # of R^_CHUNK: a product with a chunk's start gives its last two
+        # states, the last as (1, b), the next chunk's start
+        self.ends = np.concatenate((self.powers[:, -6:-3], np.tile(_TRACE_ROW, (k, 1, 1)), self.powers[:, -3:]),
+                                   axis=1)
+        # the pass's chunk ends, after its start, and the full products of
+        # the runs it forms
+        self.tails = np.empty((self.span // _CHUNK + 1, k, 7, 1))
+        self.blocks = np.empty(k * 3 * _PASS)
 
-    def advance(self, start: np.ndarray, length: int, tol: np.ndarray):
-        """One pass of ``length`` collisions from ``start``, each run's
-        (1, b).  Returns the states as (runs, length, 3), the rows the step
-        bound leaves to the window test, and their squared Bloch steps, None
-        if it leaves none."""
+    def advance(self, start: np.ndarray, left: np.ndarray, tol: np.ndarray):
+        """One pass from ``start``, each run's (1, b), with ``left``
+        collisions left to each run.  Returns the states the pass forms as
+        (runs, L, 3), L at most ``_PASS``, the rows the step bound leaves to
+        the window test and their squared Bloch steps, None if it leaves
+        none, the collisions each run takes unless its window closes, and
+        each run's state after them; the last is for the rows not tested."""
         k = len(start)
-        block = self.blocks[: k * 3 * _PASS].reshape(k, 3 * _PASS, 1)
-        # each chunk's start state (1, b), the last state of the chunk
-        # before.  It must be a fresh C-contiguous (k, 4, 1) array, not a
-        # (k, 4)[:, :, None] view of ``start``: each chunk writes into it,
-        # and a view would move the pass's start state, from which its first
-        # step is taken, and change the bits of fig3b, fig3c and fig5f.
-        chain = start[:, :, None].copy()
-        for first in range(0, 3 * length, 3 * _CHUNK):
-            chunk = block[:, first : first + 3 * _CHUNK]
-            np.matmul(self.powers, chain, out=chunk)
-            chain[:, 1:] = chunk[:, -3:]
+        length = int(min(self.span, left.max()))
+        chunks = -(-length // _CHUNK)
+        # chunk c starts from starts[c], each run's (1, b), and its last two
+        # states are ends[c]
+        tails = self.tails[: chunks + 1, :k]
+        starts, ends = tails[..., 3:, :], tails[1:, ..., 0]
+        starts[0, ..., 0] = start
+        for chunk in range(chunks):
+            np.matmul(self.ends, starts[chunk], out=tails[chunk + 1])
+        # the least step of each chunk its last step proves, and the chunks
+        # each run clears from the pass's start
+        step = ends[..., 4:] - ends[..., :3]
+        least = np.sqrt(np.einsum("...i,...i->...", step, step)) * (1.0 - _GROWTH_SLACK) - 2.0 * _STEP_SLACK
+        cleared = (least > 0.0) & (0.5 * np.sqrt(least * least) >= tol)
+        clear = np.where(cleared.all(axis=0), chunks, cleared.argmin(axis=0))
+        rows = np.flatnonzero(clear == 0)
+        taken = np.minimum(left, np.where(clear, clear * _CHUNK, _PASS))
+        last = ends[(taken - 1) // _CHUNK, np.arange(k), 4:]
+        for row in np.flatnonzero((clear > 0) & (taken % _CHUNK != 0)).tolist():
+            # a budget that ends inside a cleared chunk
+            chunk, n = divmod(int(taken[row]), _CHUNK)
+            last[row] = (self.powers[row, 3 * n - 3 : 3 * n] @ starts[chunk, row])[:, 0]
+        # full states over the pass's first _PASS collisions, for the runs
+        # left to the window test, or for every run of a recorded call
+        length = min(length, _PASS)
+        block = self.blocks[: k * 3 * _PASS].reshape(k, _PASS // _CHUNK, 3 * _CHUNK, 1)
+        formed = -(-length // _CHUNK)
+        for row in range(k) if self.record else rows.tolist():
+            np.matmul(self.powers[row], starts[:formed, row], out=block[row, :formed])
         # state t of the pass, after its collision t + 1, is states[:, t]
         states = block.reshape(k, _PASS, 3)[:, :length]
-        # the least step of the pass each run's last step proves
-        last_step = states[:, -1] - (states[:, -2] if length > 1 else start[:, 1:])
-        least = np.sqrt(np.einsum("ij,ij->i", last_step, last_step)) * (1.0 - _GROWTH_SLACK) - 2.0 * _STEP_SLACK
-        cleared = (least > 0.0) & (0.5 * np.sqrt(least * least) >= tol)
-        rows = np.flatnonzero(~cleared)
         if not rows.size:
-            return states, rows, None
+            return states, rows, None, taken, last
         # each open run's squared Bloch step at each collision, from the
         # pass's start on, summed as (x + y) + z
         step = np.diff(np.concatenate((start[rows, None, 1:], states[rows]), axis=1), axis=1)
         step *= step
-        return states, rows, (step[..., 0] + step[..., 1]) + step[..., 2]
+        return states, rows, (step[..., 0] + step[..., 1]) + step[..., 2], taken, last
 
     def retire(self, keep: np.ndarray) -> None:
         """Drop the runs whose entry of ``keep`` is False."""
@@ -735,7 +783,8 @@ class _MapPowers:
             # move the kept rows down in place, so no second stack is made
             for row, source in enumerate(kept):
                 self.powers[row] = self.powers[source]
-            self.powers = self.powers[: kept.size]
+                self.ends[row] = self.ends[source]
+            self.powers, self.ends = self.powers[: kept.size], self.ends[: kept.size]
 
 
 def _drive(state0: np.ndarray, engines: list[_Engine], groups: dict, trails: list | None = None):
@@ -743,14 +792,14 @@ def _drive(state0: np.ndarray, engines: list[_Engine], groups: dict, trails: lis
     its own tolerance window or uses its own budget.  ``groups`` maps None
     to the deterministic runs, indices into ``engines``, and (mixing mode,
     K) to the random runs that share them; each group gets one kernel.
-    Each pass tests the rows its kernel hands back with ``_window`` and
-    gives every other row what ``_window`` returns for a row with no step
-    under tol: not met, min(left, L) collisions taken and streak 0.  A run
-    retires at the pass where it stops, its state read at the collision it
-    stopped on.  Returns each run's final Bloch vector, collision count and
-    whether it converged.  ``trails``, if given, holds one list per run,
-    and each pass appends to a run's list the Bloch vectors after the
-    collisions it took."""
+    Each pass hands each kernel the collisions every run has left, tests
+    the rows the kernel hands back with ``_window`` and gives every other
+    row what the kernel proved of it: not met, the collisions it takes and
+    streak 0.  A run retires at the pass where it stops, its state read at
+    the collision it stopped on.  Returns each run's final Bloch vector,
+    collision count and whether it converged.  ``trails``, if given, holds
+    one list per run, and each pass appends to a run's list the Bloch
+    vectors after the collisions it took."""
     n = len(engines)
     tol = np.array([e.cfg.tol for e in engines])
     window = np.array([e.cfg.window for e in engines])
@@ -761,26 +810,25 @@ def _drive(state0: np.ndarray, engines: list[_Engine], groups: dict, trails: lis
     converged = np.zeros(n, dtype=bool)
     for key, runs in groups.items():
         members = [engines[i] for i in runs]
-        kernel = _MapPowers(members) if key is None else _MapGroup(members)
+        kernel = _MapPowers(members, trails is not None) if key is None else _MapGroup(members)
         active = np.array(runs)  # the runs in the kernel's rows, in order
         while active.size:
             left = budget[active] - n_used[active]
-            length = int(min(kernel.length, left.max()))
-            states, rows, dist = kernel.advance(final[active], length, tol[active])
+            states, rows, dist, taken, last = kernel.advance(final[active], left, tol[active])
             k = active.size
             met = np.zeros(k, dtype=bool)
-            taken = np.minimum(left, length)
             ends = np.zeros(k, dtype=np.int64)
             if rows.size:
                 met[rows], taken[rows], ends[rows] = _window(dist, tol, window, streak, left[rows], active[rows])
+                last[rows] = states[rows, taken[rows] - 1]
             streak[active] = ends
-            final[active, 1:] = states[np.arange(k), taken - 1]
+            final[active, 1:] = last
             n_used[active] += taken
             converged[active] = met
             if trails is not None:
                 for row, run in enumerate(active.tolist()):
                     trails[run].append(states[row, : taken[row]].copy())
-            keep = ~met & (left > length)
+            keep = ~met & (left > taken)
             kernel.retire(keep)
             active = active[keep]
     return final[:, 1:], n_used, converged

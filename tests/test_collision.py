@@ -12,12 +12,13 @@ trace) on random inputs and check that they are affine in the ancilla's Bloch
 vector, the z-axis fixed point against its closed form, and the sign of a
 convex run's fixed point against its linear rule in the ancillas' Bloch z.
 One pass loop advances runs through two kernels, a chunk of collisions at
-a time, the deterministic kernel four chunks per pass and a random group
-chunks as long as its size allows, so the stopping rule is pinned at chunk
+a time, the deterministic kernel through chunk ends and four-chunk passes
+of full states and a random group chunks as long as its size allows, so the stopping rule is pinned at chunk
 and pass boundaries, and a batch of runs, mixed or not, recorded or not,
 must give bitwise what each run gives alone, trajectory and all, a lone
 random run across its longer chunks too.  Repeated deterministic runs must advance
-once and each still get its own fidelity column.  A deterministic run's
+once and each still get its own fidelity column, and an unrecorded sweep
+must form a run's full states in few passes.  A deterministic run's
 chunk is one product of its start state with powers of its map, its states
 in order, so it must agree with the per-collision product of drawn maps
 and with the compiled map applied one collision at a time, and bitwise
@@ -27,14 +28,15 @@ The window rule is recounted one step at a time from a recorded trajectory,
 independently of how a chunk is laid out, and on drawn passes of the
 window helper the pass loop calls for both kernels, at tols from the least
 positive double to ones whose (2 tol)^2 overflows.  The deterministic kernel
-leaves out of the window test a pass whose steps a bound proves all above
-tol, so the loop must give the same bits with the bound disabled, and on
-every pass the bound clears every computed step's trace distance must
-reach tol.
+leaves out of the window test a chunk whose steps a bound proves all above
+tol, and an unrecorded call forms only the chunk ends of such chunks, so
+the loop must give the same bits with the bound disabled, an unrecorded run
+the bits of the recorded one, and in every chunk the bound clears, recorded
+or not, every computed step's trace distance must reach tol.
 """
 
+import collections
 import dataclasses
-import itertools
 import math
 import random
 import tracemalloc
@@ -51,6 +53,7 @@ from qsc.collision import (
     _CHUNK,
     _PASS,
     _SLOTS,
+    _SPAN,
     DEFAULT_SEED,
     MIXING_MODES,
     ORACLE,
@@ -73,7 +76,7 @@ from qsc.collision import (
     transfer_matrix,
 )
 from qsc.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, NonHermitianInput, dagger, kron, trace_distance
-from qsc.presets import PHYS_H_MHZ, PHYS_J_MHZ, PHYS_TAU_US
+from qsc.presets import PHYS_H_MHZ, PHYS_J_MHZ, PHYS_TAU_US, RunOptions, run_preset
 from qsc.states import AngleOutOfRange, bloch_to_density, bloch_vector, fidelity, pure_qubit
 
 J_NOMINAL = 0.1
@@ -1044,10 +1047,10 @@ def _outcomes(runs):
 
 
 # Three runs in one pass loop.  The first two share a map and clear their
-# first pass; in the second pass the first starts a streak at collision 555
-# and carries it out into its third pass, and the second closes its window.
-# The third clears every pass, its budget ending mid-pass, while the others
-# are tested.
+# first four chunks; the first then starts a streak at collision 555 and
+# carries it out of its window-tested pass, and the second clears one more
+# chunk and then closes its window.  The third clears every chunk, its budget
+# ending inside one, while the others are tested.
 CLEARED_AND_OPEN = [
     (PASSES, EngineConfig(h=0.7, tau=1.0, tol=1e-8, window=600, max_collisions=12 * _CHUNK)),
     (PASSES, EngineConfig(h=0.7, tau=1.0, tol=1e-12, window=30, max_collisions=12 * _CHUNK)),
@@ -1067,19 +1070,20 @@ def test_step_bound_changes_no_bit(runs):
     assert _outcomes(runs) == tested
 
 
-def _open_passes(monkeypatch, engine, b0):
+def _open_passes(monkeypatch, engine, b0, record):
     """Run one engine through the pass loop's deterministic kernel from
-    Bloch vector ``b0``, recorded, and return its states and the first
-    collisions of the passes the bound left to the window test."""
+    Bloch vector ``b0``, recorded or not, and return its recorded states and
+    the first collisions of the passes the bound left to the window test."""
     window, opened = qsc.collision._window, []
 
     def spy(dist, tol, window_, streak, left, active):
         opened.append(engine.cfg.max_collisions - int(left[0]))
         return window(dist, tol, window_, streak, left, active)
 
+    start, trail = np.concatenate(([1.0], b0)), [b0[None]]
+    qsc.collision._drive(start, [engine], {None: [0]}, [trail])
     monkeypatch.setattr(qsc.collision, "_window", spy)
-    trail = [b0[None]]
-    qsc.collision._drive(np.concatenate(([1.0], b0)), [engine], {None: [0]}, [trail])
+    qsc.collision._drive(start, [engine], {None: [0]}, [[]] if record else None)
     return np.concatenate(trail), opened
 
 
@@ -1097,36 +1101,78 @@ def _map(sigma_min, rng):
     return r
 
 
+@pytest.mark.parametrize("record", [True, False])
 @PROPERTY
 @given(st.sampled_from([1.0, 1.0 - 1e-6, 1.0 - 1e-4, 0.999, 0.99, 0.9, 0.5, 0.0]),
        st.sampled_from([1e-13, 1e-11, 1e-9, 1e-6, 1e-3]), st.integers(0, 2**32 - 1))
-def test_step_bound_is_sound(sigma_min, tol, seed):
-    # on every pass the bound clears, every computed step's trace distance
+def test_step_bound_is_sound(record, sigma_min, tol, seed):
+    # in every chunk the bound clears, every computed step's trace distance
     # is at or above tol, so the window test could not have found one under
-    # tol
+    # tol; every collision outside the passes the window test saw lies in
+    # such a chunk
     rng = np.random.default_rng(seed)
     cfg = EngineConfig(tol=tol, window=6 * _PASS, max_collisions=6 * _PASS + 37)
     engine = types.SimpleNamespace(mean_op=_map(sigma_min, rng), cfg=cfg)
     b0 = rng.normal(size=3)
     b0 *= rng.uniform(0.0, 1.0) / np.linalg.norm(b0)
     with pytest.MonkeyPatch.context() as patch:
-        states, opened = _open_passes(patch, engine, b0)
-    cleared = [p for p in range(0, cfg.max_collisions, _PASS) if p not in opened]
-    for p in cleared:
-        for (x0, y0, z0), (x1, y1, z1) in itertools.pairwise(states[p : p + _PASS + 1].tolist()):
-            dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
-            assert 0.5 * math.sqrt((dx * dx + dy * dy) + dz * dz) >= tol
+        states, opened = _open_passes(patch, engine, b0, record)
+    tested = np.zeros(len(states) - 1, dtype=bool)
+    for first in opened:
+        assert first % _CHUNK == 0
+        tested[first : first + _PASS] = True
+    # the squared steps summed as (x + y) + z, as the window test sums them
+    step = np.diff(states, axis=0)[~tested]
+    step *= step
+    assert np.all(0.5 * np.sqrt((step[:, 0] + step[:, 1]) + step[:, 2]) >= tol)
     if sigma_min == 1.0 and np.linalg.norm(states[1] - states[0]) > 2.0 * tol + 1e-9:
         # a rotation keeps every step the length of the first
-        assert len(cleared) == 7
+        assert not opened
 
 
-def test_step_bound_clears_no_pass_without_steps(monkeypatch):
+@pytest.mark.parametrize("record", [True, False])
+def test_step_bound_clears_no_pass_without_steps(monkeypatch, record):
     # tau = 0 leaves the state where it is: every step is 0, under any tol,
     # and every pass takes the window test
     cfg = EngineConfig(tau=0.0, tol=1e-13, window=3 * _PASS, max_collisions=3 * _PASS)
-    states, opened = _open_passes(monkeypatch, _Engine(PASSES, cfg), bloch_vector(pure_qubit(math.pi / 2.0)))
+    states, opened = _open_passes(monkeypatch, _Engine(PASSES, cfg), bloch_vector(pure_qubit(math.pi / 2.0)), record)
     assert opened == [0, _PASS, 2 * _PASS] and not np.diff(states, axis=0).any()
+
+
+# One settling map under budgets that end at a chunk end, inside a chunk,
+# past a pass of chunk ends and inside a long stretch of cleared chunks;
+# the last run converges.
+MIXED_BUDGETS = [([ReservoirSpec(0.0, 0.1), ReservoirSpec(3.0, 0.1)], EngineConfig(max_collisions=budget))
+                 for budget in (5 * _CHUNK, 700, _SPAN + 1, 9000, 100_000)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(fixed_runs(), min_size=1, max_size=4))
+@example(CLEARED_AND_OPEN)
+@example(MIXED_BUDGETS)
+def test_unrecorded_runs_equal_recorded_runs_bitwise(runs):
+    # an unrecorded call forms chunk ends and the passes it window-tests
+    # alone, and must give each run's recorded result to the bit
+    unrecorded = evolve_runs([(*run, None) for run in runs], record=False)
+    for (reservoirs, cfg), (_, got) in zip(runs, unrecorded):
+        _, recorded = evolve(None, reservoirs, cfg)
+        assert got.rho_ss.tobytes() == recorded.rho_ss.tobytes()
+        assert (got.n_used, got.converged) == (recorded.n_used, recorded.converged)
+
+
+def test_unrecorded_sweep_forms_full_states_in_few_passes(monkeypatch, tmp_path):
+    # fig3a's runs settle slowly, and the step bound clears all but the
+    # chunks where they converge, so each run takes the window test, the one
+    # pass that forms its full states, at most twice
+    window, tested = qsc.collision._window, collections.Counter()
+
+    def spy(dist, tol, window_, streak, left, active):
+        tested.update(active.tolist())
+        return window(dist, tol, window_, streak, left, active)
+
+    monkeypatch.setattr(qsc.collision, "_window", spy)
+    run_preset("fig3a", RunOptions(out_dir=tmp_path))
+    assert len(tested) == 21 and max(tested.values()) <= 2
 
 
 @pytest.mark.parametrize("record", [True, False])
@@ -1138,9 +1184,9 @@ def test_repeated_deterministic_runs_advance_once(monkeypatch, record):
     # merged.
     advanced = {}
     for name in ("_MapPowers", "_MapGroup"):
-        def spy(engines, kernel=getattr(qsc.collision, name), name=name):
+        def spy(engines, *args, kernel=getattr(qsc.collision, name), name=name):
             advanced.setdefault(name, []).extend(e.mean_op.tobytes() for e in engines)
-            return kernel(engines)
+            return kernel(engines, *args)
 
         monkeypatch.setattr(qsc.collision, name, spy)
     cfg = EngineConfig(max_collisions=3 * _PASS, tol=1e-6)
@@ -1200,8 +1246,9 @@ SECOND_NOISY = [ReservoirSpec(2.5, 0.25, 0.3), ReservoirSpec(1.0, 0.35, 0.7, noi
       (settling(2.6), EngineConfig(max_collisions=_CHUNK - 1, tol=1e-9), None),
       (settling(1.8), EngineConfig(max_collisions=2 * _CHUNK + 20, tol=1e-9), None)], [1, 2, 0, 2]),
     # a noisy run retires at its budget in the third chunk; the deterministic
-    # runs then advance a pass of four chunks at a time, where they converge
-    # in several chunks of two passes and one stops at its budget mid-pass
+    # runs clear chunks and take window-tested passes of four chunks, where
+    # they converge in several chunks, and one stops at its budget inside a
+    # chunk
     ([(NOISY, EngineConfig(max_collisions=300, tol=1e-9), 5),
       (settling(math.pi), EngineConfig(max_collisions=12 * _CHUNK, tol=1e-2), None),
       (settling(2.2), EngineConfig(max_collisions=12 * _CHUNK, tol=1e-5), None),
